@@ -61,12 +61,13 @@ enum {
   GSKNN_NORM_COSINE = 4
 };
 
-/* Variants (mirror gsknn::Variant; 0 = automatic model-driven choice). */
+/* Variants (mirror gsknn::Variant; 0 = automatic model-driven choice).
+ * The value is the loop after which selection runs. Any other value,
+ * including the paper's dominated placements 2 and 3, fails with
+ * GSKNN_ERR_BAD_CONFIG. */
 enum {
   GSKNN_VARIANT_AUTO = 0,
   GSKNN_VARIANT_1 = 1,
-  GSKNN_VARIANT_2 = 2,
-  GSKNN_VARIANT_3 = 3,
   GSKNN_VARIANT_5 = 5,
   GSKNN_VARIANT_6 = 6
 };

@@ -63,28 +63,6 @@ struct BlockingParams {
   }
 };
 
-/// Software-prefetch distances for the hot loops, derived from the cache
-/// hierarchy alongside the blocking parameters (§2.4 discipline: the same
-/// machine model that sizes the panels also decides how far ahead to touch
-/// them). All distances are in *elements of the stream being prefetched*,
-/// so the consumers scale them by their own element size and tile shape.
-///
-/// GSKNN_PREFETCH=0 in the environment disables every software prefetch
-/// (A/B switch for the benches; evaluated once).
-struct PrefetchParams {
-  /// Master switch. Runtime-tunable software prefetch is reserved for the
-  /// hot path's *irregular* accesses — the pack gather's scattered source
-  /// rows. The R panel and the heap roots stream or stay cache-resident;
-  /// prefetching them from the depth loop measurably hurts (load-port
-  /// contention; see EXPERIMENTS.md "Hot-path tuning"). The only streaming
-  /// prefetch kept is the micro-kernels' fixed Q-panel look-ahead
-  /// (kMicroQPrefetchIters below).
-  bool enabled = true;
-  /// Points ahead the pack gather prefetches source rows of the next
-  /// sliver group.
-  int pack_points = 8;
-};
-
 /// Depth-loop iterations ahead the micro-kernels prefetch the packed query
 /// panel (one iteration consumes one m_r-sliver). This is the one streaming
 /// prefetch that pays for itself: the Q panel is the tile loop's widest
@@ -94,9 +72,6 @@ struct PrefetchParams {
 /// tuning"). Compile-time on purpose — a runtime distance would put a load
 /// of the parameter inside the FMA loop.
 inline constexpr int kMicroQPrefetchIters = 8;
-
-/// Derived + env-gated prefetch distances (cached after first call).
-const PrefetchParams& prefetch_params();
 
 /// Detect CPU features via CPUID (cached after first call).
 const CpuFeatures& cpu_features();

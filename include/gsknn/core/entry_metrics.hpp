@@ -19,17 +19,27 @@ namespace gsknn::core {
 
 /// One finished-call sample into both sinks; `t1` is the end-of-call
 /// now_ns() so the metrics layer places it in the right window slot
-/// without a second clock read.
-inline void record_entry_end(bool met, bool rec, metrics::EntryPoint ep,
-                             int status, std::uint64_t t0, int m, int n,
-                             int d, int k) {
+/// without a second clock read. Returns `t1`.
+inline std::uint64_t record_entry_end(bool met, bool rec,
+                                      metrics::EntryPoint ep, int status,
+                                      std::uint64_t t0, int m, int n, int d,
+                                      int k) {
   const std::uint64_t t1 = metrics::now_ns();
   if (met) metrics::record_call_at(t1, ep, status, t1 - t0, m, n, d, k);
   if (rec) {
     flightrec::record(flightrec::Kind::kCallEnd, static_cast<int>(ep),
                       status, t1 - t0, m, n, d, k);
   }
+  return t1;
 }
+
+/// The clock readings behind one bracketed call that returned normally, for
+/// callers that derive a further sample from the same measured interval.
+/// Left zero when both sinks are disarmed (no clock is read then).
+struct EntryTiming {
+  std::uint64_t end_ns = 0;      ///< now_ns() at the end of the call
+  std::uint64_t elapsed_ns = 0;  ///< end_ns minus the start reading
+};
 
 /// Run a throwing entry-point body under metrics. StatusError/bad_alloc are
 /// recorded with their mapped status and rethrown; any other exception
@@ -70,10 +80,11 @@ void record_entry(metrics::EntryPoint ep, int m, int n, int d, int k,
 
 /// Status-returning form: records the returned Status; a body that throws
 /// anyway (validation paths) is recorded and the exception propagated for
-/// the caller's catch-to-Status mapping.
+/// the caller's catch-to-Status mapping. When `timing` is given, a body
+/// that returns fills it with the measured interval.
 template <typename Fn>
 Status record_entry_status(metrics::EntryPoint ep, int m, int n, int d,
-                           int k, Fn&& fn) {
+                           int k, Fn&& fn, EntryTiming* timing = nullptr) {
   const bool met = metrics::enabled();
   const bool rec = flightrec::enabled();
   if (!met && !rec) return std::forward<Fn>(fn)();
@@ -99,7 +110,9 @@ Status record_entry_status(metrics::EntryPoint ep, int m, int n, int d,
                      m, n, d, k);
     throw;
   }
-  record_entry_end(met, rec, ep, static_cast<int>(s), t0, m, n, d, k);
+  const std::uint64_t t1 =
+      record_entry_end(met, rec, ep, static_cast<int>(s), t0, m, n, d, k);
+  if (timing != nullptr) *timing = EntryTiming{t1, t1 - t0};
   return s;
 }
 

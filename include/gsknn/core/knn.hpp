@@ -89,16 +89,15 @@ enum class Norm {
 };
 
 /// Placement of the neighbor selection within the six-loop nest (§2.3).
-/// The number names the loop after which selection runs. Var#4 is excluded:
+/// The value is the loop after which selection runs. Var#4 is excluded:
 /// after the 4th loop the d-dimension is still blocked, so distances are
-/// incomplete (the paper eliminates it for the same reason).
+/// incomplete. Var#2 and Var#3 are the paper's dominated placements (§2.3):
+/// Var#6 matches or beats them everywhere, so they are not offered.
 enum class Variant {
-  kAuto,  ///< model-driven choice between kVar1 and kVar6
-  kVar1,  ///< fused into the micro-kernel (best for small k)
-  kVar2,  ///< after each mc×nr strip
-  kVar3,  ///< after each mc×nc block
-  kVar5,  ///< after each m×nc panel (bounded memory)
-  kVar6,  ///< after the full m×n distance matrix (best for large k)
+  kAuto = 0,  ///< model-driven choice between kVar1 and kVar6
+  kVar1 = 1,  ///< fused into the micro-kernel (best for small k)
+  kVar5 = 5,  ///< after each m×nc panel (bounded memory)
+  kVar6 = 6,  ///< after the full m×n distance matrix (best for large k)
 };
 
 struct KnnConfig {

@@ -62,14 +62,13 @@ int balanced_mc(int m, int mc, int mr, int threads);
 /// kAuto), `bp` already balanced to `threads`, `tmr`/`tnr` the selected
 /// micro-kernel's register tile, `elem` = sizeof(distance scalar).
 /// `cap_bytes` == 0 means unlimited. `defer_possible` tells the plan the
-/// Var#1 deferred-selection buffers may be carved (k >= kDeferMinK and the
-/// GSKNN_DEFER knob on). `packed_refs` plans a warm call served from a
-/// PackedRefs cache: the packed Rc panel and reference norms live in the
-/// cache (budgeted there, not here), so they leave the shared footprint, and
-/// the degradation ladder is restricted to the steps that keep the cache's
-/// block geometry intact — Var#6 demotion and mc halving; nc and dc are
-/// pinned (retiling them would misalign the kernel against the cached
-/// blocks).
+/// Var#1 deferred-selection buffers may be carved (k >= kDeferMinK).
+/// `packed_refs` plans a warm call served from a PackedRefs cache: the
+/// packed Rc panel and reference norms live in the cache (budgeted there,
+/// not here), so they leave the shared footprint, and the degradation
+/// ladder is restricted to the steps that keep the cache's block geometry
+/// intact — Var#6 demotion and mc halving; nc and dc are pinned (retiling
+/// them would misalign the kernel against the cached blocks).
 WorkspacePlan plan_workspace(int m, int n, int d, Variant variant,
                              const BlockingParams& bp, int tmr, int tnr,
                              int threads, bool needs_norms,

@@ -118,27 +118,6 @@ const CacheInfo& cache_info() {
   return c;
 }
 
-const PrefetchParams& prefetch_params() {
-  static const PrefetchParams pp = [] {
-    PrefetchParams p;
-    const char* e = std::getenv("GSKNN_PREFETCH");
-    if (e != nullptr && e[0] == '0') {
-      p.enabled = false;
-      return p;
-    }
-    // One sliver group of lookahead for the pack gather: a line's worth of
-    // points (8 with 64-byte lines and double coordinates) is enough to hide
-    // the scattered source-row latency behind the current group's transpose
-    // without thrashing the L1 fill buffers.
-    const CacheInfo& c = cache_info();
-    const int line_doubles =
-        static_cast<int>(c.line / sizeof(double));  // 8 on every x86
-    p.pack_points = std::max(4, line_doubles);
-    return p;
-  }();
-  return pp;
-}
-
 bool force_scalar() {
   static const bool v = [] {
     const char* e = std::getenv("GSKNN_FORCE_SCALAR");

@@ -86,12 +86,6 @@ int parse_search_config(int norm, int variant, double lp, int threads,
     case GSKNN_VARIANT_1:
       cfg.variant = gsknn::Variant::kVar1;
       break;
-    case GSKNN_VARIANT_2:
-      cfg.variant = gsknn::Variant::kVar2;
-      break;
-    case GSKNN_VARIANT_3:
-      cfg.variant = gsknn::Variant::kVar3;
-      break;
     case GSKNN_VARIANT_5:
       cfg.variant = gsknn::Variant::kVar5;
       break;

@@ -71,8 +71,7 @@ const char* const kEnvKnobs[] = {
     "GSKNN_SLO_AVAILABILITY", "GSKNN_MAX_WORKSPACE",
     "GSKNN_FAULT",            "GSKNN_PMU",
     "GSKNN_TRACE_RING_KB",    "GSKNN_MAX_SIMD",
-    "GSKNN_FORCE_SCALAR",     "GSKNN_PREFETCH",
-    "GSKNN_DEFER",            "GSKNN_THREADS",
+    "GSKNN_FORCE_SCALAR",     "GSKNN_THREADS",
     "GSKNN_BENCH_JSON",       "GSKNN_BENCH_QUICK",
 };
 

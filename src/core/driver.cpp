@@ -10,10 +10,8 @@
 //
 // Variant = the loop after which neighbor selection runs. Var#1 selects in
 // the micro-kernel and, when d ≤ dc, never materializes distances at all;
-// the other variants store finished distances into a query-major buffer and
-// select at their loop boundary. Var#4 does not exist (distances are
-// incomplete after the 4th loop — the paper eliminates it, and the Variant
-// enum does not offer it).
+// Var#5 and Var#6 store finished distances into a query-major buffer and
+// select after each m × nc panel or after the full m × n matrix.
 //
 // Resource governance (docs/ROBUSTNESS.md): every byte of workspace is
 // planned up front (gsknn/core/workspace.hpp) and carved from per-call
@@ -33,6 +31,7 @@
 #include <limits>
 #include <new>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "gsknn/common/fault.hpp"
@@ -137,25 +136,6 @@ void row_select(const T* GSKNN_RESTRICT cand, const int* GSKNN_RESTRICT ids,
   }
 }
 
-/// The loop number a Variant names (telemetry metadata).
-int variant_number(Variant v) {
-  switch (v) {
-    case Variant::kVar1:
-      return 1;
-    case Variant::kVar2:
-      return 2;
-    case Variant::kVar3:
-      return 3;
-    case Variant::kVar5:
-      return 5;
-    case Variant::kVar6:
-      return 6;
-    case Variant::kAuto:
-      break;
-  }
-  return 0;
-}
-
 /// The d == 0 degenerate path, shared by the cold and packed drivers:
 /// every point is the empty tuple and every pairwise distance is identically
 /// 0 (cosine: 1, the zero-norm rule). Selection still honors dedup and the
@@ -197,53 +177,53 @@ struct KernelPlanT {
   SimdLevel chosen = SimdLevel::kScalar;  ///< level the kernel dispatched to
   int threads = 1;
   bool needs_norms = false;
-  bool defer_possible = false;
   WorkspacePlan ws;
 };
 
-/// Record the governance counters (and flight-recorder events) a finished
-/// plan implies.
-void count_plan_events(const WorkspacePlan& ws, Variant requested) {
-  if (ws.retile_steps > 0) {
-    metrics::add_counter(metrics::Counter::kWorkspaceRetiledCalls);
-    metrics::add_counter(metrics::Counter::kWorkspaceRetileSteps,
-                         static_cast<std::uint64_t>(ws.retile_steps));
-    flightrec::record(flightrec::Kind::kRetile, -1, 0,
-                      static_cast<std::uint64_t>(ws.retile_steps));
-  }
-  if (ws.variant != requested) {
-    metrics::add_counter(metrics::Counter::kVariantDemotions);
-    flightrec::record(flightrec::Kind::kDemotion, -1, 0,
-                      static_cast<std::uint64_t>(ws.variant));
-  }
-}
-
-/// Cold-path plan: resolve variant, micro-kernel and blocking, balance mc
-/// over the thread team, and run the workspace planner (which may demote
-/// Var#6 and retile nc/mc/dc under a cap — all bitwise-result-preserving,
-/// gsknn/core/workspace.hpp). Throws StatusError(kBadConfig) for blockings
-/// no micro-kernel matches.
+/// The plan steps shared by the cold and warm paths once the micro-kernel
+/// and blocking are fixed: balance mc over the thread team, then run the
+/// workspace planner (which may demote Var#6 and retile under a cap — all
+/// bitwise-result-preserving, gsknn/core/workspace.hpp) and record the
+/// governance counters and flight-recorder events the finished plan implies.
 template <typename T>
-Status plan_kernel(int m, int n, int d, int k, const KnnConfig& cfg,
-                   KernelPlanT<T>& kp) {
-  const Variant req_variant = resolve_variant(m, n, d, k, cfg);
-  const SimdLevel level = cpu_features().best_level();
+Status plan_workspace_tail(int m, int n, int d, int k, const KnnConfig& cfg,
+                           bool packed_refs, KernelPlanT<T>& kp) {
   kp.needs_norms = (cfg.norm == Norm::kL2Sq || cfg.norm == Norm::kCosine);
-  resolve_kernel_and_blocking<T>(level, cfg, kp.mk, kp.bp, kp.chosen);
   kp.threads = resolve_threads(cfg.threads);
   kp.bp.mc = balanced_mc(m, kp.bp.mc, kp.mk.mr, kp.threads);
-  kp.defer_possible = k >= kDeferMinK && defer_enabled();
+  const Variant req_variant = resolve_variant(m, n, d, k, cfg);
   const std::size_t cap = cfg.max_workspace_bytes != 0
                               ? cfg.max_workspace_bytes
                               : max_workspace_env();
   kp.ws = plan_workspace(m, n, d, req_variant, kp.bp, kp.mk.mr, kp.mk.nr,
-                         kp.threads, kp.needs_norms, kp.defer_possible,
-                         sizeof(T), cap);
+                         kp.threads, kp.needs_norms, k >= kDeferMinK,
+                         sizeof(T), cap, packed_refs);
   if (!kp.ws.fits) return Status::kResourceExhausted;
-  count_plan_events(kp.ws, req_variant);
+  if (kp.ws.retile_steps > 0) {
+    metrics::add_counter(metrics::Counter::kWorkspaceRetiledCalls);
+    metrics::add_counter(metrics::Counter::kWorkspaceRetileSteps,
+                         static_cast<std::uint64_t>(kp.ws.retile_steps));
+    flightrec::record(flightrec::Kind::kRetile, -1, 0,
+                      static_cast<std::uint64_t>(kp.ws.retile_steps));
+  }
+  if (kp.ws.variant != req_variant) {
+    metrics::add_counter(metrics::Counter::kVariantDemotions);
+    flightrec::record(flightrec::Kind::kDemotion, -1, 0,
+                      static_cast<std::uint64_t>(kp.ws.variant));
+  }
   kp.variant = kp.ws.variant;
   kp.bp = kp.ws.blocking;
   return Status::kOk;
+}
+
+/// Cold-path plan: resolve micro-kernel and blocking, then the shared tail.
+/// Throws StatusError(kBadConfig) for blockings no micro-kernel matches.
+template <typename T>
+Status plan_kernel(int m, int n, int d, int k, const KnnConfig& cfg,
+                   KernelPlanT<T>& kp) {
+  resolve_kernel_and_blocking<T>(cpu_features().best_level(), cfg, kp.mk,
+                                 kp.bp, kp.chosen);
+  return plan_workspace_tail<T>(m, n, d, k, cfg, /*packed_refs=*/false, kp);
 }
 
 /// Warm-path plan: the pack geometry (nc, dc, nr, SIMD level) is pinned by
@@ -281,22 +261,7 @@ Status plan_kernel_packed(const PackedRefsT<T>& refs, int m, int n, int d,
     }
     kp.bp.mc = ob.mc;
   }
-  kp.needs_norms = (cfg.norm == Norm::kL2Sq || cfg.norm == Norm::kCosine);
-  kp.threads = resolve_threads(cfg.threads);
-  kp.bp.mc = balanced_mc(m, kp.bp.mc, kp.mk.mr, kp.threads);
-  kp.defer_possible = k >= kDeferMinK && defer_enabled();
-  const Variant req_variant = resolve_variant(m, n, d, k, cfg);
-  const std::size_t cap = cfg.max_workspace_bytes != 0
-                              ? cfg.max_workspace_bytes
-                              : max_workspace_env();
-  kp.ws = plan_workspace(m, n, d, req_variant, kp.bp, kp.mk.mr, kp.mk.nr,
-                         kp.threads, kp.needs_norms, kp.defer_possible,
-                         sizeof(T), cap, /*packed_refs=*/true);
-  if (!kp.ws.fits) return Status::kResourceExhausted;
-  count_plan_events(kp.ws, req_variant);
-  kp.variant = kp.ws.variant;
-  kp.bp = kp.ws.blocking;
-  return Status::kOk;
+  return plan_workspace_tail<T>(m, n, d, k, cfg, /*packed_refs=*/true, kp);
 }
 
 // ---- pack phase (reference side) -------------------------------------------
@@ -413,7 +378,6 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
   const int threads = kp.threads;
   const bool needs_norms = kp.needs_norms;
   const WorkspacePlan& plan = kp.ws;
-  const bool defer_possible = kp.defer_possible;
   const int mc = kp.bp.mc;
   const int nc = kp.bp.nc;
   const int dc = kp.bp.dc;
@@ -501,7 +465,7 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
     }
   };
 
-  // Per-query completion tracking for early stops. Var#1/2/3 select inside
+  // Per-query completion tracking for early stops. Var#1 selects inside
   // the 4th-loop body, so an mc-block's rows are complete iff the block's
   // last-depth body ran for every jc panel; block_pass counts those. Each
   // entry is written by the one thread owning that ic iteration and read
@@ -514,7 +478,7 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
 
   // Shared-arena carving, byte-for-byte the plan's footprint. The distance
   // buffer: Var#1 needs it only to carry rank-dc accumulation when d > dc;
-  // Var#2/3/5 hold the current nc-wide panel; Var#6 holds the full m × n
+  // Var#5 holds the current nc-wide panel; Var#6 holds the full m × n
   // matrix.
   const int db_max = (d < dc) ? d : dc;
   const int nbpad_max = static_cast<int>(round_up(
@@ -527,7 +491,7 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
                                              static_cast<std::size_t>(tmr)));
   // Var#1's buffer is a pure rank-dc accumulator (only the micro-kernel ever
   // reads it back), so it uses column-major tiles with contiguous stores.
-  // The selection variants scan query rows, so they pay the transposed
+  // Var#5/6 selection scans query rows, so it pays the transposed
   // (query-major) layout. Either way the leading dimension gets one extra
   // cache line so power-of-two problem sizes don't alias all tile rows onto
   // a single cache set (pure conflict misses otherwise).
@@ -555,6 +519,51 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
     cbuf = sws.alloc<T>(static_cast<std::size_t>(celems));
   }
 
+  // Var#5/6 selection: one parallel row scan over the query-major distance
+  // buffer, `len` candidates per row carrying ids[0..len) — Var#5 runs it
+  // over each finished m × nc panel, Var#6 once over the full m × n matrix.
+  // The scan is all-or-nothing: poll once before the region, never inside
+  // it, so a stop can't tear it. `span_col` tags the trace span.
+  const auto select_panel = [&](const int* ids, int len, int span_col) {
+    if (stop.load(std::memory_order_relaxed) != 0) return;
+    if (governed) {
+      poll_stop();
+      if (stop.load(std::memory_order_relaxed) != 0) return;
+    }
+#if defined(GSKNN_HAVE_OPENMP)
+#pragma omp parallel num_threads(threads)
+#endif
+    {
+      telemetry::ThreadCounters* tc = prof ? &rec.slot(thread_id()) : nullptr;
+      WallTimer sel_timer;
+      telemetry::PmuCounts sc0;
+      std::uint64_t ts0 = 0;
+      if (prof) sel_timer.start();
+      if (pmu_on) telemetry::PmuGroup::this_thread().read(sc0);
+      if (trace != nullptr) ts0 = telemetry::trace_now();
+#if defined(GSKNN_HAVE_OPENMP)
+#pragma omp for schedule(static) nowait
+#endif
+      for (int i = 0; i < m; ++i) {
+        const int row = heap_row(i);
+        row_select(cbuf + static_cast<long>(i) * ld, ids, len,
+                   result.row_dists(row), result.row_ids(row),
+                   result.row_idset(row), k, stride, arity, cfg.dedup, tc);
+      }
+      if (trace != nullptr) {
+        trace->record(telemetry::Phase::kSelect, ts0, telemetry::trace_now(),
+                      -1, span_col);
+      }
+      if (pmu_on) {
+        telemetry::PmuCounts sc1;
+        if (telemetry::PmuGroup::this_thread().read(sc1)) {
+          tc->add_pmu(telemetry::Phase::kSelect, sc1.delta_since(sc0));
+        }
+      }
+      if (prof) tc->add_phase(telemetry::Phase::kSelect, sel_timer.seconds());
+    }
+  };
+
   for (int jc = 0; jc < n; jc += nc) {  // ---- 6th loop ----
     const int nb = (n - jc < nc) ? n - jc : nc;
     const int nbpad = static_cast<int>(round_up(static_cast<std::size_t>(nb),
@@ -578,7 +587,7 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
       // "Hot-path tuning"). The k == 1 non-dedup accept is already two
       // stores (sel_insert_raw), so deferral has nothing to amortize there.
       const bool defer_sel =
-          (variant == Variant::kVar1) && last && defer_possible;
+          (variant == Variant::kVar1) && last && k >= kDeferMinK;
 
       // Pack phase, reference side: cold packs the slab into the arena and
       // reports its bytes; warm leases the cached block — 0 bytes on a
@@ -644,12 +653,10 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
         const int tid = thread_id();
         telemetry::ThreadCounters* tc = prof ? &rec.slot(tid) : nullptr;
         WallTimer block_timer;
-        double select_secs = 0.0;
         [[maybe_unused]] std::uint64_t tiles_local = 0, cand_local = 0;
         // PMU snapshots bracket the same regions as the timers: bc0→bc1 is
-        // pack-Qc, bc1→block-end minus the accumulated select deltas is the
-        // micro-kernel (mirroring the select_secs subtraction below).
-        telemetry::PmuCounts bc0, bc1, sel_pmu;
+        // pack-Qc, bc1→block-end is the micro-kernel.
+        telemetry::PmuCounts bc0, bc1;
         std::uint64_t tq0 = 0;
         if (prof) block_timer.start();
         if (pmu_on) telemetry::PmuGroup::this_thread().read(bc0);
@@ -758,33 +765,6 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
                   rows, cols, sel, cfg.p);
             if constexpr (telemetry::kCountersEnabled) ++tiles_local;
           }  // 2nd loop
-
-          if (variant == Variant::kVar2 && last) {
-            WallTimer sel_timer;
-            telemetry::PmuCounts sc0;
-            std::uint64_t ts0 = 0;
-            if (prof) sel_timer.start();
-            if (pmu_on) telemetry::PmuGroup::this_thread().read(sc0);
-            if (trace != nullptr) ts0 = telemetry::trace_now();
-            for (int i = 0; i < mb; ++i) {
-              const int row = heap_row(ic + i);
-              row_select(cbuf + static_cast<long>(ic + i) * ld + jr,
-                         rid + jc + jr, cols, result.row_dists(row),
-                         result.row_ids(row), result.row_idset(row), k,
-                         stride, arity, cfg.dedup, tc);
-            }
-            if (trace != nullptr) {
-              trace->record(telemetry::Phase::kSelect, ts0,
-                            telemetry::trace_now(), ic, jc + jr);
-            }
-            if (pmu_on) {
-              telemetry::PmuCounts sc1;
-              if (telemetry::PmuGroup::this_thread().read(sc1)) {
-                sel_pmu.accumulate(sc1.delta_since(sc0));
-              }
-            }
-            if (prof) select_secs += sel_timer.seconds();
-          }
         }  // 3rd loop
 
         if (defer_sel) {
@@ -800,52 +780,20 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
           }
         }
 
-        // The micro span covers the whole 3rd loop plus the deferred drain;
-        // Var#2 select spans nest inside it on the timeline, matching how
-        // select_secs is carved out of the micro-phase *time* below.
+        // The micro span covers the whole 3rd loop plus the deferred drain.
         if (trace != nullptr) {
           trace->record(telemetry::Phase::kMicro, tm0, telemetry::trace_now(),
                         ic, jc);
         }
 
-        if (variant == Variant::kVar3 && last) {
-          WallTimer sel_timer;
-          telemetry::PmuCounts sc0;
-          std::uint64_t ts0 = 0;
-          if (prof) sel_timer.start();
-          if (pmu_on) telemetry::PmuGroup::this_thread().read(sc0);
-          if (trace != nullptr) ts0 = telemetry::trace_now();
-          for (int i = 0; i < mb; ++i) {
-            const int row = heap_row(ic + i);
-            row_select(cbuf + static_cast<long>(ic + i) * ld,
-                       rid + jc, nb, result.row_dists(row),
-                       result.row_ids(row), result.row_idset(row), k, stride,
-                       arity, cfg.dedup, tc);
-          }
-          if (trace != nullptr) {
-            trace->record(telemetry::Phase::kSelect, ts0,
-                          telemetry::trace_now(), ic, jc);
-          }
-          if (pmu_on) {
-            telemetry::PmuCounts sc1;
-            if (telemetry::PmuGroup::this_thread().read(sc1)) {
-              sel_pmu.accumulate(sc1.delta_since(sc0));
-            }
-          }
-          if (prof) select_secs += sel_timer.seconds();
-        }
         if (prof) {
-          // Everything in the 3rd loop that was not selection is micro-
-          // kernel time (for Var#1 that includes the fused selection).
-          tc->add_phase(telemetry::Phase::kMicro,
-                        block_timer.seconds() - select_secs);
-          tc->add_phase(telemetry::Phase::kSelect, select_secs);
+          // The whole 3rd loop is micro-kernel time (for Var#1 that includes
+          // the fused selection).
+          tc->add_phase(telemetry::Phase::kMicro, block_timer.seconds());
           if (pmu_on) {
             telemetry::PmuCounts bc2;
             if (telemetry::PmuGroup::this_thread().read(bc2)) {
-              tc->add_pmu(telemetry::Phase::kMicro,
-                          bc2.delta_since(bc1).delta_since(sel_pmu));
-              tc->add_pmu(telemetry::Phase::kSelect, sel_pmu);
+              tc->add_pmu(telemetry::Phase::kMicro, bc2.delta_since(bc1));
             }
           }
           if constexpr (telemetry::kCountersEnabled) {
@@ -869,87 +817,11 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
       }  // 4th loop
     }  // 5th loop
 
-    if (variant == Variant::kVar5) {
-      // Selection over the finished m × nc panel is all-or-nothing: poll
-      // once before the region, never inside it, so a stop can't tear it.
-      if (governed && stop.load(std::memory_order_relaxed) == 0) poll_stop();
-      if (stop.load(std::memory_order_relaxed) == 0) {
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp parallel num_threads(threads)
-#endif
-      {
-        const int tid = thread_id();
-        telemetry::ThreadCounters* tc = prof ? &rec.slot(tid) : nullptr;
-        WallTimer sel_timer;
-        telemetry::PmuCounts sc0;
-        std::uint64_t ts0 = 0;
-        if (prof) sel_timer.start();
-        if (pmu_on) telemetry::PmuGroup::this_thread().read(sc0);
-        if (trace != nullptr) ts0 = telemetry::trace_now();
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp for schedule(static) nowait
-#endif
-        for (int i = 0; i < m; ++i) {
-          const int row = heap_row(i);
-          row_select(cbuf + static_cast<long>(i) * ld, rid + jc,
-                     nb, result.row_dists(row), result.row_ids(row),
-                     result.row_idset(row), k, stride, arity, cfg.dedup, tc);
-        }
-        if (trace != nullptr) {
-          trace->record(telemetry::Phase::kSelect, ts0, telemetry::trace_now(),
-                        -1, jc);
-        }
-        if (pmu_on) {
-          telemetry::PmuCounts sc1;
-          if (telemetry::PmuGroup::this_thread().read(sc1)) {
-            tc->add_pmu(telemetry::Phase::kSelect, sc1.delta_since(sc0));
-          }
-        }
-        if (prof) tc->add_phase(telemetry::Phase::kSelect, sel_timer.seconds());
-      }
-      }
-    }
+    if (variant == Variant::kVar5) select_panel(rid + jc, nb, jc);
     if (stop.load(std::memory_order_relaxed) != 0) break;
   }  // 6th loop
 
-  if (variant == Variant::kVar6 && stop.load(std::memory_order_relaxed) == 0) {
-    if (governed) poll_stop();
-    if (stop.load(std::memory_order_relaxed) == 0) {
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp parallel num_threads(threads)
-#endif
-    {
-      const int tid = thread_id();
-      telemetry::ThreadCounters* tc = prof ? &rec.slot(tid) : nullptr;
-      WallTimer sel_timer;
-      telemetry::PmuCounts sc0;
-      std::uint64_t ts0 = 0;
-      if (prof) sel_timer.start();
-      if (pmu_on) telemetry::PmuGroup::this_thread().read(sc0);
-      if (trace != nullptr) ts0 = telemetry::trace_now();
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp for schedule(static) nowait
-#endif
-      for (int i = 0; i < m; ++i) {
-        const int row = heap_row(i);
-        row_select(cbuf + static_cast<long>(i) * ld, rid, n,
-                   result.row_dists(row), result.row_ids(row),
-                   result.row_idset(row), k, stride, arity, cfg.dedup, tc);
-      }
-      if (trace != nullptr) {
-        trace->record(telemetry::Phase::kSelect, ts0, telemetry::trace_now(),
-                      -1, -1);
-      }
-      if (pmu_on) {
-        telemetry::PmuCounts sc1;
-        if (telemetry::PmuGroup::this_thread().read(sc1)) {
-          tc->add_pmu(telemetry::Phase::kSelect, sc1.delta_since(sc0));
-        }
-      }
-      if (prof) tc->add_phase(telemetry::Phase::kSelect, sel_timer.seconds());
-    }
-    }
-  }
+  if (variant == Variant::kVar6) select_panel(rid, n, -1);
 
   const Status outcome =
       static_cast<Status>(stop.load(std::memory_order_acquire));
@@ -959,11 +831,11 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
     // that did offer every candidate to them.
     for (int i = 0; i < m; ++i) result.mark_row_complete(heap_row(i));
   } else {
-    // Flag the rows that missed candidates. Var#1/2/3: per mc-block, rows
+    // Flag the rows that missed candidates. Var#1: per mc-block, rows
     // are complete iff every jc panel's last-depth body finished. Var#5/6:
     // a skipped selection region (or an unfinished accumulation) starves
     // every row uniformly.
-    if (variant == Variant::kVar5 || variant == Variant::kVar6) {
+    if (variant != Variant::kVar1) {
       for (int i = 0; i < m; ++i) result.mark_row_incomplete(heap_row(i));
     } else {
       for (int ic = 0; ic < m; ic += mc) {
@@ -987,7 +859,7 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
     P.d = d;
     P.k = k;
     P.threads = threads;
-    P.variant = variant_number(variant);
+    P.variant = static_cast<int>(variant);
     P.simd_level = static_cast<int>(chosen);
     P.blocking = kp.bp;
     P.workspace_bytes = plan.total_bytes();
@@ -1102,58 +974,36 @@ Status packed_kernel_impl(PackedRefsT<T>& refs, std::span<const int> qidx,
                                result_rows, kp, rpanels);
 }
 
-/// Public-entry bracket: records (status, latency, shape) into the
-/// aggregate registry for every call — including ones that end in a throw —
-/// and, for clean runs, one model-drift sample comparing the measured wall
-/// time against the §2.6 prediction for the shape the call resolved to
-/// (Fig. 4 as a continuously monitored calibration error). Costs two clock
-/// reads and ~a dozen relaxed per-thread increments per call; nothing when
-/// metrics are disarmed.
+/// The metrics entry point a kernel call of precision T is recorded under.
+template <typename T>
+constexpr metrics::EntryPoint kernel_entry_point() {
+  return sizeof(T) == 8 ? metrics::EntryPoint::kKernelF64
+                        : metrics::EntryPoint::kKernelF32;
+}
+
+/// Cold public-entry bracket: the (status, latency, shape) sample of
+/// record_entry_status plus, for clean runs, one model-drift sample from the
+/// same measured interval, comparing it against the §2.6 prediction for the
+/// shape the call resolved to (Fig. 4 as a continuously monitored
+/// calibration error).
 template <typename T>
 Status kernel_with_metrics(const PointTableT<T>& X, std::span<const int> qidx,
                            std::span<const int> ridx,
                            NeighborTableT<T>& result, const KnnConfig& cfg,
                            std::span<const int> result_rows) {
-  const bool met = metrics::enabled();
-  const bool rec = flightrec::enabled();
-  if (!met && !rec) {
-    return knn_kernel_impl<T>(X, qidx, ridx, result, cfg, result_rows);
-  }
   const int m = static_cast<int>(qidx.size());
   const int n = static_cast<int>(ridx.size());
   const int d = X.dim();
   const int k = result.k();
-  const metrics::EntryPoint ep = sizeof(T) == 8
-                                     ? metrics::EntryPoint::kKernelF64
-                                     : metrics::EntryPoint::kKernelF32;
-  const std::uint64_t t0 = metrics::now_ns();
-  if (rec) {
-    flightrec::record(flightrec::Kind::kCallBegin, static_cast<int>(ep), 0,
-                      0, m, n, d, k);
-  }
-  Status s = Status::kInternal;
-  try {
-    s = knn_kernel_impl<T>(X, qidx, ridx, result, cfg, result_rows);
-  } catch (const StatusError& e) {
-    record_entry_end(met, rec, ep, static_cast<int>(e.status()), t0, m, n, d,
-                     k);
-    throw;
-  } catch (const std::bad_alloc&) {
-    record_entry_end(met, rec, ep,
-                     static_cast<int>(Status::kResourceExhausted), t0, m, n,
-                     d, k);
-    throw;
-  }
-  const std::uint64_t t1 = metrics::now_ns();
-  const std::uint64_t ns = t1 - t0;
-  if (met) {
-    metrics::record_call_at(t1, ep, static_cast<int>(s), ns, m, n, d, k);
-  }
-  if (rec) {
-    flightrec::record(flightrec::Kind::kCallEnd, static_cast<int>(ep),
-                      static_cast<int>(s), ns, m, n, d, k);
-  }
-  if (met && s == Status::kOk && m > 0 && n > 0 && d > 0 && k > 0) {
+  EntryTiming timing;
+  const Status s = record_entry_status(
+      kernel_entry_point<T>(), m, n, d, k,
+      [&] {
+        return knn_kernel_impl<T>(X, qidx, ridx, result, cfg, result_rows);
+      },
+      &timing);
+  if (s == Status::kOk && timing.end_ns != 0 && metrics::enabled() && m > 0 &&
+      n > 0 && d > 0 && k > 0) {
     const Variant v = resolve_variant(m, n, d, k, cfg);
     static const model::MachineParams mp{};
     const BlockingParams bp = cfg.blocking.value_or(
@@ -1162,58 +1012,50 @@ Status kernel_with_metrics(const PointTableT<T>& X, std::span<const int> qidx,
     const double predicted = model::predicted_time(
         v == Variant::kVar1 ? model::Method::kVar1 : model::Method::kVar6,
         shape, mp, bp);
-    metrics::record_drift_at(t1, sizeof(T) == 4, predicted,
-                             static_cast<double>(ns) * 1e-9);
+    metrics::record_drift_at(timing.end_ns, sizeof(T) == 4, predicted,
+                             static_cast<double>(timing.elapsed_ns) * 1e-9);
   }
   return s;
 }
 
-/// Metrics bracket for the packed entry points: same (status, latency,
-/// shape) sample under the kernel entry-point axis — warm and cold traffic
-/// share one rate, which is what a server dashboard wants. No model-drift
-/// sample: the §2.6 model prices the pack phase the warm path skips, so a
-/// warm call would read as spurious model optimism.
+/// Warm public-entry bracket: the same (status, latency, shape) sample under
+/// the kernel entry-point axis — warm and cold traffic share one rate, which
+/// is what a server dashboard wants. No model-drift sample: the §2.6 model
+/// prices the pack phase the warm path skips, so a warm call would read as
+/// spurious model optimism.
 template <typename T>
-Status packed_kernel_with_metrics(PackedRefsT<T>& refs,
-                                  std::span<const int> qidx,
-                                  NeighborTableT<T>& result,
-                                  const KnnConfig& cfg,
-                                  std::span<const int> result_rows,
-                                  std::uint64_t expected_epoch) {
-  const bool met = metrics::enabled();
-  const bool rec = flightrec::enabled();
-  if (!met && !rec) {
-    return packed_kernel_impl<T>(refs, qidx, result, cfg, result_rows,
-                                 expected_epoch);
+Status kernel_with_metrics(PackedRefsT<T>& refs, std::span<const int> qidx,
+                           NeighborTableT<T>& result, const KnnConfig& cfg,
+                           std::span<const int> result_rows,
+                           std::uint64_t expected_epoch) {
+  return record_entry_status(
+      kernel_entry_point<T>(), static_cast<int>(qidx.size()), refs.size(),
+      refs.built() ? refs.table()->dim() : 0, result.k(), [&] {
+        return packed_kernel_impl<T>(refs, qidx, result, cfg, result_rows,
+                                     expected_epoch);
+      });
+}
+
+/// Throwing public form: a kernel that stopped early raises its Status.
+template <typename... Args>
+void kernel_or_throw(const char* what, Args&... args) {
+  const Status s = kernel_with_metrics(args...);
+  if (s != Status::kOk) {
+    throw StatusError(s, std::string(what) + status_name(s));
   }
-  const int m = static_cast<int>(qidx.size());
-  const int n = refs.size();
-  const int d = refs.built() ? refs.table()->dim() : 0;
-  const int k = result.k();
-  const metrics::EntryPoint ep = sizeof(T) == 8
-                                     ? metrics::EntryPoint::kKernelF64
-                                     : metrics::EntryPoint::kKernelF32;
-  const std::uint64_t t0 = metrics::now_ns();
-  if (rec) {
-    flightrec::record(flightrec::Kind::kCallBegin, static_cast<int>(ep), 0,
-                      0, m, n, d, k);
-  }
-  Status s = Status::kInternal;
+}
+
+/// Status-returning public form: the exceptions an entry can raise map onto
+/// the Status they carry.
+template <typename... Args>
+Status kernel_or_status(Args&... args) {
   try {
-    s = packed_kernel_impl<T>(refs, qidx, result, cfg, result_rows,
-                              expected_epoch);
+    return kernel_with_metrics(args...);
   } catch (const StatusError& e) {
-    record_entry_end(met, rec, ep, static_cast<int>(e.status()), t0, m, n, d,
-                     k);
-    throw;
+    return e.status();
   } catch (const std::bad_alloc&) {
-    record_entry_end(met, rec, ep,
-                     static_cast<int>(Status::kResourceExhausted), t0, m, n,
-                     d, k);
-    throw;
+    return Status::kResourceExhausted;
   }
-  record_entry_end(met, rec, ep, static_cast<int>(s), t0, m, n, d, k);
-  return s;
 }
 
 }  // namespace
@@ -1240,107 +1082,61 @@ Variant resolve_variant(int m, int n, int d, int k, const KnnConfig& cfg) {
 void knn_kernel(const PointTable& X, std::span<const int> qidx,
                 std::span<const int> ridx, NeighborTable& result,
                 const KnnConfig& cfg, std::span<const int> result_rows) {
-  const Status s =
-      core::kernel_with_metrics<double>(X, qidx, ridx, result, cfg,
-                                        result_rows);
-  if (s != Status::kOk) {
-    throw StatusError(s, std::string("gsknn: kernel stopped: ") +
-                             status_name(s));
-  }
+  core::kernel_or_throw("gsknn: kernel stopped: ", X, qidx, ridx, result, cfg,
+                        result_rows);
 }
 
 void knn_kernel(const PointTableF& X, std::span<const int> qidx,
                 std::span<const int> ridx, NeighborTableF& result,
                 const KnnConfig& cfg, std::span<const int> result_rows) {
-  const Status s =
-      core::kernel_with_metrics<float>(X, qidx, ridx, result, cfg,
-                                       result_rows);
-  if (s != Status::kOk) {
-    throw StatusError(s, std::string("gsknn: kernel stopped: ") +
-                             status_name(s));
-  }
+  core::kernel_or_throw("gsknn: kernel stopped: ", X, qidx, ridx, result, cfg,
+                        result_rows);
 }
 
 Status knn_kernel_status(const PointTable& X, std::span<const int> qidx,
                          std::span<const int> ridx, NeighborTable& result,
                          const KnnConfig& cfg,
                          std::span<const int> result_rows) {
-  try {
-    return core::kernel_with_metrics<double>(X, qidx, ridx, result, cfg,
-                                             result_rows);
-  } catch (const StatusError& e) {
-    return e.status();
-  } catch (const std::bad_alloc&) {
-    return Status::kResourceExhausted;
-  }
+  return core::kernel_or_status(X, qidx, ridx, result, cfg, result_rows);
 }
 
 Status knn_kernel_status(const PointTableF& X, std::span<const int> qidx,
                          std::span<const int> ridx, NeighborTableF& result,
                          const KnnConfig& cfg,
                          std::span<const int> result_rows) {
-  try {
-    return core::kernel_with_metrics<float>(X, qidx, ridx, result, cfg,
-                                            result_rows);
-  } catch (const StatusError& e) {
-    return e.status();
-  } catch (const std::bad_alloc&) {
-    return Status::kResourceExhausted;
-  }
+  return core::kernel_or_status(X, qidx, ridx, result, cfg, result_rows);
 }
 
 void knn_kernel(PackedRefs& refs, std::span<const int> qidx,
                 NeighborTable& result, const KnnConfig& cfg,
                 std::span<const int> result_rows,
                 std::uint64_t expected_epoch) {
-  const Status s = core::packed_kernel_with_metrics<double>(
-      refs, qidx, result, cfg, result_rows, expected_epoch);
-  if (s != Status::kOk) {
-    throw StatusError(s, std::string("gsknn: packed kernel stopped: ") +
-                             status_name(s));
-  }
+  core::kernel_or_throw("gsknn: packed kernel stopped: ", refs, qidx, result,
+                        cfg, result_rows, expected_epoch);
 }
 
 void knn_kernel(PackedRefsF& refs, std::span<const int> qidx,
                 NeighborTableF& result, const KnnConfig& cfg,
                 std::span<const int> result_rows,
                 std::uint64_t expected_epoch) {
-  const Status s = core::packed_kernel_with_metrics<float>(
-      refs, qidx, result, cfg, result_rows, expected_epoch);
-  if (s != Status::kOk) {
-    throw StatusError(s, std::string("gsknn: packed kernel stopped: ") +
-                             status_name(s));
-  }
+  core::kernel_or_throw("gsknn: packed kernel stopped: ", refs, qidx, result,
+                        cfg, result_rows, expected_epoch);
 }
 
 Status knn_kernel_status(PackedRefs& refs, std::span<const int> qidx,
                          NeighborTable& result, const KnnConfig& cfg,
                          std::span<const int> result_rows,
                          std::uint64_t expected_epoch) {
-  try {
-    return core::packed_kernel_with_metrics<double>(refs, qidx, result, cfg,
-                                                    result_rows,
-                                                    expected_epoch);
-  } catch (const StatusError& e) {
-    return e.status();
-  } catch (const std::bad_alloc&) {
-    return Status::kResourceExhausted;
-  }
+  return core::kernel_or_status(refs, qidx, result, cfg, result_rows,
+                                expected_epoch);
 }
 
 Status knn_kernel_status(PackedRefsF& refs, std::span<const int> qidx,
                          NeighborTableF& result, const KnnConfig& cfg,
                          std::span<const int> result_rows,
                          std::uint64_t expected_epoch) {
-  try {
-    return core::packed_kernel_with_metrics<float>(refs, qidx, result, cfg,
-                                                   result_rows,
-                                                   expected_epoch);
-  } catch (const StatusError& e) {
-    return e.status();
-  } catch (const std::bad_alloc&) {
-    return Status::kResourceExhausted;
-  }
+  return core::kernel_or_status(refs, qidx, result, cfg, result_rows,
+                                expected_epoch);
 }
 
 }  // namespace gsknn

@@ -280,10 +280,4 @@ void resolve_kernel_and_blocking(SimdLevel level, const KnnConfig& cfg,
                                  MicroKernelT<T>& mk, BlockingParams& bp,
                                  SimdLevel& chosen);
 
-/// GSKNN_DEFER=0 disables the deferred candidate buffers (A/B knob; the
-/// vectorized kernels then sift accepted candidates immediately, as the
-/// scalar kernel always does). Shared by the driver and the planner: the
-/// knob changes the per-thread footprint.
-bool defer_enabled();
-
 }  // namespace gsknn::core

@@ -396,7 +396,7 @@ MicroFn micro_avx2(Norm norm) {
 // ---------------------------------------------------------------------------
 // Single-precision kernel: 8×8 floats (one 8-wide ymm accumulator per
 // column, eight independent FMA chains). Query-major Cc tiles go through a
-// scalar spill — the float path only uses them for the Var#2/3/5/6
+// scalar spill — the float path only uses them for the Var#5/6
 // selection buffers, where the store is a vanishing fraction of the work.
 // ---------------------------------------------------------------------------
 

@@ -18,7 +18,7 @@
 //     register block of source rows, transpose in registers, and store
 //     full slivers — turning the strided element-at-a-time scatter into
 //     contiguous vector stores, with a software prefetch of the next
-//     group's gathered rows (see PrefetchParams).
+//     group's gathered rows.
 // pack_points_rt dispatches on (sliver width, SimdLevel); the driver passes
 // the level the micro-kernel actually resolved to, so a blocking fallback
 // to a narrower kernel also selects the matching pack path.

@@ -100,7 +100,6 @@ void pack_points_avx2_s4(const PointTableT<double>& X, const int* idx, int i0,
   constexpr int S = 4;
   const int d = X.dim();
   const double* GSKNN_RESTRICT x = X.data();
-  const bool pf = prefetch_params().enabled;
   for (int g = 0; g + S <= count; g += S) {
     double* GSKNN_RESTRICT blk = dst + static_cast<long>(g) * db;
     const double* GSKNN_RESTRICT s0 =
@@ -111,7 +110,7 @@ void pack_points_avx2_s4(const PointTableT<double>& X, const int* idx, int i0,
         x + static_cast<long>(idx[i0 + g + 2]) * d + p0;
     const double* GSKNN_RESTRICT s3 =
         x + static_cast<long>(idx[i0 + g + 3]) * d + p0;
-    if (pf) prefetch_group<S>(x, d, idx, i0, count, g + S, p0);
+    prefetch_group<S>(x, d, idx, i0, count, g + S, p0);
     int p = 0;
     for (; p + 4 <= db; p += 4) {
       __m256d a = _mm256_loadu_pd(s0 + p);
@@ -144,14 +143,13 @@ void pack_points_avx2_s8(const PointTableT<double>& X, const int* idx, int i0,
   constexpr int S = 8;
   const int d = X.dim();
   const double* GSKNN_RESTRICT x = X.data();
-  const bool pf = prefetch_params().enabled;
   for (int g = 0; g + S <= count; g += S) {
     double* GSKNN_RESTRICT blk = dst + static_cast<long>(g) * db;
     const double* GSKNN_RESTRICT src[S];
     for (int i = 0; i < S; ++i) {
       src[i] = x + static_cast<long>(idx[i0 + g + i]) * d + p0;
     }
-    if (pf) prefetch_group<S>(x, d, idx, i0, count, g + S, p0);
+    prefetch_group<S>(x, d, idx, i0, count, g + S, p0);
     int p = 0;
     for (; p + 4 <= db; p += 4) {
       // Two 4-row halves share the depth chunk: rows 0..3 fill the low half
@@ -194,14 +192,13 @@ void pack_points_avx2_s8f(const PointTableT<float>& X, const int* idx, int i0,
   constexpr int S = 8;
   const int d = X.dim();
   const float* GSKNN_RESTRICT x = X.data();
-  const bool pf = prefetch_params().enabled;
   for (int g = 0; g + S <= count; g += S) {
     float* GSKNN_RESTRICT blk = dst + static_cast<long>(g) * db;
     const float* GSKNN_RESTRICT src[S];
     for (int i = 0; i < S; ++i) {
       src[i] = x + static_cast<long>(idx[i0 + g + i]) * d + p0;
     }
-    if (pf) prefetch_group<S>(x, d, idx, i0, count, g + S, p0);
+    prefetch_group<S>(x, d, idx, i0, count, g + S, p0);
     int p = 0;
     for (; p + 8 <= db; p += 8) {
       __m256 r0 = _mm256_loadu_ps(src[0] + p);

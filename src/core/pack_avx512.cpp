@@ -88,14 +88,13 @@ void pack_points_avx512_s16(const PointTableT<double>& X, const int* idx,
   constexpr int S = 16;
   const int d = X.dim();
   const double* GSKNN_RESTRICT x = X.data();
-  const bool pf = prefetch_params().enabled;
   for (int g = 0; g + S <= count; g += S) {
     double* GSKNN_RESTRICT blk = dst + static_cast<long>(g) * db;
     const double* GSKNN_RESTRICT src[S];
     for (int i = 0; i < S; ++i) {
       src[i] = x + static_cast<long>(idx[i0 + g + i]) * d + p0;
     }
-    if (pf) prefetch_group<S>(x, d, idx, i0, count, g + S, p0);
+    prefetch_group<S>(x, d, idx, i0, count, g + S, p0);
     int p = 0;
     for (; p + 4 <= db; p += 4) {
       // Four 4-row quarters per depth chunk; quarter q fills lanes
@@ -131,14 +130,13 @@ void pack_points_avx512_s16f(const PointTableT<float>& X, const int* idx,
   constexpr int S = 16;
   const int d = X.dim();
   const float* GSKNN_RESTRICT x = X.data();
-  const bool pf = prefetch_params().enabled;
   for (int g = 0; g + S <= count; g += S) {
     float* GSKNN_RESTRICT blk = dst + static_cast<long>(g) * db;
     const float* GSKNN_RESTRICT src[S];
     for (int i = 0; i < S; ++i) {
       src[i] = x + static_cast<long>(idx[i0 + g + i]) * d + p0;
     }
-    if (pf) prefetch_group<S>(x, d, idx, i0, count, g + S, p0);
+    prefetch_group<S>(x, d, idx, i0, count, g + S, p0);
     int p = 0;
     for (; p + 8 <= db; p += 8) {
       // Two 8-row halves per depth chunk of 8.

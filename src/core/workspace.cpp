@@ -6,7 +6,6 @@
 // driver shares live here too, so the planner and the driver cannot drift.
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 
 #include "gsknn/common/threads.hpp"
 #include "gsknn/common/workspace.hpp"
@@ -15,14 +14,6 @@
 
 namespace gsknn {
 namespace core {
-
-bool defer_enabled() {
-  static const bool on = [] {
-    const char* e = std::getenv("GSKNN_DEFER");
-    return e == nullptr || e[0] != '0';
-  }();
-  return on;
-}
 
 template <typename T>
 void resolve_kernel_and_blocking(SimdLevel level, const KnnConfig& cfg,
@@ -64,7 +55,7 @@ template void resolve_kernel_and_blocking<float>(SimdLevel, const KnnConfig&,
 
 int balanced_mc(int m, int mc, int mr, int threads) {
   assert(m >= 0 && mc > 0 && mr > 0 && threads >= 1);
-  if (threads <= 1) return mc;
+  if (threads <= 1 || m == 0) return mc;
   const int blocks = static_cast<int>(ceil_div(m, mc));
   const int target = static_cast<int>(round_up(blocks, threads));
   int out = static_cast<int>(
@@ -105,7 +96,7 @@ void compute_footprint(int m, int n, int d, bool needs_norms,
   }
 
   // Shared: distance buffer. Var#1 needs it only to carry the rank-dc
-  // accumulation across depth blocks (d > dc); Var#2/3/5 hold the current
+  // accumulation across depth blocks (d > dc); Var#5 holds the current
   // nc-wide panel; Var#6 the full m × n matrix. Layout mirrors the driver:
   // Var#1 column-major tiles, the rest query-major, both with one extra
   // cache line on the leading dimension.
@@ -123,7 +114,7 @@ void compute_footprint(int m, int n, int d, bool needs_norms,
 
   // Per thread: packed Qc panel (+ query norms) for the largest mc-block,
   // plus the Var#1 deferred-selection candidate buffers when the call could
-  // take the deferred path (k >= kDeferMinK; GSKNN_DEFER on).
+  // take the deferred path (k >= kDeferMinK).
   const std::size_t mbpad_max = round_up(
       static_cast<std::size_t>(std::min(m, bp.mc)),
       static_cast<std::size_t>(tmr));
@@ -217,7 +208,7 @@ WorkspacePlan plan_knn_workspace(int m, int n, int d, int k,
   bp.mc = core::balanced_mc(m, bp.mc, mk.mr, threads);
   const bool needs_norms =
       (cfg.norm == Norm::kL2Sq || cfg.norm == Norm::kCosine);
-  const bool defer_possible = k >= core::kDeferMinK && core::defer_enabled();
+  const bool defer_possible = k >= core::kDeferMinK;
   const std::size_t cap = cfg.max_workspace_bytes != 0
                               ? cfg.max_workspace_bytes
                               : max_workspace_env();

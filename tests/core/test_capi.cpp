@@ -113,10 +113,13 @@ TEST_F(CApiFixture, StatusCodesForMalformedCalls) {
                          GSKNN_VARIANT_AUTO, 2.0, 0, res),
             GSKNN_ERR_INVALID_ARGUMENT);
 
-  // Unknown variant code.
-  EXPECT_EQ(gsknn_search(table, q.data(), 5, q.data(), 5, GSKNN_NORM_L2SQ, 4,
-                         2.0, 0, res),
-            GSKNN_ERR_BAD_CONFIG);
+  // Unknown variant codes, including the retired placements 2 and 3.
+  for (const int variant : {2, 3, 4}) {
+    EXPECT_EQ(gsknn_search(table, q.data(), 5, q.data(), 5, GSKNN_NORM_L2SQ,
+                           variant, 2.0, 0, res),
+              GSKNN_ERR_BAD_CONFIG)
+        << "variant=" << variant;
+  }
 
   // Out-of-range reference index (table has 100 points).
   std::vector<int> bad = {0, 1, 100};

@@ -27,8 +27,7 @@ using gsknn::Status;
 using gsknn::StatusError;
 using gsknn::Variant;
 
-constexpr Variant kAllVariants[] = {Variant::kVar1, Variant::kVar2,
-                                    Variant::kVar3, Variant::kVar5,
+constexpr Variant kAllVariants[] = {Variant::kVar1, Variant::kVar5,
                                     Variant::kVar6};
 
 const double kNaN = std::numeric_limits<double>::quiet_NaN();

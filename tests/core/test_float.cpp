@@ -100,8 +100,7 @@ TEST(FloatKernel, AllVariantsAgree) {
   const auto q = iota_ids(m);
   const auto r = iota_ids(n, m);
   std::vector<std::vector<std::pair<float, int>>> first_rows;
-  for (Variant v : {Variant::kVar1, Variant::kVar2, Variant::kVar3,
-                    Variant::kVar5, Variant::kVar6}) {
+  for (Variant v : {Variant::kVar1, Variant::kVar5, Variant::kVar6}) {
     KnnConfig cfg;
     cfg.variant = v;
     NeighborTableF t(m, k);

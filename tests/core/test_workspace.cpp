@@ -178,8 +178,7 @@ TEST(WorkspacePlan, QuarterCapAcrossVariants) {
   const PointTable X = make_uniform(d, m + n, 0x9D);
   const auto q = iota_ids(m);
   const auto r = iota_ids(n, m);
-  for (const Variant v : {Variant::kVar1, Variant::kVar2, Variant::kVar3,
-                          Variant::kVar5, Variant::kVar6}) {
+  for (const Variant v : {Variant::kVar1, Variant::kVar5, Variant::kVar6}) {
     KnnConfig cfg;
     cfg.variant = v;
     NeighborTable uncapped(m, k);

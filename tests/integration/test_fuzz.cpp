@@ -26,7 +26,6 @@ struct FuzzCase {
 
 FuzzCase draw_case(Xoshiro256& rng) {
   static const Variant variants[] = {Variant::kAuto, Variant::kVar1,
-                                     Variant::kVar2, Variant::kVar3,
                                      Variant::kVar5, Variant::kVar6};
   static const Norm norms[] = {Norm::kL2Sq, Norm::kL1, Norm::kLInf,
                                Norm::kCosine};
@@ -36,7 +35,7 @@ FuzzCase draw_case(Xoshiro256& rng) {
   c.d = 1 + static_cast<int>(rng.below(70));
   c.k = 1 + static_cast<int>(rng.below(24));
   c.threads = 1 + static_cast<int>(rng.below(3));
-  c.variant = variants[rng.below(6)];
+  c.variant = variants[rng.below(4)];
   c.norm = norms[rng.below(4)];
   c.arity = rng.below(2) ? HeapArity::kQuad : HeapArity::kBinary;
   c.dedup = rng.below(4) == 0;

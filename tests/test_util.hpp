@@ -1,10 +1,14 @@
-// Shared helpers for the gtest suite: an exact brute-force kNN oracle and
-// small comparison utilities used to validate every production path.
+// Shared helpers for the gtest suite and the differential fuzzers
+// (tools/fuzz_diff, tools/fuzz_fault): the scalar oracle implementing the
+// written kernel contract (docs/CONTRACT.md) and small comparison utilities
+// used to validate every production path.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -13,10 +17,20 @@
 
 namespace gsknn::test {
 
-/// Exact distance between two points under a norm (reference semantics:
-/// squared for kL2Sq, p-th power for kLp — matching the library contract).
-inline double ref_distance(const double* a, const double* b, int d, Norm norm,
-                           double p) {
+/// Contract-reference distance between points qi and ri of X, computed the
+/// naive way (squared for kL2Sq, p-th power for kLp — matching the library
+/// contract). NaN whenever either point has a non-finite coordinate: such
+/// points are excluded from neighbor lists under every norm.
+inline double ref_distance(const PointTable& X, int qi, int ri, Norm norm,
+                           double p = 3.0) {
+  const double* a = X.col(qi);
+  const double* b = X.col(ri);
+  const int d = X.dim();
+  for (int i = 0; i < d; ++i) {
+    if (!std::isfinite(a[i]) || !std::isfinite(b[i])) {
+      return std::numeric_limits<double>::quiet_NaN();
+    }
+  }
   double acc = 0.0;
   switch (norm) {
     case Norm::kL2Sq:
@@ -48,24 +62,40 @@ inline double ref_distance(const double* a, const double* b, int d, Norm norm,
   return acc;
 }
 
-/// Brute-force kNN oracle: for each query, the k smallest (dist, id) pairs
-/// in ascending order (fewer when n < k). Ties broken by id for stability.
+/// The oracle's neighbor list for query qi: the k smallest finite
+/// (distance, id) pairs in lexicographic order (fewer when fewer qualify);
+/// with dedup each id contributes once.
+inline std::vector<std::pair<double, int>> ref_row(
+    const PointTable& X, int qi, std::span<const int> ridx, int k, Norm norm,
+    double p, bool dedup) {
+  std::vector<std::pair<double, int>> cand;
+  cand.reserve(ridx.size());
+  for (int id : ridx) {
+    const double dist = ref_distance(X, qi, id, norm, p);
+    if (std::isfinite(dist)) cand.emplace_back(dist, id);
+  }
+  std::sort(cand.begin(), cand.end());
+  if (dedup) {
+    std::unordered_set<int> seen;
+    std::vector<std::pair<double, int>> unique;
+    for (const auto& c : cand) {
+      if (seen.insert(c.second).second) unique.push_back(c);
+    }
+    cand.swap(unique);
+  }
+  if (cand.size() > static_cast<std::size_t>(k)) {
+    cand.resize(static_cast<std::size_t>(k));
+  }
+  return cand;
+}
+
+/// Brute-force kNN oracle: ref_row for every query.
 inline std::vector<std::vector<std::pair<double, int>>> brute_force_knn(
     const PointTable& X, std::span<const int> qidx, std::span<const int> ridx,
-    int k, Norm norm = Norm::kL2Sq, double p = 3.0) {
-  std::vector<std::vector<std::pair<double, int>>> out(qidx.size());
-  for (std::size_t i = 0; i < qidx.size(); ++i) {
-    std::vector<std::pair<double, int>> all;
-    all.reserve(ridx.size());
-    for (int id : ridx) {
-      all.emplace_back(
-          ref_distance(X.col(qidx[i]), X.col(id), X.dim(), norm, p), id);
-    }
-    std::sort(all.begin(), all.end());
-    const std::size_t keep = std::min<std::size_t>(all.size(),
-                                                   static_cast<std::size_t>(k));
-    out[i].assign(all.begin(), all.begin() + static_cast<long>(keep));
-  }
+    int k, Norm norm = Norm::kL2Sq, double p = 3.0, bool dedup = false) {
+  std::vector<std::vector<std::pair<double, int>>> out;
+  out.reserve(qidx.size());
+  for (int qi : qidx) out.push_back(ref_row(X, qi, ridx, k, norm, p, dedup));
   return out;
 }
 
