@@ -1,8 +1,9 @@
 // Reproduces Figure 6: the 12-panel efficiency overview — GFLOPS of GSKNN
 // versus the GEMM+STL reference as a function of d (log axis 4…1024), for
-// m = n ∈ {small, medium, large} × k ∈ {16, 128, 512, 2048}. Following the
-// paper's §3 parameters, Var#1 is used for k ≤ 512 and Var#6 (4-ary heap)
-// for k = 2048.
+// m = n ∈ {small, medium, large} × k ∈ {16, 128, 512, 2048}. The variant is
+// the library's kAuto pick — Var#1 below k = 256, Var#5 (4-ary heap,
+// batched row selection) from there; the paper's §3 rule switched to Var#6
+// at 512.
 //
 // Scaled per DESIGN.md §2: the paper's panels are m = n ∈ {2048, 4096, 8192}
 // on 10 cores; here the default grid is m = n ∈ {1024, 2048, 4096} on the
@@ -29,11 +30,13 @@ int main() {
     const auto q = iota_ids(m);
     const auto r = iota_ids(n, m);
     for (int k : {16, 128, 512, 2048}) {
-      const Variant variant = (k <= 512) ? Variant::kVar1 : Variant::kVar6;
+      // The library's kAuto pick, with the paper's heap for each variant.
+      // The rule depends on k alone, so one resolution covers the d sweep.
+      const Variant variant = resolve_variant(m, n, /*d=*/4, k, KnnConfig{});
       const HeapArity arity =
-          (k <= 512) ? HeapArity::kBinary : HeapArity::kQuad;
+          variant == Variant::kVar1 ? HeapArity::kBinary : HeapArity::kQuad;
       std::printf("\npanel: m = n = %d, k = %d (Var#%d)\n", m, k,
-                  variant == Variant::kVar1 ? 1 : 6);
+                  static_cast<int>(variant));
       std::printf("%6s %12s %12s %9s\n", "d", "GSKNN GF/s", "ref GF/s",
                   "speedup");
       for (int d : {4, 8, 16, 32, 64, 128, 256, 512, 1024}) {
@@ -71,7 +74,7 @@ int main() {
                       "\"m\":%d,\"k\":%d,\"d\":%d,\"variant\":%d,"
                       "\"gsknn_gflops\":%.3f,\"ref_gflops\":%.3f,"
                       "\"speedup\":%.3f",
-                      m, k, d, variant == Variant::kVar1 ? 1 : 6,
+                      m, k, d, static_cast<int>(variant),
                       knn_gflops(m, n, d, gs), knn_gflops(m, n, d, ref),
                       ref / gs);
         emit_json_row("fig6_efficiency_overview",

@@ -61,7 +61,7 @@ enum {
   GSKNN_NORM_COSINE = 4
 };
 
-/* Variants (mirror gsknn::Variant; 0 = automatic model-driven choice).
+/* Variants (mirror gsknn::Variant; 0 = automatic: 1 below k = 256, else 5).
  * The value is the loop after which selection runs. Any other value,
  * including the paper's dominated placements 2 and 3, fails with
  * GSKNN_ERR_BAD_CONFIG. */

@@ -69,7 +69,8 @@ const char* phase_name(Phase p);
 /// Work counters (exact tallies, GSKNN_PROFILE builds only).
 enum class Counter : int {
   kCandidates = 0,  ///< candidate (query, reference) pairs seen by selection
-  kHeapPushes,      ///< accepted replace-root heap insertions
+  kHeapPushes,      ///< candidates that entered a heap row (batched rows:
+                    ///< filter survivors among the row's k smallest)
   kRootRejects,     ///< candidates rejected (heap-root test or dedup)
   kTiles,           ///< micro-kernel tile invocations
   kBytesPackedQ,    ///< bytes written into packed Qc panels (+ norms)

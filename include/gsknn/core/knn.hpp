@@ -94,7 +94,7 @@ enum class Norm {
 /// incomplete. Var#2 and Var#3 are the paper's dominated placements (§2.3):
 /// Var#6 matches or beats them everywhere, so they are not offered.
 enum class Variant {
-  kAuto = 0,  ///< model-driven choice between kVar1 and kVar6
+  kAuto = 0,  ///< kVar1 below k = 256, kVar5 from there (resolve_variant)
   kVar1 = 1,  ///< fused into the micro-kernel (best for small k)
   kVar5 = 5,  ///< after each m×nc panel (bounded memory)
   kVar6 = 6,  ///< after the full m×n distance matrix (best for large k)

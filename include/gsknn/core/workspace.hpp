@@ -3,10 +3,10 @@
 //
 // The BLIS-style blocked nest makes workspace need a pure function of the
 // blocking parameters: the shared packed reference panel + distance buffer,
-// plus one packed query panel (+ norms + deferred-selection candidate
-// buffers) per thread. plan_knn_workspace() computes that footprint exactly
-// — byte-for-byte what the driver will carve from its WorkspaceArenas — and,
-// when a cap is set, walks the degradation ladder:
+// plus per thread one packed query panel (+ norms), or the batched row
+// selection's scratch when that is larger. plan_knn_workspace() computes
+// that footprint exactly — byte-for-byte what the driver will carve from its
+// WorkspaceArenas — and, when a cap is set, walks the degradation ladder:
 //
 //   1. demote Var#6 to Var#5 (the full m×n distance matrix cannot shrink;
 //      Var#5 is the paper's bounded-memory variant, bitwise-identical);
@@ -35,7 +35,7 @@ struct WorkspacePlan {
   BlockingParams blocking;           ///< after balancing and retiling
   int threads = 1;
   std::size_t shared_bytes = 0;      ///< packed Rc + norms + distance buffer
-  std::size_t per_thread_bytes = 0;  ///< packed Qc + norms + defer buffers
+  std::size_t per_thread_bytes = 0;  ///< max(packed Qc + norms, batch scratch)
   std::size_t cap_bytes = 0;         ///< the cap the plan honored (0 = none)
   int retile_steps = 0;              ///< ladder steps taken (telemetry)
   bool fits = true;                  ///< false: cap unreachable at the floors
@@ -51,36 +51,11 @@ struct WorkspacePlan {
 /// dimension and a 32-deep depth block).
 inline constexpr int kWorkspaceDcFloor = 32;
 
-namespace core {
-
-/// Balance mc so the 4th loop's block count divides evenly over `threads`
-/// (the paper's "dynamically deciding mc", §2.5). Exposed for the driver
-/// and the plan, which must agree on it.
-int balanced_mc(int m, int mc, int mr, int threads);
-
-/// Plan the workspace for a fully-resolved call: `variant` is concrete (not
-/// kAuto), `bp` already balanced to `threads`, `tmr`/`tnr` the selected
-/// micro-kernel's register tile, `elem` = sizeof(distance scalar).
-/// `cap_bytes` == 0 means unlimited. `defer_possible` tells the plan the
-/// Var#1 deferred-selection buffers may be carved (k >= kDeferMinK).
-/// `packed_refs` plans a warm call served from a PackedRefs cache: the
-/// packed Rc panel and reference norms live in the cache (budgeted there,
-/// not here), so they leave the shared footprint, and the degradation
-/// ladder is restricted to the steps that keep the cache's block geometry
-/// intact — Var#6 demotion and mc halving; nc and dc are pinned (retiling
-/// them would misalign the kernel against the cached blocks).
-WorkspacePlan plan_workspace(int m, int n, int d, Variant variant,
-                             const BlockingParams& bp, int tmr, int tnr,
-                             int threads, bool needs_norms,
-                             bool defer_possible, std::size_t elem,
-                             std::size_t cap_bytes, bool packed_refs = false);
-
-}  // namespace core
-
 /// Resolve and plan the workspace the way knn_kernel would for this call —
 /// variant resolution, micro-kernel/blocking selection, thread balancing,
 /// cap resolution (cfg.max_workspace_bytes, else GSKNN_MAX_WORKSPACE) and
-/// the degradation ladder. Exposed so callers and tests can size caps
+/// the degradation ladder — by running the cold kernel's own plan steps, so
+/// the two cannot drift. Exposed so callers and tests can size caps
 /// against the natural footprint without running the kernel. T = double or
 /// float. Throws StatusError(kBadConfig) for the same blockings the kernel
 /// rejects.

@@ -58,11 +58,11 @@ namespace {
 
 /// Per-call workspace arenas (docs/ROBUSTNESS.md). The calling thread's
 /// shared arena holds the packed Rc panel, reference norms and the distance
-/// buffer; each OpenMP team thread's arena holds its private Qc panel, query
-/// norms and deferred-selection candidate buffers. thread_local for the same
-/// reason the old packing arenas were: the grow-only reservations stabilize
-/// after the first call, and concurrent single-threaded kernel invocations
-/// (knn_batch workers) get disjoint arenas for free.
+/// buffer; each OpenMP team thread's arena holds its private Qc panel and
+/// query norms, then the batched row selection's scratch. thread_local for
+/// the same reason the old packing arenas were: the grow-only reservations
+/// stabilize after the first call, and concurrent single-threaded kernel
+/// invocations (knn_batch workers) get disjoint arenas for free.
 WorkspaceArena& shared_arena() {
   thread_local WorkspaceArena arena;
   return arena;
@@ -83,58 +83,6 @@ const T* neg_inf_row() {
 
 int kDummyIds[kMaxMr] = {-1, -1, -1, -1, -1, -1, -1, -1,
                          -1, -1, -1, -1, -1, -1, -1, -1};
-
-/// Scan `len` contiguous finished distances and update one heap row.
-/// Candidate j carries global id ids[j]. In GSKNN_PROFILE builds the
-/// candidate/push/reject tallies accumulate into `tc` (exact: every one of
-/// the `len` candidates lands in exactly one bucket).
-template <typename T>
-void row_select(const T* GSKNN_RESTRICT cand, const int* GSKNN_RESTRICT ids,
-                int len, T* hd, int* hi, RowIdSet* hset, int k, int stride,
-                HeapArity arity, bool dedup,
-                telemetry::ThreadCounters* tc = nullptr) {
-  [[maybe_unused]] std::uint64_t pushes = 0, rejects = 0;
-  for (int j = 0; j < len; ++j) {
-    const T dj = cand[j];
-    // sel_accepts implements the selection contract: NaN distances and
-    // lexicographic (distance, id) ties are rejected identically to the
-    // fused micro-kernel paths, so every variant yields the same rows.
-    if (!sel_accepts(dj, ids[j], hd, hi)) {
-      if constexpr (telemetry::kCountersEnabled) ++rejects;
-      continue;
-    }
-    if (dedup) {
-      if (hset != nullptr) {
-        if (!hset->insert_if_absent(ids[j])) {
-          if constexpr (telemetry::kCountersEnabled) ++rejects;
-          continue;
-        }
-      } else {
-        bool present = false;
-        for (int t = 0; t < stride; ++t) {
-          if (hi[t] == ids[j]) {
-            present = true;
-            break;
-          }
-        }
-        if (present) {
-          if constexpr (telemetry::kCountersEnabled) ++rejects;
-          continue;
-        }
-      }
-    }
-    sel_replace_root(hd, hi, k, arity, dj, ids[j]);
-    if constexpr (telemetry::kCountersEnabled) ++pushes;
-  }
-  if constexpr (telemetry::kCountersEnabled) {
-    if (tc != nullptr) {
-      tc->add(telemetry::Counter::kCandidates,
-              static_cast<std::uint64_t>(len));
-      tc->add(telemetry::Counter::kHeapPushes, pushes);
-      tc->add(telemetry::Counter::kRootRejects, rejects);
-    }
-  }
-}
 
 /// The d == 0 degenerate path, shared by the cold and packed drivers:
 /// every point is the empty tuple and every pairwise distance is identically
@@ -168,36 +116,10 @@ Status degenerate_d0(const int* rid, int n, int m, NeighborTableT<T>& result,
 // per-thread Qc packing inside the nest); the compute phase is
 // knn_kernel_compute.
 
-/// Resolved plan for one kernel invocation.
+/// Record the governance counters and flight-recorder events a finished
+/// plan implies; an unreachable cap fails the call before anything moves.
 template <typename T>
-struct KernelPlanT {
-  Variant variant = Variant::kVar1;
-  BlockingParams bp;       ///< balanced + retiled blocking
-  MicroKernelT<T> mk;      ///< selected micro-kernel (fn, mr, nr)
-  SimdLevel chosen = SimdLevel::kScalar;  ///< level the kernel dispatched to
-  int threads = 1;
-  bool needs_norms = false;
-  WorkspacePlan ws;
-};
-
-/// The plan steps shared by the cold and warm paths once the micro-kernel
-/// and blocking are fixed: balance mc over the thread team, then run the
-/// workspace planner (which may demote Var#6 and retile under a cap — all
-/// bitwise-result-preserving, gsknn/core/workspace.hpp) and record the
-/// governance counters and flight-recorder events the finished plan implies.
-template <typename T>
-Status plan_workspace_tail(int m, int n, int d, int k, const KnnConfig& cfg,
-                           bool packed_refs, KernelPlanT<T>& kp) {
-  kp.needs_norms = (cfg.norm == Norm::kL2Sq || cfg.norm == Norm::kCosine);
-  kp.threads = resolve_threads(cfg.threads);
-  kp.bp.mc = balanced_mc(m, kp.bp.mc, kp.mk.mr, kp.threads);
-  const Variant req_variant = resolve_variant(m, n, d, k, cfg);
-  const std::size_t cap = cfg.max_workspace_bytes != 0
-                              ? cfg.max_workspace_bytes
-                              : max_workspace_env();
-  kp.ws = plan_workspace(m, n, d, req_variant, kp.bp, kp.mk.mr, kp.mk.nr,
-                         kp.threads, kp.needs_norms, k >= kDeferMinK,
-                         sizeof(T), cap, packed_refs);
+Status record_plan(const KernelPlanT<T>& kp) {
   if (!kp.ws.fits) return Status::kResourceExhausted;
   if (kp.ws.retile_steps > 0) {
     metrics::add_counter(metrics::Counter::kWorkspaceRetiledCalls);
@@ -206,24 +128,12 @@ Status plan_workspace_tail(int m, int n, int d, int k, const KnnConfig& cfg,
     flightrec::record(flightrec::Kind::kRetile, -1, 0,
                       static_cast<std::uint64_t>(kp.ws.retile_steps));
   }
-  if (kp.ws.variant != req_variant) {
+  if (kp.variant != kp.requested) {
     metrics::add_counter(metrics::Counter::kVariantDemotions);
     flightrec::record(flightrec::Kind::kDemotion, -1, 0,
-                      static_cast<std::uint64_t>(kp.ws.variant));
+                      static_cast<std::uint64_t>(kp.variant));
   }
-  kp.variant = kp.ws.variant;
-  kp.bp = kp.ws.blocking;
   return Status::kOk;
-}
-
-/// Cold-path plan: resolve micro-kernel and blocking, then the shared tail.
-/// Throws StatusError(kBadConfig) for blockings no micro-kernel matches.
-template <typename T>
-Status plan_kernel(int m, int n, int d, int k, const KnnConfig& cfg,
-                   KernelPlanT<T>& kp) {
-  resolve_kernel_and_blocking<T>(cpu_features().best_level(), cfg, kp.mk,
-                                 kp.bp, kp.chosen);
-  return plan_workspace_tail<T>(m, n, d, k, cfg, /*packed_refs=*/false, kp);
 }
 
 /// Warm-path plan: the pack geometry (nc, dc, nr, SIMD level) is pinned by
@@ -261,7 +171,8 @@ Status plan_kernel_packed(const PackedRefsT<T>& refs, int m, int n, int d,
     }
     kp.bp.mc = ob.mc;
   }
-  return plan_workspace_tail<T>(m, n, d, k, cfg, /*packed_refs=*/true, kp);
+  plan_kernel_tail<T>(m, n, d, k, cfg, /*packed_refs=*/true, kp);
+  return record_plan(kp);
 }
 
 // ---- pack phase (reference side) -------------------------------------------
@@ -522,8 +433,9 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
   // Var#5/6 selection: one parallel row scan over the query-major distance
   // buffer, `len` candidates per row carrying ids[0..len) — Var#5 runs it
   // over each finished m × nc panel, Var#6 once over the full m × n matrix.
-  // The scan is all-or-nothing: poll once before the region, never inside
-  // it, so a stop can't tear it. `span_col` tags the trace span.
+  // Cancellation and deadlines are polled once before the region, never
+  // inside it; only a failed scratch reservation (below) stops it part-way.
+  // `span_col` tags the trace span.
   const auto select_panel = [&](const int* ids, int len, int span_col) {
     if (stop.load(std::memory_order_relaxed) != 0) return;
     if (governed) {
@@ -541,14 +453,38 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
       if (prof) sel_timer.start();
       if (pmu_on) telemetry::PmuGroup::this_thread().read(sc0);
       if (trace != nullptr) ts0 = telemetry::trace_now();
+      // The batch scratch reuses this thread's arena, idle between 4th-loop
+      // regions. The preamble reserved it; a team thread that missed that
+      // reservation reserves here, as the 4th loop does, and if that fails
+      // leaves its rows alone and ends the call kResourceExhausted (every
+      // Var#5/6 row is then flagged incomplete).
+      const bool batch = batch_select_applies(k, cfg.dedup);
+      SelPair<T>* scratch = nullptr;
+      if (batch) {
+        WorkspaceArena& ws = thread_arena();
+        try {
+          if (ws.capacity() < plan.per_thread_bytes) {
+            ws.reserve(plan.per_thread_bytes);  // preamble insurance
+          }
+          ws.rewind();
+          scratch = ws.alloc<SelPair<T>>(static_cast<std::size_t>(len) + k);
+        } catch (const std::bad_alloc&) {
+          int expected = 0;
+          stop.compare_exchange_strong(
+              expected, static_cast<int>(Status::kResourceExhausted),
+              std::memory_order_relaxed);
+        }
+      }
 #if defined(GSKNN_HAVE_OPENMP)
 #pragma omp for schedule(static) nowait
 #endif
       for (int i = 0; i < m; ++i) {
+        if (batch && scratch == nullptr) continue;
         const int row = heap_row(i);
         row_select(cbuf + static_cast<long>(i) * ld, ids, len,
                    result.row_dists(row), result.row_ids(row),
-                   result.row_idset(row), k, stride, arity, cfg.dedup, tc);
+                   result.row_idset(row), k, stride, arity, cfg.dedup,
+                   scratch, tc);
       }
       if (trace != nullptr) {
         trace->record(telemetry::Phase::kSelect, ts0, telemetry::trace_now(),
@@ -579,15 +515,6 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
       const int db = (d - pc < dc) ? d - pc : dc;
       const bool first = (pc == 0);
       const bool last = (pc + db >= d);
-      // Deferred batched selection applies to the fused path when the sift
-      // is deep enough to pay for the buffer bookkeeping: measured on the
-      // table5 shapes, deferral is ~10% faster at k = 512 but loses below
-      // k ≈ 256, where the sift is short and the stale prefilter roots admit
-      // more candidates than the batching saves (see EXPERIMENTS.md
-      // "Hot-path tuning"). The k == 1 non-dedup accept is already two
-      // stores (sel_insert_raw), so deferral has nothing to amortize there.
-      const bool defer_sel =
-          (variant == Variant::kVar1) && last && k >= kDeferMinK;
 
       // Pack phase, reference side: cold packs the slab into the arena and
       // reports its bytes; warm leases the cached block — 0 bytes on a
@@ -677,16 +604,6 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
           pack_norms_rt(tmr, X, qidx.data(), ic, mb, q2);
           q2c = q2;
         }
-        T* cand_d = nullptr;
-        int* cand_id = nullptr;
-        int* cand_cnt = nullptr;
-        if (defer_sel) {
-          cand_d = ws.alloc<T>(static_cast<std::size_t>(mbpad) * kCandBufLen);
-          cand_id =
-              ws.alloc<int>(static_cast<std::size_t>(mbpad) * kCandBufLen);
-          cand_cnt = ws.alloc<int>(static_cast<std::size_t>(mbpad));
-          for (int i = 0; i < mbpad; ++i) cand_cnt[i] = 0;
-        }
         std::uint64_t tm0 = 0;
         if (trace != nullptr) {
           tm0 = telemetry::trace_now();
@@ -748,11 +665,6 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
               ctx.arity = arity;
               ctx.dedup = cfg.dedup;
               ctx.tc = tc;
-              if (defer_sel) {
-                ctx.buf_d = cand_d + static_cast<long>(ir) * kCandBufLen;
-                ctx.buf_id = cand_id + static_cast<long>(ir) * kCandBufLen;
-                ctx.buf_cnt = cand_cnt + ir;
-              }
               sel = &ctx;
               if constexpr (telemetry::kCountersEnabled) {
                 // Pre-count every live tile candidate as a root-reject;
@@ -767,20 +679,7 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
           }  // 2nd loop
         }  // 3rd loop
 
-        if (defer_sel) {
-          // Drain the deferred candidate buffers once per mc-block. Part of
-          // the fused selection, so it stays inside the micro-phase timing.
-          for (int i = 0; i < mb; ++i) {
-            const int row = heap_row(ic + i);
-            sel_flush_raw(result.row_dists(row), result.row_ids(row),
-                          result.row_idset(row), k, stride, arity, cfg.dedup,
-                          tc, cand_d + static_cast<long>(i) * kCandBufLen,
-                          cand_id + static_cast<long>(i) * kCandBufLen,
-                          cand_cnt + i);
-          }
-        }
-
-        // The micro span covers the whole 3rd loop plus the deferred drain.
+        // The micro span covers the whole 3rd loop.
         if (trace != nullptr) {
           trace->record(telemetry::Phase::kMicro, tm0, telemetry::trace_now(),
                         ic, jc);
@@ -900,7 +799,8 @@ Status knn_kernel_impl(const PointTableT<T>& X, std::span<const int> qidx,
   if (d == 0) return degenerate_d0(ridx.data(), n, m, result, cfg, result_rows);
 
   KernelPlanT<T> kp;
-  const Status planned = plan_kernel<T>(m, n, d, k, cfg, kp);
+  plan_kernel<T>(m, n, d, k, cfg, kp);
+  const Status planned = record_plan(kp);
   if (planned != Status::kOk) return planned;
 
   std::vector<unsigned char> rbad;
@@ -1061,22 +961,19 @@ Status kernel_or_status(Args&... args) {
 }  // namespace
 }  // namespace core
 
-Variant resolve_variant(int m, int n, int d, int k, const KnnConfig& cfg) {
+Variant resolve_variant(int /*m*/, int /*n*/, int /*d*/, int k,
+                        const KnnConfig& cfg) {
   if (cfg.variant != Variant::kAuto) return cfg.variant;
-  // The paper's §3 operating rule: Var#1 up to k = 512, Var#6 beyond. Our
-  // Figure-5 reproduction measures the crossover at exactly that point, and
-  // the §2.6 model — whose analytic threshold lands materially earlier (see
-  // EXPERIMENTS.md) — keeps the last word only above the empirical floor,
-  // where it can still prefer Var#1 (e.g. tiny n, where Var#6's extra
-  // distance-matrix pass never amortizes).
-  if (k <= 512) return Variant::kVar1;
-  static const model::MachineParams mp{};
-  const BlockingParams bp =
-      cfg.blocking.value_or(default_blocking(cpu_features().best_level()));
-  const model::ProblemShape s{m, n, d, k};
-  return model::choose_variant(s, mp, bp) == model::Method::kVar1
-             ? Variant::kVar1
-             : Variant::kVar6;
+  // The paper's §3 rule is Var#1 up to k = 512, Var#6 beyond: a per-
+  // candidate heap is the only selection cheap enough to fuse. Finished
+  // rows admit a batched merge instead (row_select), which the Fig. 5
+  // re-run measures ahead of fused Var#1 from k = 256 and behind it at
+  // k <= 128 (EXPERIMENTS.md "Batched row selection"). The threshold is the
+  // batch's own, so kAuto and the batch switch on together. Var#5, not
+  // Var#6: it merges each finished m × nc panel, so its distance buffer is
+  // bounded by nc instead of growing with n, and for n <= nc it is the
+  // same single merge per row.
+  return k < core::kBatchSelectMinK ? Variant::kVar1 : Variant::kVar5;
 }
 
 void knn_kernel(const PointTable& X, std::span<const int> qidx,

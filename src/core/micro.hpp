@@ -19,10 +19,21 @@
 //   scalar    8×4 (double and float)
 //   AVX2+FMA  8×4 double, 8×8 float
 //   AVX-512F  16×4 double, 16×8 float
+//
+// Alongside the kernel contract live the selection rules every path shares
+// (sel_accepts, sel_insert_raw, the Var#5/#6 row_select) and the plan-phase
+// types the driver and the workspace planner share (KernelPlanT,
+// plan_kernel).
 #pragma once
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "gsknn/common/arch.hpp"
 #include "gsknn/core/knn.hpp"
+#include "gsknn/core/workspace.hpp"
 #include "gsknn/select/heap.hpp"
 
 namespace gsknn::core {
@@ -35,19 +46,6 @@ inline constexpr int kNr = 4;
 /// Upper bounds across all kernels (sizes of per-tile scratch arrays).
 inline constexpr int kMaxMr = 16;
 inline constexpr int kMaxNr = 8;
-
-/// Length of the per-query deferred candidate buffer (Var#1). Candidates
-/// that pass the vectorized root prefilter are compress-stored here instead
-/// of sifting into the heap inside the tile loop; the heap work happens in
-/// batches at flush, off the FMA pipe's critical path. 16 entries keep one
-/// row's buffer at two cache lines of distances plus one of ids.
-inline constexpr int kCandBufLen = 16;
-
-/// Smallest k for which the driver enables the deferred buffers. Below
-/// this the binary sift is only a few levels deep and immediate insertion
-/// wins; the measured crossover on the table5 shapes sits between k = 128
-/// (deferral ~8% slower) and k = 512 (~10% faster).
-inline constexpr int kDeferMinK = 256;
 
 /// Selection context for the fused (Var#1) path: per-valid-row heap
 /// pointers plus candidate metadata.
@@ -65,26 +63,18 @@ struct SelectCtxT {
   /// driver pre-counts every tile candidate as a root-reject and sel_insert
   /// reclassifies accepted ones, so pushes + rejects == candidates exactly).
   telemetry::ThreadCounters* tc = nullptr;
-  /// Deferred candidate buffers for this tile's rows (kCandBufLen entries
-  /// per row, counts alongside), or null for immediate insertion. The
-  /// driver points these at the per-block arena offset of tile row 0, so
-  /// buffers persist across the 3rd loop and flush at block end.
-  T* buf_d = nullptr;
-  int* buf_id = nullptr;
-  int* buf_cnt = nullptr;
 };
 
 using SelectCtx = SelectCtxT<double>;
 
 /// The selection accept predicate, shared by every path that offers a
 /// candidate to a heap row (scalar micro-kernel accept loops, the AVX
-/// prefilter re-checks, the driver's row_select and the deferred-buffer
-/// flush). Fast reject first — `!(d <= root)` is one compare that throws
-/// out both d > root and NaN, matching the vectorized `_CMP_LE_OQ`
-/// prefilters exactly — then the full lexicographic-and-finite rule
-/// (heap::pair_accepts) on the rare survivor. Keeping one definition is
-/// what makes all variants and SIMD levels agree bitwise on ties, NaN and
-/// ±inf (docs/CONTRACT.md).
+/// prefilter re-checks and row_select). Fast reject first — `!(d <= root)`
+/// is one compare that throws out both d > root and NaN, matching the
+/// vectorized `_CMP_LE_OQ` prefilters exactly — then the full
+/// lexicographic-and-finite rule (heap::pair_accepts) on the rare survivor.
+/// Keeping one definition is what makes all variants and SIMD levels agree
+/// bitwise on ties, NaN and ±inf (docs/CONTRACT.md).
 template <typename T>
 GSKNN_ALWAYS_INLINE bool sel_accepts(T d, int id, const T* GSKNN_RESTRICT hd,
                                      const int* GSKNN_RESTRICT hi) {
@@ -110,8 +100,9 @@ GSKNN_ALWAYS_INLINE void sel_replace_root(T* GSKNN_RESTRICT hd,
 }
 
 /// Insert one accepted candidate into a raw heap row (caller already
-/// verified sel_accepts). Shared by the in-tile path and the driver's
-/// block-end flush of the deferred buffers.
+/// verified sel_accepts). Shared by the in-tile path and row_select's
+/// per-candidate scan. In GSKNN_PROFILE builds the caller has pre-counted
+/// the candidate as a root-reject; an insert reclassifies it as a push.
 template <typename T>
 GSKNN_ALWAYS_INLINE void sel_insert_raw(T* GSKNN_RESTRICT hd,
                                         int* GSKNN_RESTRICT hi, RowIdSet* hset,
@@ -147,7 +138,6 @@ GSKNN_ALWAYS_INLINE void sel_insert_raw(T* GSKNN_RESTRICT hd,
   sel_replace_root(hd, hi, k, arity, d, id);
   if constexpr (telemetry::kCountersEnabled) {
     if (tc != nullptr) {
-      // The driver pre-counted this candidate as a root-reject; it survived.
       tc->add(telemetry::Counter::kHeapPushes, 1);
       tc->sub(telemetry::Counter::kRootRejects, 1);
     }
@@ -162,49 +152,143 @@ GSKNN_ALWAYS_INLINE void sel_insert(const SelectCtxT<T>& s, int row, T d,
                  s.arity, s.dedup, s.tc, d, id);
 }
 
-/// Drain one row's deferred buffer through its heap. Candidates are
-/// re-checked against the live root in arrival order, so the final neighbor
-/// set is identical to immediate insertion (the prefilter only ever admits
-/// a superset: roots shrink monotonically).
-/// Kept out of line: it embeds the full heap sift, and inlining it into the
-/// micro-kernels through sel_defer's flush-on-full branch bloats the tile
-/// loop for a path that runs once per kCandBufLen accepted candidates.
+/// Smallest k at which row_select merges a row in one batch instead of
+/// sifting candidates one at a time. Below it the sift is only a few levels
+/// deep; from here up a whole-row nth_element plus an O(k) heap rebuild
+/// beats sifting each root-passing candidate (EXPERIMENTS.md, Figure 5
+/// re-run and "Batched row selection"). kAuto hands every
+/// k >= kBatchSelectMinK to Var#5 so the batch sees finished rows.
+inline constexpr int kBatchSelectMinK = 256;
+
+/// Whether row_select batches a row. dedup rows keep the per-candidate scan:
+/// RowIdSet membership depends on arrival order.
+constexpr bool batch_select_applies(int k, bool dedup) {
+  return k >= kBatchSelectMinK && !dedup;
+}
+
+/// One (distance, id) entry of row_select's batch scratch.
 template <typename T>
-GSKNN_NOINLINE inline void sel_flush_raw(T* GSKNN_RESTRICT hd,
-                                         int* GSKNN_RESTRICT hi, RowIdSet* hset,
-                                         int k, int stride, HeapArity arity,
-                                         bool dedup,
-                                         telemetry::ThreadCounters* tc,
-                                         T* GSKNN_RESTRICT bd,
-                                         int* GSKNN_RESTRICT bid,
-                                         int* GSKNN_RESTRICT cnt) {
-  const int n = *cnt;
-  for (int t = 0; t < n; ++t) {
-    const T d = bd[t];
-    if (sel_accepts(d, bid[t], hd, hi)) {
-      sel_insert_raw(hd, hi, hset, k, stride, arity, dedup, tc, d, bid[t]);
+struct SelPair {
+  T d;
+  int id;
+};
+
+/// A sampled upper bound on the k-th smallest of a row's `len` candidate
+/// distances, or +inf when the row is under 4k long and narrowing it does
+/// not pay. A strided sample of 256 distances (non-finite ones read as
+/// +inf) is ranked at its expected k-th position plus three standard
+/// deviations, so about 1.2k candidates fall under the bound.
+template <typename T>
+T batch_bound(const T* GSKNN_RESTRICT cand, int len, int k) {
+  constexpr int kSample = 256;
+  constexpr T kInf = std::numeric_limits<T>::infinity();
+  if (len < 4 * k || len < 2 * kSample) return kInf;
+  T sample[kSample];
+  const int stride = len / kSample;
+  for (int i = 0; i < kSample; ++i) {
+    const T x = cand[static_cast<long>(i) * stride];
+    sample[i] = std::isfinite(x) ? x : kInf;
+  }
+  const double expect = static_cast<double>(k) * kSample / len;
+  const int rank = static_cast<int>(expect + 3.0 * std::sqrt(expect)) + 2;
+  std::nth_element(sample, sample + rank, sample + kSample);
+  return sample[rank];
+}
+
+/// Scan `len` contiguous finished distances (candidate j carries global id
+/// ids[j]) into one heap row — the Var#5/#6 selection. With `scratch`
+/// (room for len + k pairs) and batch_select_applies(k, dedup), the row is
+/// merged in one batch instead of candidate by candidate:
+///   1. filter the candidates that beat the current root and a sampled
+///      bound on the k-th distance (batch_bound) into the scratch — the
+///      root only shrinks as a row fills, and the bound is dropped unless
+///      k entries of row ∪ survivors fall under it, so nothing filtered
+///      out can be among the k smallest;
+///   2. nth_element the survivors with the row's entries under the bound,
+///      write the k smallest back and rebuild the heap.
+/// The k smallest entries under the (distance, id) order are unique as a
+/// multiset, so the sorted row is bitwise the one the per-candidate scan
+/// produces (docs/CONTRACT.md). In GSKNN_PROFILE builds `tc` counts every
+/// candidate once: a push when it entered the row — on the batch path, a
+/// survivor that is among the k smallest — a reject otherwise.
+template <typename T>
+void row_select(const T* GSKNN_RESTRICT cand, const int* GSKNN_RESTRICT ids,
+                int len, T* GSKNN_RESTRICT hd, int* GSKNN_RESTRICT hi,
+                RowIdSet* hset, int k, int stride, HeapArity arity, bool dedup,
+                SelPair<T>* GSKNN_RESTRICT scratch = nullptr,
+                telemetry::ThreadCounters* tc = nullptr) {
+  if constexpr (telemetry::kCountersEnabled) {
+    if (tc != nullptr) {
+      const auto n = static_cast<std::uint64_t>(len);
+      tc->add(telemetry::Counter::kCandidates, n);
+      tc->add(telemetry::Counter::kRootRejects, n);
     }
   }
-  *cnt = 0;
-}
-
-template <typename T>
-GSKNN_ALWAYS_INLINE void sel_flush_row(const SelectCtxT<T>& s, int row) {
-  sel_flush_raw(s.hd[row], s.hi[row], s.hset[row], s.k, s.row_stride, s.arity,
-                s.dedup, s.tc, s.buf_d + static_cast<long>(row) * kCandBufLen,
-                s.buf_id + static_cast<long>(row) * kCandBufLen,
-                s.buf_cnt + row);
-}
-
-/// Append one prefiltered candidate to its row buffer, flushing on fill.
-template <typename T>
-GSKNN_ALWAYS_INLINE void sel_defer(const SelectCtxT<T>& s, int row, T d,
-                                   int id) {
-  const int c = s.buf_cnt[row];
-  s.buf_d[static_cast<long>(row) * kCandBufLen + c] = d;
-  s.buf_id[static_cast<long>(row) * kCandBufLen + c] = id;
-  s.buf_cnt[row] = c + 1;
-  if (GSKNN_UNLIKELY(c + 1 == kCandBufLen)) sel_flush_row(s, row);
+  if (scratch == nullptr || !batch_select_applies(k, dedup)) {
+    for (int j = 0; j < len; ++j) {
+      if (sel_accepts(cand[j], ids[j], hd, hi)) {
+        sel_insert_raw(hd, hi, hset, k, stride, arity, dedup, tc, cand[j],
+                       ids[j]);
+      }
+    }
+    return;
+  }
+  constexpr T kInf = std::numeric_limits<T>::infinity();
+  const bool quad = (arity == HeapArity::kQuad);
+  const auto slot = [quad](int j) { return quad ? heap::quad_phys(j) : j; };
+  // 1. Filter. The stores are unconditional and only the count moves, so
+  //    the loop does not branch on which candidates survive.
+  T bound = batch_bound(cand, len, k);
+  int s = 0;
+  for (;;) {
+    s = 0;
+    for (int j = 0; j < len; ++j) {
+      scratch[s] = {cand[j], ids[j]};
+      s += (sel_accepts(cand[j], ids[j], hd, hi) && cand[j] <= bound) ? 1 : 0;
+    }
+    if (bound == kInf) break;
+    int under = s;
+    for (int j = 0; j < k; ++j) under += (hd[slot(j)] <= bound) ? 1 : 0;
+    if (under >= k) break;
+    bound = kInf;  // the sample undershot: filter on the root alone
+  }
+  // 2. Select the k smallest of survivors ∪ row and rebuild the heap.
+  const T root_d = hd[0];
+  const int root_i = hi[0];
+  int total = s;
+  for (int j = 0; j < k; ++j) {
+    scratch[total] = {hd[slot(j)], hi[slot(j)]};
+    total += (hd[slot(j)] <= bound) ? 1 : 0;
+  }
+  std::nth_element(scratch, scratch + (k - 1), scratch + total,
+                   [](const SelPair<T>& a, const SelPair<T>& b) {
+                     return heap::pair_less(a.d, a.id, b.d, b.id);
+                   });
+  for (int j = 0; j < k; ++j) {
+    hd[slot(j)] = scratch[j].d;
+    hi[slot(j)] = scratch[j].id;
+  }
+  if (quad) {
+    heap::quad_build(hd, hi, k);
+  } else {
+    heap::binary_build(hd, hi, k);
+  }
+  if constexpr (telemetry::kCountersEnabled) {
+    if (tc != nullptr) {
+      // The survivors that made the k smallest are the ones the row took.
+      const SelPair<T> kth = scratch[k - 1];
+      std::uint64_t pushes = 0;
+      for (int j = 0; j < len; ++j) {
+        pushes += (sel_accepts(cand[j], ids[j], &root_d, &root_i) &&
+                   cand[j] <= bound &&
+                   !heap::pair_less(kth.d, kth.id, cand[j], ids[j]))
+                      ? 1
+                      : 0;
+      }
+      tc->add(telemetry::Counter::kHeapPushes, pushes);
+      tc->sub(telemetry::Counter::kRootRejects, pushes);
+    }
+  }
 }
 
 /// The unified micro-kernel signature. `dcur` is the current depth-block
@@ -279,5 +363,36 @@ template <typename T>
 void resolve_kernel_and_blocking(SimdLevel level, const KnnConfig& cfg,
                                  MicroKernelT<T>& mk, BlockingParams& bp,
                                  SimdLevel& chosen);
+
+/// Resolved plan for one kernel invocation: everything the loop nest needs
+/// before a single byte moves.
+template <typename T>
+struct KernelPlanT {
+  Variant requested = Variant::kVar1;  ///< resolve_variant's pick
+  Variant variant = Variant::kVar1;    ///< after any workspace demotion
+  BlockingParams bp;       ///< balanced + retiled blocking
+  MicroKernelT<T> mk;      ///< selected micro-kernel (fn, mr, nr)
+  SimdLevel chosen = SimdLevel::kScalar;  ///< level the kernel dispatched to
+  int threads = 1;
+  bool needs_norms = false;
+  WorkspacePlan ws;
+};
+
+/// The plan steps shared by the cold and warm paths once kp.mk, kp.bp and
+/// kp.chosen are fixed: balance mc over the thread team, resolve the
+/// variant and the cap, then run the workspace planner (which may demote
+/// Var#6 and retile under a cap — all bitwise-result-preserving,
+/// gsknn/core/workspace.hpp). Side-effect free: the driver records the
+/// governance counters the finished plan implies. Defined in workspace.cpp.
+template <typename T>
+void plan_kernel_tail(int m, int n, int d, int k, const KnnConfig& cfg,
+                      bool packed_refs, KernelPlanT<T>& kp);
+
+/// Cold-path plan: resolve_kernel_and_blocking at the host's best SIMD
+/// level, then plan_kernel_tail. Throws StatusError(kBadConfig) for
+/// blockings no micro-kernel matches. plan_knn_workspace is this plan's ws.
+template <typename T>
+void plan_kernel(int m, int n, int d, int k, const KnnConfig& cfg,
+                 KernelPlanT<T>& kp);
 
 }  // namespace gsknn::core

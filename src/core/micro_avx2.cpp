@@ -44,70 +44,6 @@ GSKNN_ALWAYS_INLINE __m256d abs_pd(__m256d v) {
   return _mm256_andnot_pd(sign, v);
 }
 
-// ---------------------------------------------------------------------------
-// Compress-store emulation. AVX2 has no vcompresspd, so passing lanes are
-// compacted with a mask-indexed permutation LUT (_mm256_permutevar8x32 is
-// the only cross-lane variable shuffle AVX2 offers) and the matching tile-
-// row numbers come from a parallel byte table.
-// ---------------------------------------------------------------------------
-
-/// 4-lane double compress: perm[m] holds the epi32 index pairs that move
-/// the set lanes of mask m to the front; rows[m] the corresponding lanes.
-struct Comp4Tables {
-  alignas(32) int perm[16][8];
-  unsigned char rows[16][4];
-};
-
-constexpr Comp4Tables make_comp4() {
-  Comp4Tables t{};
-  for (int m = 0; m < 16; ++m) {
-    int c = 0;
-    for (int l = 0; l < 4; ++l) {
-      if ((m >> l) & 1) {
-        t.perm[m][2 * c] = 2 * l;
-        t.perm[m][2 * c + 1] = 2 * l + 1;
-        t.rows[m][c] = static_cast<unsigned char>(l);
-        ++c;
-      }
-    }
-    for (; c < 4; ++c) {
-      t.perm[m][2 * c] = 0;
-      t.perm[m][2 * c + 1] = 1;
-      t.rows[m][c] = 0;
-    }
-  }
-  return t;
-}
-
-inline constexpr Comp4Tables kComp4 = make_comp4();
-
-/// 8-lane float compress LUT (256 masks × 8 lane indices).
-struct Comp8Tables {
-  alignas(32) int perm[256][8];
-  unsigned char rows[256][8];
-};
-
-constexpr Comp8Tables make_comp8() {
-  Comp8Tables t{};
-  for (int m = 0; m < 256; ++m) {
-    int c = 0;
-    for (int l = 0; l < 8; ++l) {
-      if ((m >> l) & 1) {
-        t.perm[m][c] = l;
-        t.rows[m][c] = static_cast<unsigned char>(l);
-        ++c;
-      }
-    }
-    for (; c < 8; ++c) {
-      t.perm[m][c] = 0;
-      t.rows[m][c] = 0;
-    }
-  }
-  return t;
-}
-
-inline constexpr Comp8Tables kComp8 = make_comp8();
-
 /// One rank-1 step of the norm-specific combine for a single column.
 template <Norm N>
 GSKNN_ALWAYS_INLINE void combine1(__m256d& accLo, __m256d& accHi, __m256d qlo,
@@ -122,61 +58,6 @@ GSKNN_ALWAYS_INLINE void combine1(__m256d& accLo, __m256d& accHi, __m256d qlo,
     accLo = _mm256_max_pd(accLo, abs_pd(_mm256_sub_pd(qlo, rb)));
     accHi = _mm256_max_pd(accHi, abs_pd(_mm256_sub_pd(qhi, rb)));
   }
-}
-
-/// Deferred selection for one 4-row half: compress-store the passing lanes
-/// and append (distance, id) to the per-row candidate buffers. No re-check
-/// against the live root here — the flush re-checks in arrival order, so
-/// results match immediate insertion exactly.
-GSKNN_ALWAYS_INLINE void defer_half_pd(const SelectCtx& sel, unsigned m,
-                                       __m256d col, int rowbase, int id) {
-  alignas(32) double sd[4];
-  const __m256i perm =
-      _mm256_load_si256(reinterpret_cast<const __m256i*>(kComp4.perm[m]));
-  _mm256_store_pd(sd, _mm256_castsi256_pd(_mm256_permutevar8x32_epi32(
-                          _mm256_castpd_si256(col), perm)));
-  const int pc = __builtin_popcount(m);
-  for (int t = 0; t < pc; ++t) {
-    sel_defer(sel, rowbase + kComp4.rows[m][t], sd[t], id);
-  }
-}
-
-/// Deferred selection for one finished column. Padded tile rows carry -inf
-/// sentinel roots, so they can never pass the prefilter. The prefilter is
-/// `<=` (ordered, so NaN distances never pass): a candidate tying the root
-/// must reach the flush re-check, which applies the full lexicographic
-/// (distance, id) rule — `<` would drop ties the contract keeps.
-GSKNN_ALWAYS_INLINE void defer_col(const SelectCtx& sel, int j, __m256d colLo,
-                                   __m256d colHi, __m256d rootsLo,
-                                   __m256d rootsHi) {
-  const unsigned mlo = static_cast<unsigned>(
-      _mm256_movemask_pd(_mm256_cmp_pd(colLo, rootsLo, _CMP_LE_OQ)));
-  const unsigned mhi = static_cast<unsigned>(
-      _mm256_movemask_pd(_mm256_cmp_pd(colHi, rootsHi, _CMP_LE_OQ)));
-  if (GSKNN_LIKELY((mlo | mhi) == 0)) return;
-  const int id = sel.cand_ids[j];
-  if (mlo != 0) defer_half_pd(sel, mlo, colLo, 0, id);
-  if (mhi != 0) defer_half_pd(sel, mhi, colHi, 4, id);
-}
-
-/// Deferred-selection tile epilogue. Kept out of line so the common
-/// immediate-select path keeps the seed kernel's code size; inlining the
-/// compress machinery into every norm instantiation measurably slowed all k
-/// (icache; see EXPERIMENTS.md "Hot-path tuning"). Roots are gathered here,
-/// not passed, to keep the eight accumulators within the vector argument
-/// registers.
-GSKNN_NOINLINE void defer_tile_avx2(const SelectCtx& sel, __m256d lo0,
-                                    __m256d hi0, __m256d lo1, __m256d hi1,
-                                    __m256d lo2, __m256d hi2, __m256d lo3,
-                                    __m256d hi3, int cols) {
-  const __m256d rootsLo =
-      _mm256_set_pd(sel.hd[3][0], sel.hd[2][0], sel.hd[1][0], sel.hd[0][0]);
-  const __m256d rootsHi =
-      _mm256_set_pd(sel.hd[7][0], sel.hd[6][0], sel.hd[5][0], sel.hd[4][0]);
-  defer_col(sel, 0, lo0, hi0, rootsLo, rootsHi);
-  if (cols > 1) defer_col(sel, 1, lo1, hi1, rootsLo, rootsHi);
-  if (cols > 2) defer_col(sel, 2, lo2, hi2, rootsLo, rootsHi);
-  if (cols > 3) defer_col(sel, 3, lo3, hi3, rootsLo, rootsHi);
 }
 
 /// Selection for one finished column j (paper's vectorized root compare +
@@ -331,22 +212,17 @@ void micro_avx2_impl(int dcur, const double* GSKNN_RESTRICT Qp,
   }
 
   if (sel != nullptr) {
-    if (sel->buf_d != nullptr) {
-      defer_tile_avx2(*sel, lo0, hi0, lo1, hi1, lo2, hi2, lo3, hi3, cols);
-    } else {
-      // Roots for invalid rows are -inf sentinels installed by the driver,
-      // so padded lanes never pass the compare. The roots vector is
-      // gathered once per tile; staleness only admits candidates the
-      // re-check rejects.
-      const __m256d rootsLo = _mm256_set_pd(sel->hd[3][0], sel->hd[2][0],
-                                            sel->hd[1][0], sel->hd[0][0]);
-      const __m256d rootsHi = _mm256_set_pd(sel->hd[7][0], sel->hd[6][0],
-                                            sel->hd[5][0], sel->hd[4][0]);
-      select_col(*sel, 0, lo0, hi0, rootsLo, rootsHi, rows);
-      if (cols > 1) select_col(*sel, 1, lo1, hi1, rootsLo, rootsHi, rows);
-      if (cols > 2) select_col(*sel, 2, lo2, hi2, rootsLo, rootsHi, rows);
-      if (cols > 3) select_col(*sel, 3, lo3, hi3, rootsLo, rootsHi, rows);
-    }
+    // Roots for invalid rows are -inf sentinels installed by the driver, so
+    // padded lanes never pass the compare. The roots vector is gathered once
+    // per tile; staleness only admits candidates the re-check rejects.
+    const __m256d rootsLo = _mm256_set_pd(sel->hd[3][0], sel->hd[2][0],
+                                          sel->hd[1][0], sel->hd[0][0]);
+    const __m256d rootsHi = _mm256_set_pd(sel->hd[7][0], sel->hd[6][0],
+                                          sel->hd[5][0], sel->hd[4][0]);
+    select_col(*sel, 0, lo0, hi0, rootsLo, rootsHi, rows);
+    if (cols > 1) select_col(*sel, 1, lo1, hi1, rootsLo, rootsHi, rows);
+    if (cols > 2) select_col(*sel, 2, lo2, hi2, rootsLo, rootsHi, rows);
+    if (cols > 3) select_col(*sel, 3, lo3, hi3, rootsLo, rootsHi, rows);
   }
 
   if (Cout != nullptr) {
@@ -439,23 +315,6 @@ GSKNN_ALWAYS_INLINE __m256 finish1f(__m256 acc, __m256 q2v, float r2j) {
   }
 }
 
-/// Deferred selection, float column: LUT compress of the passing lanes.
-GSKNN_ALWAYS_INLINE void defer_colf(const SelectCtxT<float>& sel, int j,
-                                    __m256 col, __m256 roots) {
-  const unsigned m = static_cast<unsigned>(
-      _mm256_movemask_ps(_mm256_cmp_ps(col, roots, _CMP_LE_OQ)));
-  if (GSKNN_LIKELY(m == 0)) return;
-  alignas(32) float sf[kMrF];
-  const __m256i perm =
-      _mm256_load_si256(reinterpret_cast<const __m256i*>(kComp8.perm[m]));
-  _mm256_store_ps(sf, _mm256_permutevar8x32_ps(col, perm));
-  const int pc = __builtin_popcount(m);
-  const int id = sel.cand_ids[j];
-  for (int t = 0; t < pc; ++t) {
-    sel_defer(sel, static_cast<int>(kComp8.rows[m][t]), sf[t], id);
-  }
-}
-
 GSKNN_ALWAYS_INLINE void select_colf(const SelectCtxT<float>& sel, int j,
                                      __m256 col, __m256 roots, int rows) {
   unsigned mask = static_cast<unsigned>(
@@ -471,25 +330,6 @@ GSKNN_ALWAYS_INLINE void select_colf(const SelectCtxT<float>& sel, int j,
       sel_insert(sel, i, vals[i], id);
     }
   }
-}
-
-/// Deferred tile epilogue, out of line for the same code-size reason as the
-/// f64 helper above.
-GSKNN_NOINLINE void defer_tilef_avx2(const SelectCtxT<float>& sel, __m256 a0,
-                                     __m256 a1, __m256 a2, __m256 a3,
-                                     __m256 a4, __m256 a5, __m256 a6,
-                                     __m256 a7, int cols) {
-  const __m256 roots =
-      _mm256_set_ps(sel.hd[7][0], sel.hd[6][0], sel.hd[5][0], sel.hd[4][0],
-                    sel.hd[3][0], sel.hd[2][0], sel.hd[1][0], sel.hd[0][0]);
-  defer_colf(sel, 0, a0, roots);
-  if (cols > 1) defer_colf(sel, 1, a1, roots);
-  if (cols > 2) defer_colf(sel, 2, a2, roots);
-  if (cols > 3) defer_colf(sel, 3, a3, roots);
-  if (cols > 4) defer_colf(sel, 4, a4, roots);
-  if (cols > 5) defer_colf(sel, 5, a5, roots);
-  if (cols > 6) defer_colf(sel, 6, a6, roots);
-  if (cols > 7) defer_colf(sel, 7, a7, roots);
 }
 
 template <Norm N>
@@ -566,21 +406,17 @@ void micro_avx2_f32_impl(int dcur, const float* GSKNN_RESTRICT Qp,
   }
 
   if (sel != nullptr) {
-    if (sel->buf_d != nullptr) {
-      defer_tilef_avx2(*sel, a0, a1, a2, a3, a4, a5, a6, a7, cols);
-    } else {
-      const __m256 roots = _mm256_set_ps(
-          sel->hd[7][0], sel->hd[6][0], sel->hd[5][0], sel->hd[4][0],
-          sel->hd[3][0], sel->hd[2][0], sel->hd[1][0], sel->hd[0][0]);
-      select_colf(*sel, 0, a0, roots, rows);
-      if (cols > 1) select_colf(*sel, 1, a1, roots, rows);
-      if (cols > 2) select_colf(*sel, 2, a2, roots, rows);
-      if (cols > 3) select_colf(*sel, 3, a3, roots, rows);
-      if (cols > 4) select_colf(*sel, 4, a4, roots, rows);
-      if (cols > 5) select_colf(*sel, 5, a5, roots, rows);
-      if (cols > 6) select_colf(*sel, 6, a6, roots, rows);
-      if (cols > 7) select_colf(*sel, 7, a7, roots, rows);
-    }
+    const __m256 roots = _mm256_set_ps(
+        sel->hd[7][0], sel->hd[6][0], sel->hd[5][0], sel->hd[4][0],
+        sel->hd[3][0], sel->hd[2][0], sel->hd[1][0], sel->hd[0][0]);
+    select_colf(*sel, 0, a0, roots, rows);
+    if (cols > 1) select_colf(*sel, 1, a1, roots, rows);
+    if (cols > 2) select_colf(*sel, 2, a2, roots, rows);
+    if (cols > 3) select_colf(*sel, 3, a3, roots, rows);
+    if (cols > 4) select_colf(*sel, 4, a4, roots, rows);
+    if (cols > 5) select_colf(*sel, 5, a5, roots, rows);
+    if (cols > 6) select_colf(*sel, 6, a6, roots, rows);
+    if (cols > 7) select_colf(*sel, 7, a7, roots, rows);
   }
 
   if (Cout != nullptr) {

@@ -95,58 +95,12 @@ GSKNN_ALWAYS_INLINE void select_col512(const SelectCtx& sel, int j,
   }
 }
 
-/// Deferred selection for one finished column: native vcompresspd packs
-/// the passing distances contiguously, a parallel epi32 compress of the
-/// constant row-index vector records which tile rows they belong to, and a
-/// short count-bounded loop appends to the per-row candidate buffers (the
-/// heap sift happens at flush, off the tile loop's critical path).
-GSKNN_ALWAYS_INLINE void defer_col512(const SelectCtx& sel, int j,
-                                      __m512d colA, __m512d colB,
-                                      __m512d rootsA, __m512d rootsB) {
-  const __mmask8 ma = _mm512_cmp_pd_mask(colA, rootsA, _CMP_LE_OQ);
-  const __mmask8 mb = _mm512_cmp_pd_mask(colB, rootsB, _CMP_LE_OQ);
-  const unsigned m16 =
-      static_cast<unsigned>(ma) | (static_cast<unsigned>(mb) << 8);
-  if (GSKNN_LIKELY(m16 == 0)) return;
-  alignas(64) double sd[kMr512];
-  alignas(64) int sr[kMr512];
-  const int ca = __builtin_popcount(static_cast<unsigned>(ma));
-  _mm512_mask_compressstoreu_pd(sd, ma, colA);
-  _mm512_mask_compressstoreu_pd(sd + ca, mb, colB);
-  const __m512i rows16 = _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6,
-                                          5, 4, 3, 2, 1, 0);
-  _mm512_mask_compressstoreu_epi32(sr, static_cast<__mmask16>(m16), rows16);
-  const int total = __builtin_popcount(m16);
-  const int id = sel.cand_ids[j];
-  for (int t = 0; t < total; ++t) {
-    sel_defer(sel, sr[t], sd[t], id);
-  }
-}
-
 /// Gather a root vector for rows [base, base+8) of the tile.
 GSKNN_ALWAYS_INLINE __m512d gather_roots(const SelectCtx& sel, int base) {
   return _mm512_set_pd(sel.hd[base + 7][0], sel.hd[base + 6][0],
                        sel.hd[base + 5][0], sel.hd[base + 4][0],
                        sel.hd[base + 3][0], sel.hd[base + 2][0],
                        sel.hd[base + 1][0], sel.hd[base + 0][0]);
-}
-
-/// Deferred-selection tile epilogue. Kept out of line so the common
-/// immediate-select path keeps the seed kernel's code size; inlining the
-/// compress-store machinery into every norm instantiation measurably slowed
-/// all k (icache; see EXPERIMENTS.md "Hot-path tuning"). Roots are gathered
-/// here, not passed, to keep the eight accumulators within the vector
-/// argument registers (zmm0–7 per the ABI).
-GSKNN_NOINLINE void defer_tile512(const SelectCtx& sel, __m512d a0, __m512d b0,
-                                  __m512d a1, __m512d b1, __m512d a2,
-                                  __m512d b2, __m512d a3, __m512d b3,
-                                  int cols) {
-  const __m512d rootsA = gather_roots(sel, 0);
-  const __m512d rootsB = gather_roots(sel, 8);
-  defer_col512(sel, 0, a0, b0, rootsA, rootsB);
-  if (cols > 1) defer_col512(sel, 1, a1, b1, rootsA, rootsB);
-  if (cols > 2) defer_col512(sel, 2, a2, b2, rootsA, rootsB);
-  if (cols > 3) defer_col512(sel, 3, a3, b3, rootsA, rootsB);
 }
 
 template <Norm N>
@@ -250,16 +204,12 @@ void micro_avx512_impl(int dcur, const double* GSKNN_RESTRICT Qp,
   }
 
   if (sel != nullptr) {
-    if (sel->buf_d != nullptr) {
-      defer_tile512(*sel, a0, b0, a1, b1, a2, b2, a3, b3, cols);
-    } else {
-      const __m512d rootsA = gather_roots(*sel, 0);
-      const __m512d rootsB = gather_roots(*sel, 8);
-      select_col512(*sel, 0, a0, b0, rootsA, rootsB, rows);
-      if (cols > 1) select_col512(*sel, 1, a1, b1, rootsA, rootsB, rows);
-      if (cols > 2) select_col512(*sel, 2, a2, b2, rootsA, rootsB, rows);
-      if (cols > 3) select_col512(*sel, 3, a3, b3, rootsA, rootsB, rows);
-    }
+    const __m512d rootsA = gather_roots(*sel, 0);
+    const __m512d rootsB = gather_roots(*sel, 8);
+    select_col512(*sel, 0, a0, b0, rootsA, rootsB, rows);
+    if (cols > 1) select_col512(*sel, 1, a1, b1, rootsA, rootsB, rows);
+    if (cols > 2) select_col512(*sel, 2, a2, b2, rootsA, rootsB, rows);
+    if (cols > 3) select_col512(*sel, 3, a3, b3, rootsA, rootsB, rows);
   }
 
   if (Cout != nullptr) {
@@ -370,45 +320,10 @@ GSKNN_ALWAYS_INLINE void select_colf512(const SelectCtxT<float>& sel, int j,
   }
 }
 
-/// Deferred selection, float column: native 16-lane compress of distances
-/// plus the row-index vector.
-GSKNN_ALWAYS_INLINE void defer_colf512(const SelectCtxT<float>& sel, int j,
-                                       __m512 col, __m512 roots) {
-  const __mmask16 m = _mm512_cmp_ps_mask(col, roots, _CMP_LE_OQ);
-  if (GSKNN_LIKELY(m == 0)) return;
-  alignas(64) float sf[kMrF512];
-  alignas(64) int sr[kMrF512];
-  _mm512_mask_compressstoreu_ps(sf, m, col);
-  const __m512i rows16 = _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6,
-                                          5, 4, 3, 2, 1, 0);
-  _mm512_mask_compressstoreu_epi32(sr, m, rows16);
-  const int total = __builtin_popcount(static_cast<unsigned>(m));
-  const int id = sel.cand_ids[j];
-  for (int t = 0; t < total; ++t) {
-    sel_defer(sel, sr[t], sf[t], id);
-  }
-}
-
 GSKNN_ALWAYS_INLINE __m512 gather_roots_f(const SelectCtxT<float>& sel) {
   alignas(64) float r[kMrF512];
   for (int i = 0; i < kMrF512; ++i) r[i] = sel.hd[i][0];
   return _mm512_load_ps(r);
-}
-
-/// Deferred tile epilogue, out of line for the same code-size reason as the
-/// f64 helper above.
-GSKNN_NOINLINE void defer_tilef512(const SelectCtxT<float>& sel, __m512 a0,
-                                   __m512 a1, __m512 a2, __m512 a3, __m512 a4,
-                                   __m512 a5, __m512 a6, __m512 a7, int cols) {
-  const __m512 roots = gather_roots_f(sel);
-  defer_colf512(sel, 0, a0, roots);
-  if (cols > 1) defer_colf512(sel, 1, a1, roots);
-  if (cols > 2) defer_colf512(sel, 2, a2, roots);
-  if (cols > 3) defer_colf512(sel, 3, a3, roots);
-  if (cols > 4) defer_colf512(sel, 4, a4, roots);
-  if (cols > 5) defer_colf512(sel, 5, a5, roots);
-  if (cols > 6) defer_colf512(sel, 6, a6, roots);
-  if (cols > 7) defer_colf512(sel, 7, a7, roots);
 }
 
 template <Norm N>
@@ -485,19 +400,15 @@ void micro_avx512_f32_impl(int dcur, const float* GSKNN_RESTRICT Qp,
   }
 
   if (sel != nullptr) {
-    if (sel->buf_d != nullptr) {
-      defer_tilef512(*sel, a0, a1, a2, a3, a4, a5, a6, a7, cols);
-    } else {
-      const __m512 roots = gather_roots_f(*sel);
-      select_colf512(*sel, 0, a0, roots, rows);
-      if (cols > 1) select_colf512(*sel, 1, a1, roots, rows);
-      if (cols > 2) select_colf512(*sel, 2, a2, roots, rows);
-      if (cols > 3) select_colf512(*sel, 3, a3, roots, rows);
-      if (cols > 4) select_colf512(*sel, 4, a4, roots, rows);
-      if (cols > 5) select_colf512(*sel, 5, a5, roots, rows);
-      if (cols > 6) select_colf512(*sel, 6, a6, roots, rows);
-      if (cols > 7) select_colf512(*sel, 7, a7, roots, rows);
-    }
+    const __m512 roots = gather_roots_f(*sel);
+    select_colf512(*sel, 0, a0, roots, rows);
+    if (cols > 1) select_colf512(*sel, 1, a1, roots, rows);
+    if (cols > 2) select_colf512(*sel, 2, a2, roots, rows);
+    if (cols > 3) select_colf512(*sel, 3, a3, roots, rows);
+    if (cols > 4) select_colf512(*sel, 4, a4, roots, rows);
+    if (cols > 5) select_colf512(*sel, 5, a5, roots, rows);
+    if (cols > 6) select_colf512(*sel, 6, a6, roots, rows);
+    if (cols > 7) select_colf512(*sel, 7, a7, roots, rows);
   }
 
   if (Cout != nullptr) {

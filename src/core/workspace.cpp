@@ -2,8 +2,10 @@
 //
 // Everything the driver carves from its arenas is computed here first, chunk
 // by chunk, with the same rounding WorkspaceArena::alloc applies — the plan
-// is byte-exact, not an estimate. The kernel/blocking resolution helpers the
-// driver shares live here too, so the planner and the driver cannot drift.
+// is byte-exact, not an estimate. The driver's side-effect-free plan steps
+// (kernel/blocking resolution, thread balancing, variant and cap resolution)
+// live here too, and plan_knn_workspace runs exactly those, so the planner
+// and the driver cannot drift.
 #include <algorithm>
 #include <cassert>
 
@@ -53,6 +55,10 @@ template void resolve_kernel_and_blocking<float>(SimdLevel, const KnnConfig&,
                                                  MicroKernelT<float>&,
                                                  BlockingParams&, SimdLevel&);
 
+namespace {
+
+/// Balance mc so the 4th loop's block count divides evenly over `threads`
+/// (the paper's "dynamically deciding mc", §2.5).
 int balanced_mc(int m, int mc, int mr, int threads) {
   assert(m >= 0 && mc > 0 && mr > 0 && threads >= 1);
   if (threads <= 1 || m == 0) return mc;
@@ -65,19 +71,18 @@ int balanced_mc(int m, int mc, int mr, int threads) {
   return out < mr ? mr : out;
 }
 
-namespace {
-
 /// Mirror of the driver's buffer carving for one (variant, blocking) choice.
 /// Every line corresponds to an AlignedBuffer/arena chunk in driver.cpp; the
 /// chunk_bytes rounding matches WorkspaceArena::alloc exactly.
-void compute_footprint(int m, int n, int d, bool needs_norms,
-                       bool defer_possible, std::size_t elem,
-                       int tmr, int tnr, bool packed_refs,
+template <typename T>
+void compute_footprint(int m, int n, int d, int k, bool dedup,
+                       bool needs_norms, int tmr, int tnr, bool packed_refs,
                        WorkspacePlan& plan) {
   const BlockingParams& bp = plan.blocking;
   const auto cb = [](std::size_t count, std::size_t es) {
     return WorkspaceArena::chunk_bytes(count, es);
   };
+  constexpr std::size_t elem = sizeof(T);
 
   const std::size_t db_max =
       static_cast<std::size_t>(std::min(d, bp.dc));
@@ -100,9 +105,9 @@ void compute_footprint(int m, int n, int d, bool needs_norms,
   // nc-wide panel; Var#6 the full m × n matrix. Layout mirrors the driver:
   // Var#1 column-major tiles, the rest query-major, both with one extra
   // cache line on the leading dimension.
+  const int width = (plan.variant == Variant::kVar6) ? n : std::min(n, bp.nc);
   const bool needs_cbuf = (plan.variant != Variant::kVar1) || (d > bp.dc);
   if (needs_cbuf) {
-    const int width = (plan.variant == Variant::kVar6) ? n : std::min(n, bp.nc);
     const std::size_t wpad = round_up(static_cast<std::size_t>(width),
                                       static_cast<std::size_t>(tnr));
     const std::size_t mpad = round_up(static_cast<std::size_t>(m),
@@ -112,32 +117,40 @@ void compute_footprint(int m, int n, int d, bool needs_norms,
     shared += cb(ld * (c_colmajor ? wpad : mpad), elem);
   }
 
-  // Per thread: packed Qc panel (+ query norms) for the largest mc-block,
-  // plus the Var#1 deferred-selection candidate buffers when the call could
-  // take the deferred path (k >= kDeferMinK).
+  // Per thread: packed Qc panel (+ query norms) for the largest mc-block.
+  // Var#5/#6's batched row selection carves its scratch (one row's
+  // candidates plus its k entries) from the same arena after the 4th loop
+  // has finished with it, so a thread needs the larger of the two.
   const std::size_t mbpad_max = round_up(
       static_cast<std::size_t>(std::min(m, bp.mc)),
       static_cast<std::size_t>(tmr));
   std::size_t per_thread = cb(mbpad_max * db_max, elem);
   if (needs_norms) per_thread += cb(mbpad_max, elem);
-  if (defer_possible && plan.variant == Variant::kVar1) {
-    per_thread += cb(mbpad_max * kCandBufLen, elem);         // cand_d
-    per_thread += cb(mbpad_max * kCandBufLen, sizeof(int));  // cand_id
-    per_thread += cb(mbpad_max, sizeof(int));                // cand_cnt
+  if (plan.variant != Variant::kVar1 && batch_select_applies(k, dedup)) {
+    const std::size_t pairs = static_cast<std::size_t>(width) + k;
+    per_thread = std::max(per_thread, cb(pairs, sizeof(SelPair<T>)));
   }
 
   plan.shared_bytes = shared;
   plan.per_thread_bytes = per_thread;
 }
 
-}  // namespace
-
-WorkspacePlan plan_workspace(int m, int n, int d, Variant variant,
-                             const BlockingParams& bp, int tmr, int tnr,
-                             int threads, bool needs_norms,
-                             bool defer_possible, std::size_t elem,
+/// Plan the workspace for a fully-resolved call: `variant` is concrete (not
+/// kAuto), `bp` already balanced to `threads`, `tmr`/`tnr` the selected
+/// micro-kernel's register tile. `cap_bytes` == 0 means unlimited.
+/// `packed_refs` plans a warm call served from a PackedRefs cache: the
+/// packed Rc panel and reference norms live in the cache (budgeted there,
+/// not here), so they leave the shared footprint, and the degradation
+/// ladder is restricted to the steps that keep the cache's block geometry
+/// intact — Var#6 demotion and mc halving; nc and dc are pinned (retiling
+/// them would misalign the kernel against the cached blocks).
+template <typename T>
+WorkspacePlan plan_workspace(int m, int n, int d, int k, bool dedup,
+                             Variant variant, const BlockingParams& bp,
+                             int tmr, int tnr, int threads, bool needs_norms,
                              std::size_t cap_bytes, bool packed_refs) {
-  assert(variant != Variant::kAuto && "plan_workspace wants a concrete variant");
+  assert(variant != Variant::kAuto &&
+         "plan_workspace wants a concrete variant");
   WorkspacePlan plan;
   plan.variant = variant;
   plan.blocking = bp;
@@ -145,8 +158,11 @@ WorkspacePlan plan_workspace(int m, int n, int d, Variant variant,
   plan.cap_bytes = cap_bytes;
   if (m <= 0 || n <= 0 || d <= 0) return plan;  // driver returns before packing
 
-  compute_footprint(m, n, d, needs_norms, defer_possible, elem, tmr, tnr,
-                    packed_refs, plan);
+  const auto footprint = [&](WorkspacePlan& p) {
+    compute_footprint<T>(m, n, d, k, dedup, needs_norms, tmr, tnr,
+                         packed_refs, p);
+  };
+  footprint(plan);
   if (cap_bytes == 0) return plan;
 
   // Degradation ladder (see the header comment): every step is bitwise-
@@ -174,8 +190,7 @@ WorkspacePlan plan_workspace(int m, int n, int d, Variant variant,
       // path, so only take the step when it strictly helps.
       WorkspacePlan trial = plan;
       trial.blocking.dc = std::max(kWorkspaceDcFloor, plan.blocking.dc / 2);
-      compute_footprint(m, n, d, needs_norms, defer_possible, elem, tmr, tnr,
-                        packed_refs, trial);
+      footprint(trial);
       if (trial.total_bytes() >= plan.total_bytes()) break;
       plan.blocking = trial.blocking;
       plan.shared_bytes = trial.shared_bytes;
@@ -186,34 +201,56 @@ WorkspacePlan plan_workspace(int m, int n, int d, Variant variant,
       break;  // at every floor and still over the cap
     }
     ++plan.retile_steps;
-    compute_footprint(m, n, d, needs_norms, defer_possible, elem, tmr, tnr,
-                      packed_refs, plan);
+    footprint(plan);
   }
   plan.fits = plan.total_bytes() <= cap_bytes;
   return plan;
 }
+
+}  // namespace
+
+template <typename T>
+void plan_kernel_tail(int m, int n, int d, int k, const KnnConfig& cfg,
+                      bool packed_refs, KernelPlanT<T>& kp) {
+  kp.needs_norms = (cfg.norm == Norm::kL2Sq || cfg.norm == Norm::kCosine);
+  kp.threads = resolve_threads(cfg.threads);
+  kp.bp.mc = balanced_mc(m, kp.bp.mc, kp.mk.mr, kp.threads);
+  kp.requested = resolve_variant(m, n, d, k, cfg);
+  const std::size_t cap = cfg.max_workspace_bytes != 0
+                              ? cfg.max_workspace_bytes
+                              : max_workspace_env();
+  kp.ws = plan_workspace<T>(m, n, d, k, cfg.dedup, kp.requested, kp.bp,
+                            kp.mk.mr, kp.mk.nr, kp.threads, kp.needs_norms,
+                            cap, packed_refs);
+  kp.variant = kp.ws.variant;
+  kp.bp = kp.ws.blocking;
+}
+
+template <typename T>
+void plan_kernel(int m, int n, int d, int k, const KnnConfig& cfg,
+                 KernelPlanT<T>& kp) {
+  resolve_kernel_and_blocking<T>(cpu_features().best_level(), cfg, kp.mk,
+                                 kp.bp, kp.chosen);
+  plan_kernel_tail<T>(m, n, d, k, cfg, /*packed_refs=*/false, kp);
+}
+
+template void plan_kernel_tail<double>(int, int, int, int, const KnnConfig&,
+                                       bool, KernelPlanT<double>&);
+template void plan_kernel_tail<float>(int, int, int, int, const KnnConfig&,
+                                      bool, KernelPlanT<float>&);
+template void plan_kernel<double>(int, int, int, int, const KnnConfig&,
+                                  KernelPlanT<double>&);
+template void plan_kernel<float>(int, int, int, int, const KnnConfig&,
+                                 KernelPlanT<float>&);
 
 }  // namespace core
 
 template <typename T>
 WorkspacePlan plan_knn_workspace(int m, int n, int d, int k,
                                  const KnnConfig& cfg) {
-  const Variant variant = resolve_variant(m, n, d, k, cfg);
-  const SimdLevel level = cpu_features().best_level();
-  core::MicroKernelT<T> mk;
-  BlockingParams bp;
-  SimdLevel chosen = level;
-  core::resolve_kernel_and_blocking<T>(level, cfg, mk, bp, chosen);
-  const int threads = resolve_threads(cfg.threads);
-  bp.mc = core::balanced_mc(m, bp.mc, mk.mr, threads);
-  const bool needs_norms =
-      (cfg.norm == Norm::kL2Sq || cfg.norm == Norm::kCosine);
-  const bool defer_possible = k >= core::kDeferMinK;
-  const std::size_t cap = cfg.max_workspace_bytes != 0
-                              ? cfg.max_workspace_bytes
-                              : max_workspace_env();
-  return core::plan_workspace(m, n, d, variant, bp, mk.mr, mk.nr, threads,
-                              needs_norms, defer_possible, sizeof(T), cap);
+  core::KernelPlanT<T> kp;
+  core::plan_kernel<T>(m, n, d, k, cfg, kp);
+  return kp.ws;
 }
 
 template WorkspacePlan plan_knn_workspace<double>(int, int, int, int,

@@ -306,11 +306,10 @@ TEST(Telemetry, ParallelRefsMergesWorkerProfiles) {
 }
 
 // The hot-path specializations must keep the counting scheme exact: the
-// k == 1 accept shortcut, the sorted small-k row path (k <= kSmallSortedK)
-// and the deferred candidate buffers (Var#1, k >= kDeferMinK) all
+// k == 1 accept shortcut and the sorted small-k row path (k <= kSmallSortedK)
 // reclassify accepted candidates out of the driver's pre-counted
-// root-rejects — including candidates that were buffered first and only
-// rejected (or accepted) at flush time.
+// root-rejects, and the batched row selection (Var#5/#6, k >=
+// kBatchSelectMinK) counts a whole row's filter survivors at once.
 void run_and_audit(int m, int n, int d, int k, Variant variant) {
   const PointTable X = make_uniform(d, m + n, 0xA0D17 + static_cast<unsigned>(k));
   const auto q = iota_ids(m);
@@ -353,10 +352,12 @@ TEST(TelemetryHotPaths, SmallSortedKCountersExact) {
   run_and_audit(96, 160, 24, 4, Variant::kVar1);  // k <= kSmallSortedK
 }
 
+// k = 256 sends Var#5 (one batch per nc panel) and Var#6 (one batch per
+// whole row) through the batched row selection.
 TEST(TelemetryHotPaths, DeferredSelectionCountersExact) {
-  // k >= kDeferMinK with Var#1 and a binary heap routes every accepted
-  // candidate through the compress-store buffers and the block-end flush.
-  run_and_audit(48, 512, 16, 256, Variant::kVar1);
+  for (Variant v : {Variant::kVar5, Variant::kVar6}) {
+    run_and_audit(48, 512, 16, 256, v);
+  }
 }
 
 TEST(TelemetryHotPaths, DeferredSelectionCountersExactFloat) {
@@ -364,15 +365,16 @@ TEST(TelemetryHotPaths, DeferredSelectionCountersExactFloat) {
   const PointTableF X = to_float(make_uniform(d, m + n, 0xA0D20));
   const auto q = iota_ids(m);
   const auto r = iota_ids(n, m);
-
-  KernelProfile prof;
-  KnnConfig cfg;
-  cfg.variant = Variant::kVar1;
-  cfg.threads = 1;
-  cfg.profile = &prof;
-  NeighborTableF t(m, k);
-  knn_kernel(X, q, r, t, cfg);
-  expect_exact_counters(prof, m, n);
+  for (Variant v : {Variant::kVar5, Variant::kVar6}) {
+    KernelProfile prof;
+    KnnConfig cfg;
+    cfg.variant = v;
+    cfg.threads = 1;
+    cfg.profile = &prof;
+    NeighborTableF t(m, k);
+    knn_kernel(X, q, r, t, cfg);
+    expect_exact_counters(prof, m, n);
+  }
 }
 
 TEST(Telemetry, InactiveRecorderIsNoop) {

@@ -3,7 +3,7 @@
 // tail groups of the vectorized pack and the rows/cols masking of the fused
 // kernels' selection epilogues — the riskiest lines of the hot-path
 // overhaul. Every shape must reproduce the brute-force oracle, for variants
-// 1/5/6, both precisions, and the k = 1 / small-k / deferred selection
+// 1/5/6, both precisions, and the k = 1 / small-k / batched selection
 // paths. The same suite is registered under GSKNN_MAX_SIMD caps (see
 // tests/CMakeLists.txt) so the AVX2 and scalar tails get identical coverage.
 #include <gtest/gtest.h>
@@ -144,10 +144,11 @@ INSTANTIATE_TEST_SUITE_P(
         // kSmallSortedK = 4), 17 (binary sift, off the power-of-two grid).
         ::testing::Values(1, 2, 4, 17)));
 
-// The deferred candidate buffers only switch on for Var#1 at
-// k >= kDeferMinK; Var#5/#6 never defer, so bitwise identity across the
-// three variants at k = 256 is deferred-vs-immediate parity on an edge
-// shape (m, n, d all off-grid, n barely above k so rows churn).
+// At k >= kBatchSelectMinK Var#5/#6 merge each row in one batch while
+// Var#1 still inserts candidate by candidate inside the micro-kernel, so
+// bitwise identity across the three variants at k = 256 is batched-vs-
+// immediate parity on an edge shape (m, n, d all off-grid, n barely above k
+// so rows churn). Var#1 runs first and is the reference.
 TEST(EdgeTileDeferred, VariantsBitwiseIdenticalAtDeferredK) {
   const int m = 21, n = 387, d = 13, k = 256;
   const PointTable X = make_uniform(d, m + n, 0xDEF1);
@@ -174,8 +175,10 @@ TEST(EdgeTileDeferred, VariantsBitwiseIdenticalAtDeferredK) {
 }
 
 TEST(EdgeTileDeferred, MatchesOracleBothPrecisions) {
-  check_double(21, 387, 13, 256, Variant::kVar1, 0xDEF2);
-  check_float(21, 387, 13, 256, Variant::kVar1, 0xDEF3);
+  for (Variant v : kEdgeVariants) {
+    check_double(21, 387, 13, 256, v, 0xDEF2);
+    check_float(21, 387, 13, 256, v, 0xDEF3);
+  }
 }
 
 // k = 1 and small-k accepts take a dedicated path inside sel_insert_raw

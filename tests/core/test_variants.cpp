@@ -101,22 +101,36 @@ TEST(VariantResolve, AutoPrefersVar1ForSmallK) {
   EXPECT_EQ(resolve_variant(8192, 8192, 64, 16, cfg), Variant::kVar1);
 }
 
-TEST(VariantResolve, AutoPrefersVar6ForHugeK) {
+TEST(VariantResolve, AutoPrefersVar5ForHugeK) {
   KnnConfig cfg;  // kAuto
-  EXPECT_EQ(resolve_variant(8192, 8192, 16, 8192, cfg), Variant::kVar6);
+  EXPECT_EQ(resolve_variant(8192, 8192, 16, 8192, cfg), Variant::kVar5);
+}
+
+// kAuto switches to Var#5 exactly where row_select starts batching
+// (kBatchSelectMinK = 256), whatever the shape: at join-select's
+// m = 2048, n = 4096, d = 64 and at the serving runtime's single query.
+TEST(VariantResolve, BatchThresholdBoundary) {
+  KnnConfig cfg;  // kAuto
+  for (const int m : {2048, 1}) {
+    EXPECT_EQ(resolve_variant(m, 4096, 64, 255, cfg), Variant::kVar1)
+        << "m=" << m;
+    EXPECT_EQ(resolve_variant(m, 4096, 64, 256, cfg), Variant::kVar5)
+        << "m=" << m;
+  }
 }
 
 TEST(VariantResolve, ThresholdIsMonotoneInK) {
-  // Once Auto switches to Var#6, it must stay at Var#6 for larger k.
+  // Once Auto leaves Var#1, it must not return to it for larger k.
   KnnConfig cfg;
-  bool seen_var6 = false;
+  bool left_var1 = false;
   for (int k = 1; k <= 4096; k *= 2) {
     const Variant v = resolve_variant(8192, 8192, 32, k, cfg);
-    if (seen_var6) {
-      EXPECT_EQ(v, Variant::kVar6) << "k=" << k;
+    if (left_var1) {
+      EXPECT_NE(v, Variant::kVar1) << "k=" << k;
     }
-    seen_var6 = seen_var6 || (v == Variant::kVar6);
+    left_var1 = left_var1 || (v != Variant::kVar1);
   }
+  EXPECT_TRUE(left_var1);
 }
 
 }  // namespace

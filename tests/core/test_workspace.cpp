@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -254,6 +255,66 @@ TEST(WorkspacePlan, CappedMultiThreadedRunMatchesUncapped) {
   for (int i = 0; i < m; ++i) {
     EXPECT_EQ(capped.sorted_row(i), uncapped.sorted_row(i)) << "row " << i;
   }
+}
+
+// Var#5/#6 at k >= 256 carve the batched row selection's scratch — one
+// row of candidates (at most nc for Var#5) plus its k entries, 16-byte
+// (distance, id) pairs in f64 — from the per-thread arena once the packed
+// query panel is done with it. Here the scratch is the larger of the two,
+// so it sets per_thread_bytes; Var#1 and dedup calls (per-candidate scan)
+// carve none. The kernel then runs inside that plan (ASan builds catch any
+// carve past it) and matches the fused Var#1 rows.
+TEST(WorkspacePlan, BatchSelectionScratchIsPlanned) {
+  const int m = 64, n = 4096, d = 16, k = 256;
+  KnnConfig cfg;
+  cfg.threads = 1;  // kAuto: Var#5 at this k
+  const auto plan = plan_knn_workspace<double>(m, n, d, k, cfg);
+  ASSERT_EQ(plan.variant, Variant::kVar5);
+  const int width = std::min(n, plan.blocking.nc);
+  EXPECT_EQ(plan.per_thread_bytes,
+            round_up(static_cast<std::size_t>(width + k) * 16,
+                     kVectorAlignBytes));
+  KnnConfig dedup = cfg;
+  dedup.dedup = true;
+  EXPECT_LT(plan_knn_workspace<double>(m, n, d, k, dedup).per_thread_bytes,
+            plan.per_thread_bytes);
+  KnnConfig fused = cfg;
+  fused.variant = Variant::kVar1;
+  EXPECT_LT(plan_knn_workspace<double>(m, n, d, k, fused).per_thread_bytes,
+            plan.per_thread_bytes);
+
+  const PointTable X = make_uniform(d, m + n, 0xBA7C);
+  const auto q = iota_ids(m);
+  const auto r = iota_ids(n, m);
+  telemetry::KernelProfile P;
+  cfg.profile = &P;
+  NeighborTable batched(m, k);
+  knn_kernel(X, q, r, batched, cfg);
+  EXPECT_EQ(P.workspace_bytes, plan.total_bytes());
+  NeighborTable immediate(m, k);
+  knn_kernel(X, q, r, immediate, fused);
+  for (int i = 0; i < m; ++i) {
+    EXPECT_EQ(batched.sorted_row(i), immediate.sorted_row(i)) << "row " << i;
+  }
+}
+
+// kAuto at k >= 256 runs Var#5, whose distance buffer holds one m × nc
+// panel: with no cap set, 65536 × 65536 at k = 300 plans exactly what
+// n = nc plans — within twice the m × nc panel — not the 32 GiB m × n
+// matrix Var#6 would ask for.
+TEST(WorkspacePlan, AutoLargeKFootprintBoundedByNc) {
+  const int m = 65536, n = 65536, d = 64, k = 300;
+  KnnConfig cfg;
+  cfg.threads = 1;
+  const auto plan = plan_knn_workspace<double>(m, n, d, k, cfg);
+  ASSERT_EQ(plan.variant, Variant::kVar5);
+  const int nc = plan.blocking.nc;
+  ASSERT_LT(nc, n);
+  EXPECT_EQ(plan.total_bytes(),
+            plan_knn_workspace<double>(m, nc, d, k, cfg).total_bytes());
+  EXPECT_LE(plan.total_bytes(), 2 * static_cast<std::size_t>(m) *
+                                    static_cast<std::size_t>(nc) *
+                                    sizeof(double));
 }
 
 }  // namespace

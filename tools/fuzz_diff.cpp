@@ -795,6 +795,7 @@ int main(int argc, char** argv) {
   const auto t0 = std::chrono::steady_clock::now();
   long trials = 0;
   long mode_counts[static_cast<int>(Mode::kModeCount)] = {};
+  long large_k_trials = 0;
 
   while (true) {
     const double elapsed =
@@ -811,11 +812,29 @@ int main(int argc, char** argv) {
                           Norm::kCosine};
     t.norm = norms[rng.below(5)];
     t.p = (rng.below(2) != 0u) ? 2.5 : 1.3;
+    // One trial in eight is large-k: only there do Var#5/#6 merge rows in
+    // batches and kAuto resolve to Var#5. Half of those draw n in 256..640
+    // and k in 256..n+6 (k > n included); the other half n in 1024..1536
+    // and k in 256..n/4, long enough rows for the sampled bound on the k-th
+    // distance to narrow the batch.
+    const bool large_k = (trials % 8 == 7);
+    const bool long_rows = large_k && (trials % 16 == 15);
     t.m = static_cast<int>(rng.below(36));           // 0..35 (empty included)
-    t.n = static_cast<int>(rng.below(70));           // 0..69
     t.d = static_cast<int>(rng.below(34));           // 0..33 (d == 0 included)
-    t.k = 1 + static_cast<int>(rng.below(
-                  static_cast<std::uint64_t>(t.n + 6)));  // k > n included
+    if (long_rows) {
+      t.n = 1024 + static_cast<int>(rng.below(513));
+      t.k = 256 + static_cast<int>(
+                      rng.below(static_cast<std::uint64_t>(t.n / 4 - 255)));
+    } else if (large_k) {
+      t.n = 256 + static_cast<int>(rng.below(385));
+      t.k = 256 + static_cast<int>(
+                      rng.below(static_cast<std::uint64_t>(t.n - 249)));
+    } else {
+      t.n = static_cast<int>(rng.below(70));         // 0..69
+      t.k = 1 + static_cast<int>(rng.below(
+                    static_cast<std::uint64_t>(t.n + 6)));  // k > n included
+    }
+    if (large_k) ++large_k_trials;
     t.dedup = (rng.below(2) != 0u);
     const double scales[] = {1e-3, 1.0, 1e3, 1e6};
     t.scale = scales[rng.below(4)];
@@ -868,6 +887,7 @@ int main(int argc, char** argv) {
 
   std::printf("fuzz_diff: %ld trials OK in %.1fs (seed=0x%llx)\n", trials,
               seconds, static_cast<unsigned long long>(seed));
+  std::printf("  large-k  %ld\n", large_k_trials);
   for (int i = 0; i < static_cast<int>(Mode::kModeCount); ++i) {
     std::printf("  %-8s %ld\n", mode_name(static_cast<Mode>(i)),
                 mode_counts[i]);
