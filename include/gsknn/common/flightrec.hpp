@@ -10,9 +10,9 @@
 // injections.
 //
 // Design, mirroring the metrics registry's sharding model:
-//   * a fixed static pool of per-thread event rings; each recording thread
-//     claims a private ring on first use (same claim idiom as the metrics
-//     shards and TraceSink tracks), so the hot path never contends;
+//   * a fixed static pool of event rings indexed by the thread-slot
+//     registry (gsknn/common/threads.hpp), so the hot path never contends;
+//     a ring outlives its thread and passes to the slot's next owner;
 //   * an event is five relaxed std::atomic<uint64_t> words (40 B): the
 //     writer stores the words then publishes the ring head with a release
 //     store; drain() reads heads with acquire. Concurrent drain-while-
@@ -20,8 +20,8 @@
 //     mid-read can tear *logically* (mixed words from two events), which is
 //     the usual flight-recorder contract — the ring holds kRingCapacity
 //     recent events per thread and recording never blocks;
-//   * threads beyond the pool drop events into a shared counter (visible
-//     as dropped()), as do ring overwrites.
+//   * threads the registry gives no slot drop events into a shared
+//     counter (visible as dropped()), as do ring overwrites.
 //
 // Armed by default at a cost comparable to the metrics hot path (~tens of
 // ns; bench/micro_flightrec.cpp guards the <=1% end-to-end budget).
@@ -81,17 +81,16 @@ inline constexpr int kKindCount = static_cast<int>(Kind::kNumKinds);
 
 const char* kind_name(Kind k);
 
-/// Ring geometry: per-thread capacity and the thread-slot pool size. Fixed
-/// at compile time so the recorder never allocates.
+/// Per-ring capacity, fixed at compile time so the recorder never
+/// allocates.
 inline constexpr int kRingCapacity = 1024;
-inline constexpr int kMaxThreads = 32;
 
 /// One decoded event, as drain() returns it (plain struct, already
 /// un-packed from the atomic words).
 struct Event {
   std::uint64_t t_ns = 0;   ///< metrics::now_ns() at record time
-  std::uint64_t seq = 0;    ///< per-thread sequence number (monotonic)
-  int thread_slot = -1;     ///< which ring recorded it
+  std::uint64_t seq = 0;    ///< per-ring sequence number (monotonic)
+  int thread_slot = -1;     ///< registry slot of the recording thread
   Kind kind = Kind::kCallBegin;
   int entry = -1;           ///< metrics::EntryPoint value; -1 = none
   int status = 0;           ///< gsknn::Status value (kCallEnd), else 0
@@ -113,8 +112,8 @@ void record(Kind kind, int entry, int status, std::uint64_t value, int m = 0,
 /// sorted by (t_ns, seq). May race recording (see header comment).
 std::vector<Event> drain();
 
-/// Events lost so far: ring overwrites plus records from threads beyond
-/// the slot pool.
+/// Events lost so far: ring overwrites plus records from threads that held
+/// no registry slot.
 std::uint64_t dropped();
 
 /// Forget all retained events and zero dropped(). May race recording.

@@ -11,13 +11,13 @@
 // (Fig. 4 made continuous, see the drift histogram below).
 //
 // Design, mirroring telemetry::Recorder's aggregation model:
-//   * a fixed static pool of cache-line-aligned shards; each recording
-//     thread claims a private shard on first use (same claim idiom as
-//     TraceSink tracks), so the hot path never contends on a shared line;
+//   * a fixed static pool of cache-line-aligned shards indexed by the
+//     thread-slot registry (gsknn/common/threads.hpp), so the hot path
+//     never contends on a shared line;
 //   * shard fields are relaxed std::atomic<> cells. A thread that owns its
 //     shard updates them with plain load+add+store (no lock-prefixed RMW —
 //     the atomic type only makes the concurrent snapshot reads defined);
-//     threads beyond the pool share one overflow shard with fetch_add;
+//     threads without a slot share one overflow shard with fetch_add;
 //   * snapshot() reduces the shards into a plain MetricsSnapshot struct;
 //     reset() zeroes them. Both may race recording: an in-flight increment
 //     can land before or after the cut, which is the usual contract for
@@ -138,8 +138,8 @@ enum class Counter : int {
   kWorkspaceRetiledCalls = 0,  ///< calls whose plan took >= 1 retile step
   kWorkspaceRetileSteps,       ///< degradation-ladder steps, summed
   kVariantDemotions,           ///< Var#6 -> Var#5 demotions under a cap
-  kTraceSpansDropped,          ///< trace spans lost (ring overflow or track
-                               ///< exhaustion), summed across all sinks
+  kTraceSpansDropped,          ///< trace spans lost (ring overflow or no
+                               ///< thread slot), summed across all sinks
   kPmuMultiplexedReads,        ///< PMU snapshots scaled by enabled/running
   // Packed-panel reference cache (gsknn/core/packed_refs.hpp). Hit/miss
   // make the warm-traffic claim measurable ("0 packed bytes moved" means
@@ -174,11 +174,13 @@ const char* counter_name(Counter c);
 
 /// Process-wide serving health gauge, exported as `gsknn_serve_health` in
 /// the Prometheus exposition and as `serve_health` in the JSON snapshot:
-/// 0 = healthy, 1 = degraded, 2 = unhealthy. The serving runtime
-/// (gsknn::serving::Server) publishes its derived HealthState here whenever
-/// it changes; with several servers in one process the last writer wins.
-/// Defaults to 0 (an idle process with no server is healthy).
-void set_serve_health(int state);
+/// 0 = healthy, 1 = degraded, 2 = unhealthy. Every live serving runtime
+/// (gsknn::serving::Server) is counted under its current HealthState: it
+/// calls move_serve_health(-1, 0) when constructed, (old, new) on each
+/// transition and (state, -1) when destroyed. serve_health() is the worst
+/// state any live server is in, so a healthy server never masks an
+/// unhealthy one; 0 with no live server (an idle process is healthy).
+void move_serve_health(int from, int to);
 int serve_health();
 
 // ---- snapshot --------------------------------------------------------------
@@ -198,7 +200,7 @@ struct MetricsSnapshot {
   /// Sum of milli-log2 ratios, for the Prometheus histogram _sum series.
   std::int64_t drift_sum_millilog2[2] = {};
   std::uint64_t counters[kCounterCount] = {};
-  /// Serving health gauge at snapshot time (see set_serve_health above).
+  /// Serving health gauge at snapshot time (see move_serve_health above).
   int serve_health = 0;
   bool enabled = true;
 

@@ -1,6 +1,7 @@
 // Thin OpenMP abstraction so every module compiles (and tests pass) with or
 // without OpenMP. `threads == 0` everywhere in the public API means "use the
-// runtime default".
+// runtime default". Also home of the thread-slot registry that metrics
+// shards, flight-recorder rings and TraceSink tracks are indexed by.
 #pragma once
 
 #if defined(GSKNN_HAVE_OPENMP)
@@ -41,5 +42,17 @@ inline int thread_id() {
   return 0;
 #endif
 }
+
+inline constexpr int kMaxThreadSlots = 256;
+
+/// The calling thread's slot in [0, kMaxThreadSlots): the lowest free slot,
+/// claimed on first use and released at thread exit. -1 while every slot is
+/// held by a live thread (the next call retries), and for good after the
+/// exit release, so later thread_local destructors never write into a
+/// reused slot.
+int thread_slot();
+
+/// One past the highest slot ever claimed; readers walk [0, high water).
+int thread_slot_high_water();
 
 }  // namespace gsknn

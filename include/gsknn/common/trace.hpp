@@ -2,7 +2,7 @@
 //
 // A TraceSink records (phase, panel indices, tsc start/end) spans into
 // lock-free per-thread ring buffers and serializes them as Chrome/Perfetto
-// `trace_event` JSON — one track per recording thread, so 4th-loop load
+// `trace_event` JSON — one track per thread slot, so 4th-loop load
 // imbalance and the pack/micro/select interleaving are visible on a
 // timeline (load the file in https://ui.perfetto.dev or chrome://tracing).
 //
@@ -13,10 +13,11 @@
 //   trace.write_json("run.trace.json");
 //
 // Recording discipline:
-//   * Each OS thread owns a private ring: claiming a track is one atomic
-//     fetch_add on first record, every span after that is two plain stores
-//     and an increment — no locks, no atomics, no allocation on the hot
-//     path. With no sink attached the drivers read no timestamps at all.
+//   * One ring per thread slot (gsknn/common/threads.hpp), allocated by the
+//     slot's owner on its first span; after that a span is a few plain
+//     stores — no locks, no atomic RMW, no allocation. Threads that never
+//     overlap may share a track; slotless spans are dropped and counted.
+//     With no sink attached the drivers read no timestamps at all.
 //   * Rings are fixed-size (GSKNN_TRACE_RING_KB per thread, default 1024)
 //     and overflow by dropping the *oldest* spans; the count of dropped
 //     spans is surfaced in the trace metadata (`otherData.dropped_spans`),
@@ -37,12 +38,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <x86intrin.h>
 #endif
 
 #include "gsknn/common/telemetry.hpp"
+#include "gsknn/common/threads.hpp"
 
 namespace gsknn::telemetry {
 
@@ -86,12 +89,10 @@ class TraceSink {
 
   /// Spans currently retained across all rings (post-overflow).
   std::uint64_t span_count() const;
-  /// Spans evicted by ring overflow (plus any lost to track exhaustion).
+  /// Spans evicted by ring overflow (plus any recorded without a slot).
   std::uint64_t dropped_spans() const;
-  /// Threads that have recorded into this sink so far.
-  int thread_tracks() const {
-    return next_slot_.load(std::memory_order_acquire);
-  }
+  /// Thread slots that have recorded into this sink so far.
+  int thread_tracks() const { return static_cast<int>(tracks().size()); }
   std::size_t ring_kb() const { return ring_kb_; }
 
   /// Chrome trace_event JSON ({"traceEvents":[...],"otherData":{...}}).
@@ -107,19 +108,12 @@ class TraceSink {
  private:
   struct Ring;
 
-  Ring* ring_for_this_thread();
+  /// Rings that have recorded, in slot order (the export's tracks).
+  std::vector<Ring*> tracks() const;
 
-  /// Upper bound on distinct recording threads; spans from threads beyond
-  /// it are counted as dropped rather than crashing or reallocating.
-  static constexpr int kMaxTracks = 256;
-
-  std::atomic<Ring*> rings_[kMaxTracks] = {};
-  /// Process-unique id; the thread-local slot cache keys on this rather
-  /// than the sink's address, so a new sink reusing a destroyed sink's
-  /// storage can't stale-hit another ring.
-  std::uint64_t sink_id_ = 0;
-  std::atomic<int> next_slot_{0};
-  std::atomic<std::uint64_t> dropped_overflow_{0};  ///< track exhaustion only
+  /// One ring per thread slot; null until that slot's first span.
+  std::atomic<Ring*> rings_[kMaxThreadSlots] = {};
+  std::atomic<std::uint64_t> dropped_no_slot_{0};
   std::size_t ring_kb_ = 0;
   std::size_t ring_capacity_ = 0;  ///< spans per ring
   std::uint64_t epoch_ticks_ = 0;  ///< trace_now() at construction

@@ -72,7 +72,8 @@ inline constexpr int kNumLanes = 2;
 /// & degradation"): kUnhealthy while the circuit breaker is open;
 /// kDegraded while it is half-open, a worker is suspect (recent watchdog
 /// fire) or the rolling-window SLO burn rate is high under live traffic;
-/// kHealthy otherwise. Published to metrics::set_serve_health on change.
+/// kHealthy otherwise. Counted in metrics::serve_health() (worst live
+/// server) via metrics::move_serve_health on every change.
 enum class HealthState : int { kHealthy = 0, kDegraded = 1, kUnhealthy = 2 };
 
 /// Stable lowercase name ("healthy", "degraded", "unhealthy").

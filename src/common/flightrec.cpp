@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include "gsknn/common/metrics.hpp"
+#include "gsknn/common/threads.hpp"
 
 namespace gsknn::flightrec {
 
@@ -39,18 +40,9 @@ struct alignas(64) Ring {
   std::atomic<std::uint64_t> words[kRingCapacity][kWordsPerEvent];
 };
 
-Ring g_rings[kMaxThreads];
-std::atomic<int> g_next_slot{0};
+// One ring per thread slot (gsknn/common/threads.hpp).
+Ring g_rings[kMaxThreadSlots];
 std::atomic<std::uint64_t> g_no_slot_drops{0};
-
-/// Slot of the calling thread; -1 once the pool is exhausted.
-int my_slot() {
-  thread_local int slot = [] {
-    const int i = g_next_slot.fetch_add(1, std::memory_order_relaxed);
-    return i < kMaxThreads ? i : -1;
-  }();
-  return slot;
-}
 
 bool initial_enabled() {
   const char* e = std::getenv("GSKNN_FLIGHTREC");
@@ -283,7 +275,7 @@ void set_enabled(bool on) {
 void record(Kind kind, int entry, int status, std::uint64_t value, int m,
             int n, int d, int k) {
   if (!enabled()) return;
-  const int slot = my_slot();
+  const int slot = thread_slot();
   if (slot < 0) {
     g_no_slot_drops.fetch_add(1, std::memory_order_relaxed);
     if (kind == Kind::kCallEnd) maybe_trigger(status);
@@ -309,9 +301,7 @@ void record(Kind kind, int entry, int status, std::uint64_t value, int m,
 std::vector<Event> drain() {
   std::vector<Event> out;
   out.reserve(256);
-  const int slots =
-      std::min(g_next_slot.load(std::memory_order_relaxed), kMaxThreads);
-  for (int s = 0; s < slots; ++s) {
+  for (int s = 0; s < thread_slot_high_water(); ++s) {
     drain_ring(s, [&out](const Event& ev) { out.push_back(ev); });
   }
   std::sort(out.begin(), out.end(), [](const Event& a, const Event& b) {
@@ -324,9 +314,7 @@ std::vector<Event> drain() {
 
 std::uint64_t dropped() {
   std::uint64_t total = g_no_slot_drops.load(std::memory_order_relaxed);
-  const int slots =
-      std::min(g_next_slot.load(std::memory_order_relaxed), kMaxThreads);
-  for (int s = 0; s < slots; ++s) {
+  for (int s = 0; s < thread_slot_high_water(); ++s) {
     const std::uint64_t head =
         g_rings[s].head.load(std::memory_order_relaxed);
     if (head > kRingCapacity) total += head - kRingCapacity;
@@ -335,9 +323,7 @@ std::uint64_t dropped() {
 }
 
 void clear() {
-  const int slots =
-      std::min(g_next_slot.load(std::memory_order_relaxed), kMaxThreads);
-  for (int s = 0; s < slots; ++s) {
+  for (int s = 0; s < thread_slot_high_water(); ++s) {
     g_rings[s].head.store(0, std::memory_order_relaxed);
   }
   g_no_slot_drops.store(0, std::memory_order_relaxed);
@@ -417,9 +403,7 @@ void dump_to_fd(int fd, const char* reason) {
   w.str("\",\"dropped\":");
   w.u64(dropped());
   w.str(",\"events\":-1}\n");  // count unknown up front on the signal path
-  const int slots =
-      std::min(g_next_slot.load(std::memory_order_relaxed), kMaxThreads);
-  for (int s = 0; s < slots; ++s) {
+  for (int s = 0; s < thread_slot_high_water(); ++s) {
     drain_ring(s, [&w](const Event& ev) { write_event(w, ev); });
   }
   w.flush();

@@ -1,6 +1,7 @@
 // Aggregate metrics registry (see include/gsknn/common/metrics.hpp).
 #include "gsknn/common/metrics.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -8,6 +9,9 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
+
+#include "gsknn/common/threads.hpp"
 
 namespace gsknn::metrics {
 
@@ -37,9 +41,9 @@ const char* const kCounterNames[kCounterCount] = {
     "serve_doomed_evicted",    "serve_watchdog_fires",   "serve_breaker_open",
 };
 
-// Serving health gauge (metrics.hpp set_serve_health). One relaxed word:
-// the serving runtime stores transitions, scrapes read it into snapshots.
-std::atomic<int> g_serve_health{0};
+// Live servers per health state (metrics.hpp move_serve_health); the gauge
+// is the worst state with a non-zero count.
+std::atomic<int> g_serve_count[3];
 
 const char* const kShapeDims[4] = {"m", "n", "d", "k"};
 
@@ -67,28 +71,14 @@ struct alignas(64) Shard {
   std::atomic<std::int64_t> win_drift_sum_millilog2[kWindowBuckets];
 };
 
-// Fixed pool: ~8 KB per shard, claimed one per recording thread. Threads
-// beyond the pool share the extra overflow shard (index kNumShards) using
-// real fetch_add, so nothing is lost — only those rare threads pay for
-// contended increments.
-constexpr int kNumShards = 32;
-Shard g_shards[kNumShards + 1];
-std::atomic<int> g_next_shard{0};
+// ~46 KiB per shard. Shard s + 1 belongs to thread slot s (threads.hpp);
+// slotless threads share overflow shard 0 with real fetch_add, so nothing
+// is lost. Readers walk live_shards() only, so shards no thread ever
+// claimed are never touched and never become resident.
+Shard g_shards[kMaxThreadSlots + 1];
 
-struct ShardRef {
-  Shard* shard;
-  bool shared;  ///< true for the overflow shard: use fetch_add
-};
-
-ShardRef claim_shard() {
-  const int i = g_next_shard.fetch_add(1, std::memory_order_relaxed);
-  if (i < kNumShards) return {&g_shards[i], false};
-  return {&g_shards[kNumShards], true};
-}
-
-ShardRef& my_shard() {
-  thread_local ShardRef ref = claim_shard();
-  return ref;
+std::span<Shard> live_shards() {
+  return {g_shards, static_cast<std::size_t>(thread_slot_high_water()) + 1};
 }
 
 inline void bump(std::atomic<std::uint64_t>& cell, std::uint64_t v,
@@ -267,9 +257,9 @@ void record_call_at(std::uint64_t now, EntryPoint ep, int status,
   const int e = static_cast<int>(ep);
   if (e < 0 || e >= kEntryPointCount) return;
   if (status < 0 || status >= kStatusCount) return;
-  ShardRef& ref = my_shard();
-  Shard& s = *ref.shard;
-  const bool sh = ref.shared;
+  const int tslot = thread_slot();
+  Shard& s = g_shards[tslot + 1];
+  const bool sh = tslot < 0;
   bump(s.calls[e][status], 1, sh);
   const int lb = bucket_index(latency_ns);
   bump(s.latency[e][lb], 1, sh);
@@ -300,38 +290,47 @@ void record_drift_at(std::uint64_t now, bool f32, double predicted_seconds,
   if (!enabled()) return;
   const int b = drift_bucket(predicted_seconds, measured_seconds);
   if (b < 0) return;
-  ShardRef& ref = my_shard();
-  Shard& s = *ref.shard;
+  const int tslot = thread_slot();
+  Shard& s = g_shards[tslot + 1];
+  const bool sh = tslot < 0;
   const int p = f32 ? 1 : 0;
-  bump(s.drift[p][b], 1, ref.shared);
+  bump(s.drift[p][b], 1, sh);
   const double millilog2 =
       1000.0 * std::log2(measured_seconds / predicted_seconds);
   const std::int64_t ml2 =
       static_cast<std::int64_t>(std::llround(millilog2));
-  bump_signed(s.drift_sum_millilog2[p], ml2, ref.shared);
+  bump_signed(s.drift_sum_millilog2[p], ml2, sh);
   const std::uint64_t sec = now / 1000000000u;
   const int slot = static_cast<int>(sec % kWindowBuckets);
-  rotate_window(s, slot, sec, ref.shared);
-  bump(s.win_drift_count[slot], 1, ref.shared);
-  bump_signed(s.win_drift_sum_millilog2[slot], ml2, ref.shared);
+  rotate_window(s, slot, sec, sh);
+  bump(s.win_drift_count[slot], 1, sh);
+  bump_signed(s.win_drift_sum_millilog2[slot], ml2, sh);
 }
 
 void add_counter(Counter c, std::uint64_t v) {
   if (!enabled()) return;
   const int i = static_cast<int>(c);
   if (i < 0 || i >= kCounterCount) return;
-  ShardRef& ref = my_shard();
-  bump(ref.shard->counters[i], v, ref.shared);
+  const int tslot = thread_slot();
+  bump(g_shards[tslot + 1].counters[i], v, tslot < 0);
 }
 
-void set_serve_health(int state) {
-  if (state < 0) state = 0;
-  if (state > 2) state = 2;
-  g_serve_health.store(state, std::memory_order_relaxed);
+void move_serve_health(int from, int to) {
+  // Count the new state before leaving the old one, so a concurrent read
+  // never sees the server in neither.
+  if (to >= 0) {
+    g_serve_count[std::min(to, 2)].fetch_add(1, std::memory_order_relaxed);
+  }
+  if (from >= 0) {
+    g_serve_count[std::min(from, 2)].fetch_sub(1, std::memory_order_relaxed);
+  }
 }
 
 int serve_health() {
-  return g_serve_health.load(std::memory_order_relaxed);
+  for (int s = 2; s > 0; --s) {
+    if (g_serve_count[s].load(std::memory_order_relaxed) > 0) return s;
+  }
+  return 0;
 }
 
 const Slo& slo_from_env() {
@@ -365,7 +364,7 @@ MetricsSnapshot snapshot_at(std::uint64_t now) {
   // Window slots align across shards (slot = second % kWindowBuckets), but
   // a shard that idled may still hold a previous lap's second in a slot.
   // Reduce to the newest epoch per slot and only add matching shards.
-  for (const Shard& s : g_shards) {
+  for (const Shard& s : live_shards()) {
     for (int i = 0; i < kWindowBuckets; ++i) {
       const std::uint64_t e = s.win_epoch[i].load(std::memory_order_relaxed);
       if (e > out.window_epoch[i]) out.window_epoch[i] = e;
@@ -387,7 +386,7 @@ MetricsSnapshot snapshot_at(std::uint64_t now) {
         out.window_now_sec - e >= static_cast<std::uint64_t>(kWindowBuckets);
     if (future_damaged || expired) out.window_epoch[i] = 0;
   }
-  for (const Shard& s : g_shards) {
+  for (const Shard& s : live_shards()) {
     for (int i = 0; i < kWindowBuckets; ++i) {
       if (out.window_epoch[i] == 0 ||
           s.win_epoch[i].load(std::memory_order_relaxed) !=
@@ -409,8 +408,6 @@ MetricsSnapshot snapshot_at(std::uint64_t now) {
       out.window_drift_sum_millilog2[i] +=
           s.win_drift_sum_millilog2[i].load(std::memory_order_relaxed);
     }
-  }
-  for (const Shard& s : g_shards) {
     for (int e = 0; e < kEntryPointCount; ++e) {
       for (int st = 0; st < kStatusCount; ++st) {
         out.calls[e][st] += s.calls[e][st].load(std::memory_order_relaxed);
@@ -442,7 +439,7 @@ MetricsSnapshot snapshot_at(std::uint64_t now) {
 }
 
 void reset() {
-  for (Shard& s : g_shards) {
+  for (Shard& s : live_shards()) {
     for (int e = 0; e < kEntryPointCount; ++e) {
       for (int st = 0; st < kStatusCount; ++st) {
         s.calls[e][st].store(0, std::memory_order_relaxed);

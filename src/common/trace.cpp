@@ -35,18 +35,6 @@ std::size_t env_ring_kb() {
   return v > 0 ? static_cast<std::size_t>(v) : 1024;
 }
 
-/// Per-sink track slot of the calling thread, cached thread-locally and
-/// keyed on the sink's process-unique id (an address key would stale-hit
-/// when a new sink reuses a destroyed sink's storage). A thread alternating
-/// between sinks re-claims a slot on each switch; OpenMP pools are stable,
-/// so in practice a thread claims once per sink.
-struct SlotCache {
-  std::uint64_t sink_id = 0;
-  int slot = -1;
-};
-
-std::atomic<std::uint64_t> g_next_sink_id{1};
-
 }  // namespace
 
 /// Single-producer span ring: only the owning thread writes, and export
@@ -75,8 +63,7 @@ struct TraceSink::Ring {
 };
 
 TraceSink::TraceSink(std::size_t ring_kb)
-    : sink_id_(g_next_sink_id.fetch_add(1, std::memory_order_relaxed)),
-      ring_kb_(ring_kb > 0 ? ring_kb : env_ring_kb()) {
+    : ring_kb_(ring_kb > 0 ? ring_kb : env_ring_kb()) {
   ring_capacity_ = ring_kb_ * 1024 / sizeof(TraceSpan);
   if (ring_capacity_ < 16) ring_capacity_ = 16;
   epoch_ticks_ = trace_now();
@@ -84,37 +71,31 @@ TraceSink::TraceSink(std::size_t ring_kb)
 }
 
 TraceSink::~TraceSink() {
-  const int n = next_slot_.load(std::memory_order_acquire);
-  for (int i = 0; i < n && i < kMaxTracks; ++i) {
-    delete rings_[i].load(std::memory_order_acquire);
-  }
+  for (Ring* r : tracks()) delete r;
 }
 
-TraceSink::Ring* TraceSink::ring_for_this_thread() {
-  thread_local SlotCache cache;
-  if (cache.sink_id == sink_id_ && cache.slot >= 0) {
-    return rings_[cache.slot].load(std::memory_order_relaxed);
+std::vector<TraceSink::Ring*> TraceSink::tracks() const {
+  std::vector<Ring*> out;
+  for (int i = 0; i < thread_slot_high_water(); ++i) {
+    if (Ring* r = rings_[i].load(std::memory_order_acquire)) out.push_back(r);
   }
-  const int slot = next_slot_.fetch_add(1, std::memory_order_acq_rel);
-  if (slot >= kMaxTracks) {
-    // Out of tracks: record nothing, account the loss.
-    next_slot_.store(kMaxTracks, std::memory_order_release);
-    return nullptr;
-  }
-  Ring* ring = new Ring(ring_capacity_);
-  rings_[slot].store(ring, std::memory_order_release);
-  cache.sink_id = sink_id_;
-  cache.slot = slot;
-  return ring;
+  return out;
 }
 
 void TraceSink::record(Phase phase, std::uint64_t t0, std::uint64_t t1,
                        int a, int b) {
-  Ring* ring = ring_for_this_thread();
-  if (ring == nullptr) {
-    dropped_overflow_.fetch_add(1, std::memory_order_relaxed);
+  const int slot = thread_slot();
+  if (slot < 0) {
+    dropped_no_slot_.fetch_add(1, std::memory_order_relaxed);
     metrics::add_counter(metrics::Counter::kTraceSpansDropped);
     return;
+  }
+  // Only the slot's owner stores its ring, and the registry orders one
+  // owner's writes before the next owner's reads.
+  Ring* ring = rings_[slot].load(std::memory_order_relaxed);
+  if (ring == nullptr) {
+    ring = new Ring(ring_capacity_);
+    rings_[slot].store(ring, std::memory_order_release);
   }
   TraceSpan s;
   s.t0 = t0;
@@ -127,31 +108,19 @@ void TraceSink::record(Phase phase, std::uint64_t t0, std::uint64_t t1,
 
 std::uint64_t TraceSink::span_count() const {
   std::uint64_t n = 0;
-  const int tracks = next_slot_.load(std::memory_order_acquire);
-  for (int i = 0; i < tracks && i < kMaxTracks; ++i) {
-    const Ring* r = rings_[i].load(std::memory_order_acquire);
-    if (r != nullptr) n += r->retained();
-  }
+  for (const Ring* r : tracks()) n += r->retained();
   return n;
 }
 
 std::uint64_t TraceSink::dropped_spans() const {
-  std::uint64_t n = dropped_overflow_.load(std::memory_order_relaxed);
-  const int tracks = next_slot_.load(std::memory_order_acquire);
-  for (int i = 0; i < tracks && i < kMaxTracks; ++i) {
-    const Ring* r = rings_[i].load(std::memory_order_acquire);
-    if (r != nullptr) n += r->dropped();
-  }
+  std::uint64_t n = dropped_no_slot_.load(std::memory_order_relaxed);
+  for (const Ring* r : tracks()) n += r->dropped();
   return n;
 }
 
 void TraceSink::reset() {
-  const int tracks = next_slot_.load(std::memory_order_acquire);
-  for (int i = 0; i < tracks && i < kMaxTracks; ++i) {
-    Ring* r = rings_[i].load(std::memory_order_acquire);
-    if (r != nullptr) r->head = 0;
-  }
-  dropped_overflow_.store(0, std::memory_order_relaxed);
+  for (Ring* r : tracks()) r->head = 0;
+  dropped_no_slot_.store(0, std::memory_order_relaxed);
   epoch_ticks_ = trace_now();
   epoch_wall_ = std::chrono::steady_clock::now();
 }
@@ -185,10 +154,11 @@ std::string TraceSink::to_json() const {
   j += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   char buf[256];
   bool first = true;
-  const int tracks = next_slot_.load(std::memory_order_acquire);
-  const int used = tracks < kMaxTracks ? tracks : kMaxTracks;
+  // Tracks are numbered densely in slot order.
+  const std::vector<Ring*> rings = tracks();
+  const int used = static_cast<int>(rings.size());
   for (int t = 0; t < used; ++t) {
-    // Name each track so Perfetto shows "omp-<slot>" instead of a bare tid.
+    // Name each track so Perfetto shows "omp-<track>" instead of a bare tid.
     std::snprintf(buf, sizeof(buf),
                   "%s{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
                   "\"tid\":%d,\"args\":{\"name\":\"omp-%d\"}}",
@@ -197,8 +167,7 @@ std::string TraceSink::to_json() const {
     j += buf;
   }
   for (int t = 0; t < used; ++t) {
-    const Ring* r = rings_[t].load(std::memory_order_acquire);
-    if (r == nullptr) continue;
+    const Ring* r = rings[static_cast<std::size_t>(t)];
     const std::uint64_t retained = r->retained();
     const std::uint64_t start = r->head - retained;  // oldest surviving span
     for (std::uint64_t i = start; i < r->head; ++i) {

@@ -273,8 +273,9 @@ struct Server::Impl {
       h = HealthState::kDegraded;
     }
     if (h != health_state) {
+      metrics::move_serve_health(static_cast<int>(health_state),
+                                 static_cast<int>(h));
       health_state = h;
-      metrics::set_serve_health(static_cast<int>(h));
     }
   }
 
@@ -676,7 +677,7 @@ Server::Server(const PointTable& X, const ServerOptions& opt)
   if (impl_->opt.breaker_cooldown.count() < 1) {
     impl_->opt.breaker_cooldown = std::chrono::milliseconds(1);
   }
-  metrics::set_serve_health(0);
+  metrics::move_serve_health(-1, static_cast<int>(HealthState::kHealthy));
   for (int i = 0; i < impl_->opt.workers; ++i) impl_->active.emplace_back();
   impl_->workers.reserve(static_cast<std::size_t>(impl_->opt.workers));
   for (int i = 0; i < impl_->opt.workers; ++i) {
@@ -706,6 +707,7 @@ Server::~Server() {
     for (const TicketPtr& t : live) {
       impl_->finalize_locked(*t, Status::kCancelled);
     }
+    metrics::move_serve_health(static_cast<int>(impl_->health_state), -1);
   }
 }
 

@@ -184,10 +184,10 @@ TEST_F(FlightRecTest, KindNamesAreStable) {
 }
 
 TEST_F(FlightRecTest, WriterStormWithConcurrentDrains) {
-  // 40 writers (more than kMaxThreads, so the no-slot drop path runs too)
-  // each record a known count while the main thread drains concurrently.
-  // Under tsan this is the data-race probe; the post-join invariant is
-  // retained + dropped == recorded.
+  // 40 writers each record a known count while the main thread drains
+  // concurrently (the no-slot drop path is covered by ThreadSlots.
+  // MoreLiveThreadsThanSlots). Under tsan this is the data-race probe; the
+  // post-join invariant is retained + dropped == recorded.
   constexpr int kThreads = 40;
   constexpr int kPerThread = 200;
   std::atomic<bool> go{false};

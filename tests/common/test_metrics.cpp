@@ -150,8 +150,9 @@ TEST_F(MetricsTest, DisabledRecordingIsANoOp) {
 }
 
 TEST_F(MetricsTest, ConcurrentRecordingLosesNothingAcrossShards) {
-  // More threads than the owned-shard pool (32), so the overflow shard's
-  // fetch_add path runs too. Run under the tsan preset this also checks
+  // 40 concurrent writers, each on its own registry-slot shard (the
+  // overflow shard's fetch_add path is covered by ThreadSlots.
+  // MoreLiveThreadsThanSlots). Run under the tsan preset this also checks
   // the relaxed-atomic scheme is race-clean.
   constexpr int kThreads = 40;
   constexpr int kPerThread = 5000;

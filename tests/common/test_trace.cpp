@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <latch>
 #include <utility>
 #include <numeric>
 #include <string>
@@ -57,10 +58,10 @@ TEST(TraceSinkTest, RecordsAndCounts) {
   EXPECT_EQ(sink.thread_tracks(), 1);  // tracks stay claimed
 }
 
-TEST(TraceSinkTest, SlotCacheSurvivesSinkAddressReuse) {
-  // Sequential sinks at the same stack address: the thread-local slot cache
-  // must not stale-hit the previous (destroyed) sink's track, which would
-  // silently drop every span of the new sink.
+TEST(TraceSinkTest, SinkAddressReuseStartsFromEmptyRings) {
+  // Sequential sinks at the same stack address: each new sink must start
+  // from its own empty rings, never a destroyed sink's track, which would
+  // silently drop or misattribute every span of the new sink.
   for (int i = 0; i < 3; ++i) {
     TraceSink sink(16);
     const std::uint64_t t0 = trace_now();
@@ -94,13 +95,18 @@ TEST(TraceSinkTest, SpanNestingSurvivesSerialization) {
 }
 
 TEST(TraceSinkTest, ThreadsGetDistinctTracks) {
+  // Tracks follow registry thread slots, which exited threads give back, so
+  // only threads alive at the same time are guaranteed distinct tracks: hold
+  // all three on a latch until each has recorded.
   TraceSink sink(64);
   constexpr int kThreads = 3;
+  std::latch recorded(kThreads);
   std::vector<std::thread> workers;
   for (int i = 0; i < kThreads; ++i) {
-    workers.emplace_back([&sink] {
+    workers.emplace_back([&sink, &recorded] {
       const std::uint64_t t0 = trace_now();
       sink.record(Phase::kMicro, t0, trace_now(), 1, 2);
+      recorded.arrive_and_wait();
     });
   }
   for (auto& w : workers) w.join();

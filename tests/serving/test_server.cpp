@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <random>
 #include <thread>
@@ -536,6 +537,37 @@ TEST(Serving, WatchdogCancelsStuckWorkerAndRetryCapFails) {
   // A watchdog fire marks the worker suspect: health cannot read healthy
   // this soon after (degraded, or unhealthy once the breaker opened).
   EXPECT_NE(srv.health(), serving::HealthState::kHealthy);
+}
+
+TEST(Serving, ServeHealthGaugeIsWorstLiveServer) {
+  // Drive one server non-healthy the way the watchdog test above does, then
+  // start a second, healthy server: the process gauge must keep reporting
+  // the first until it is destroyed.
+  const PointTable X = make_uniform(16, 512, 0x4EA1);
+  ServerOptions sopt;
+  sopt.workers = 1;
+  sopt.watchdog_factor = 0.5;
+  sopt.watchdog_floor = std::chrono::milliseconds(1);
+  sopt.retry.max_attempts = 2;
+  sopt.retry.base = std::chrono::microseconds(50);
+  auto sick = std::make_unique<Server>(X, sopt);
+  ASSERT_EQ(sick->create_refs("main", iota_ids(480)), Status::kOk);
+  {
+    fault::FaultConfig fc;
+    fc.serve_slow_us = 20000;
+    FaultGuard guard(fc);
+    const TicketId t = sick->submit("main", 500, 8);
+    ASSERT_NE(t, 0u);
+    EXPECT_EQ(sick->wait(t), Status::kResourceExhausted);
+  }
+  ASSERT_NE(sick->health(), serving::HealthState::kHealthy);
+  // Empty the rolling window first so the new server's monitor sees no
+  // SLO pressure from the failed ticket and stays healthy.
+  metrics::reset();
+  Server fine(X, ServerOptions{});
+  EXPECT_NE(metrics::serve_health(), 0);
+  sick.reset();
+  EXPECT_EQ(metrics::serve_health(), 0);
 }
 
 TEST(Serving, RetentionEvictsOldestTerminalTicketsFifo) {
