@@ -1,9 +1,9 @@
 // Micro-benchmark: the async serving runtime (gsknn/serving/server.hpp).
 // Open-loop Poisson arrivals over a warm PackedRefs set, swept across
 // offered rates: as the queue backs up, admission coalesces compatible
-// tickets into fused knn_batch calls, so throughput holds while the fusion
-// ratio climbs. Per-lane p50/p99 come from the metrics registry (queueing
-// included — the latency a caller actually observes).
+// tickets into fused m-row warm kernel calls, so throughput holds while
+// the fusion ratio climbs. Per-lane p50/p99 come from the metrics registry
+// (queueing included — the latency a caller actually observes).
 //
 // Two hard assertions, not timing claims: the warm fused path moves zero
 // packed reference bytes (bytes_packed frozen across the whole sweep), and

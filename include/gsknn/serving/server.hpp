@@ -7,8 +7,9 @@
 // admission queue coalesces compatible pending tickets — same refs set
 // (hence same epoch at dispatch), same precision (a Server is double
 // precision throughout), same norm layout class (fixed per Server), same
-// k-bucket — into one fused knn_batch call, so Rc is leased once per fused
-// batch and warm fused traffic moves zero packed reference bytes.
+// k-bucket — into one fused m-row warm kernel call, so Rc is leased and
+// streamed once per fused batch and warm fused traffic moves zero packed
+// reference bytes.
 //
 // Scheduling is model-driven (§2.6): every ticket carries a predicted
 // runtime from gsknn::model, dispatch order within a lane is greedy
@@ -96,7 +97,7 @@ struct RetryPolicy {
 struct ServerOptions {
   /// Dispatcher threads pulling fused batches off the admission queue.
   int workers = 1;
-  /// Threads per fused kernel call (knn_batch's LPT pool).
+  /// Threads per fused kernel call (its 4th loop splits the fused rows).
   int kernel_threads = 1;
   /// Per-lane queued-ticket cap; submit fails kResourceExhausted beyond it
   /// (open-loop overload sheds at admission, not in the kernel).

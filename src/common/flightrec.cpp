@@ -396,7 +396,7 @@ bool dump_to_file(const char* path, const char* reason) {
 }
 
 void dump_to_fd(int fd, const char* reason) {
-  FdWriter w{fd};
+  FdWriter w{fd, {}};
   // Header. dropped() and the per-ring drains below only use atomic loads.
   w.str("{\"flightrec_version\":1,\"reason\":\"");
   w.str(reason != nullptr ? reason : "on_demand");

@@ -227,6 +227,7 @@ struct CachedRefPanels {
   const T* get(int jc, int nb, int nbpad, int pc, int db, bool last,
                bool needs_norms, std::uint64_t& bytes) {
     (void)nb;
+    (void)nbpad;  // checked against the lease below in debug builds
     (void)db;
     (void)last;
     (void)needs_norms;

@@ -4,7 +4,9 @@
 // Threading model: plain std::thread workers and one mutex/two condvars —
 // deliberately not OpenMP, so the runtime works (and is tsan-checkable)
 // under the no-OpenMP presets; OpenMP parallelism lives inside the fused
-// knn_batch call, where the §2.5 LPT scheduler already owns it. The server
+// call — one m-row warm kernel call per group, whose 4th loop splits the
+// group's rows over kernel_threads — so a group streams the leased
+// reference panels once however many tickets it fuses. The server
 // lock guards queues/tickets/registry only; fused kernel calls run outside
 // it, so submit/poll/cancel stay responsive under load. A monitor thread
 // ticks ~1ms for the watchdog/breaker clocks and refreshes the derived
@@ -435,12 +437,9 @@ struct Server::Impl {
     const int k = group[0]->k;
     PackedRefs& r = *group[0]->refs;
 
-    std::vector<int> qids(static_cast<std::size_t>(m));
-    std::vector<int> rows(static_cast<std::size_t>(m));
-    for (int i = 0; i < m; ++i) {
-      qids[static_cast<std::size_t>(i)] = group[static_cast<std::size_t>(i)]->query;
-      rows[static_cast<std::size_t>(i)] = i;
-    }
+    std::vector<int> qids;
+    qids.reserve(group.size());
+    for (const TicketPtr& t : group) qids.push_back(t->query);
     // The result table's buffers come from the fault-injectable aligned
     // allocator; a bad_alloc here must not escape the worker thread, so the
     // group degrades to kResourceExhausted (infra pressure the breaker
@@ -464,15 +463,6 @@ struct Server::Impl {
     // and rows left untouched by an abandoned call (exception unwind, fault
     // skip, early stale/alloc failure) then read incomplete as they must.
     for (int i = 0; i < m; ++i) table.mark_row_incomplete(i);
-    std::vector<PackedKnnTask> tasks(static_cast<std::size_t>(m));
-    for (int i = 0; i < m; ++i) {
-      // One task per ticket row: the batch driver's governance then flags
-      // exactly the starved tickets' rows, and §2.5 LPT spreads the fused
-      // batch over the kernel pool.
-      tasks[static_cast<std::size_t>(i)] = PackedKnnTask{
-          std::span<const int>(&qids[static_cast<std::size_t>(i)], 1), &table,
-          std::span<const int>(&rows[static_cast<std::size_t>(i)], 1)};
-    }
 
     KnnConfig cfg;
     cfg.norm = opt.norm;
@@ -531,11 +521,13 @@ struct Server::Impl {
       s = Status::kCancelled;
     } else {
       ran = true;
-      // kEpochAny resolves to the batch's entry epoch: the whole fused call
+      // One m-row warm kernel call: every fused row shares each leased
+      // reference panel (§2.5), so the group streams the references once.
+      // kEpochAny resolves to the call's entry epoch: the whole group
       // computes over one reference generation, racing mutators surface as
-      // kStale on the affected rows.
+      // kStale on the rows left unfinished.
       try {
-        s = knn_batch_status(r, tasks, k, cfg, kEpochAny);
+        s = knn_kernel_status(r, qids, table, cfg, {}, kEpochAny);
       } catch (const std::exception&) {
         s = Status::kInternal;
       }
@@ -559,8 +551,8 @@ struct Server::Impl {
       TicketPtr& t = group[static_cast<std::size_t>(i)];
       if (ran && table.row_complete(i)) {
         // Complete rows are valid results of the resolved generation even
-        // when the batch as a whole stopped (deadline/stale/cancel hit
-        // later rows).
+        // when the call as a whole stopped (deadline/stale/cancel hit
+        // after their last reference block).
         const auto row = table.sorted_row(i);
         t->out_ids.reserve(row.size());
         t->out_dists.reserve(row.size());

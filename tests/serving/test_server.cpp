@@ -2,8 +2,9 @@
 // every completed ticket is bitwise-identical to a cold synchronous
 // knn_kernel call over the same query and reference generation, under batch
 // fusion, cancellation, deadline expiry, drop_refs and concurrent mutation.
-// Fusion itself is observable (fused_queries > fused_calls) and the warm
-// fused path moves zero packed reference bytes (docs/SERVING.md).
+// Fusion itself is observable (fused_queries > fused_calls), a fused call
+// streams the cached references once, and the warm fused path moves zero
+// packed reference bytes (docs/SERVING.md).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +18,7 @@
 
 #include "../test_util.hpp"
 #include "gsknn/capi.h"
+#include "gsknn/common/arch.hpp"
 #include "gsknn/common/fault.hpp"
 #include "gsknn/common/metrics.hpp"
 #include "gsknn/core/knn.hpp"
@@ -77,6 +79,44 @@ void expect_ticket_matches_cold(const Server& srv, TicketId t,
   }
 }
 
+/// Arm the fault hooks for one test body; disarm on every exit path so a
+/// failing ASSERT cannot leak a stalled worker into the next test.
+struct FaultGuard {
+  explicit FaultGuard(const fault::FaultConfig& fc) { fault::configure(fc); }
+  ~FaultGuard() { fault::reset(); }
+};
+
+/// Stall every fused dispatch of the server's workers by `us` microseconds
+/// (fault serve_slow_us) — long enough that a burst submitted behind a held
+/// worker is fully queued before the next admission.
+fault::FaultConfig serve_stall(std::int64_t us) {
+  fault::FaultConfig fc;
+  fc.serve_slow_us = us;
+  return fc;
+}
+
+/// Submit `plug`, wait until a worker holds it (stalled by serve_stall
+/// before its dispatch), then submit one ticket per entry of `burst`. The
+/// whole burst queues behind the held worker by construction, so
+/// admission fuses it into max_fused_queries-sized groups.
+std::vector<TicketId> submit_behind_held_worker(Server& srv, int plug,
+                                                const std::vector<int>& burst,
+                                                int k, Lane lane) {
+  std::vector<TicketId> tickets;
+  tickets.reserve(burst.size() + 1);
+  tickets.push_back(srv.submit("main", plug, k, lane_opt(lane)));
+  EXPECT_NE(tickets.back(), 0u);
+  while (srv.stats().in_flight == 0 && !srv.poll(tickets.back())) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  for (const int q : burst) {
+    Status err = Status::kOk;
+    tickets.push_back(srv.submit("main", q, k, lane_opt(lane), &err));
+    EXPECT_NE(tickets.back(), 0u) << static_cast<int>(err);
+  }
+  return tickets;
+}
+
 TEST(Serving, SingleTicketBitwiseMatchesColdKernel) {
   const int d = 24, n = 300, k = 9;
   const PointTable X = make_uniform(d, n, 0x5E21);
@@ -127,27 +167,26 @@ TEST(Serving, SubmitValidatesArguments) {
 }
 
 TEST(Serving, BurstFusesAndEveryTicketMatchesCold) {
-  // One worker, a reference set large enough that each fused call outlasts
-  // the whole submission loop: the queue backs up and admission coalesces,
-  // which is exactly the paper's shared-Rc win surfacing as fusion ratio.
+  // One worker held by an injected stall before each dispatch, so the
+  // queue backs up by construction and admission coalesces — the paper's
+  // shared-Rc win surfacing as fusion ratio. The watchdog is off: the
+  // stall is scheduling, not a stuck call.
   const int d = 32, n = 4096, k = 12, burst = 64;
   const PointTable X = make_uniform(d, n, 0xF0CC);
   ServerOptions opt;
   opt.workers = 1;
   opt.max_fused_queries = 16;
+  opt.watchdog_factor = 0.0;
   Server srv(X, opt);
   const std::vector<int> ids = iota_ids(n - 64);
   ASSERT_EQ(srv.create_refs("main", ids), Status::kOk);
 
-  std::vector<TicketId> tickets;
-  tickets.reserve(burst);
-  for (int i = 0; i < burst; ++i) {
-    Status err = Status::kOk;
-    const TicketId t = srv.submit("main", n - 64 + (i % 64), k,
-                                  lane_opt(Lane::kBulk), &err);
-    ASSERT_NE(t, 0u) << static_cast<int>(err);
-    tickets.push_back(t);
-  }
+  const FaultGuard guard(serve_stall(50000));
+  std::vector<int> queries;
+  for (int i = 1; i < burst; ++i) queries.push_back(n - 64 + (i % 64));
+  const std::vector<TicketId> tickets =
+      submit_behind_held_worker(srv, n - 64, queries, k, Lane::kBulk);
+  ASSERT_EQ(tickets.size(), static_cast<std::size_t>(burst));
   for (const TicketId t : tickets) ASSERT_EQ(srv.wait(t), Status::kOk);
   for (int i = 0; i < burst; ++i) {
     expect_ticket_matches_cold(srv, tickets[static_cast<std::size_t>(i)], X,
@@ -157,6 +196,92 @@ TEST(Serving, BurstFusesAndEveryTicketMatchesCold) {
   const Server::Stats st = srv.stats();
   EXPECT_EQ(st.completed, static_cast<std::uint64_t>(burst));
   EXPECT_GT(st.fused_queries, st.fused_calls);
+  EXPECT_GT(srv.fusion_ratio(), 1.0);
+}
+
+TEST(Serving, FusedCallStreamsReferencesOnce) {
+  // A fused group is one m-row warm kernel call: every row shares each
+  // leased reference block, so the cache sees one pass per fused call —
+  // exactly a solo ticket's block acquisitions — however many tickets the
+  // call carries.
+  const int d = 16, n = 16384 + 64, k = 8, burst = 48;
+  const PointTable X = make_uniform(d, n, 0x0F5E);
+  ServerOptions opt;
+  opt.workers = 1;
+  opt.max_fused_queries = 16;
+  opt.watchdog_factor = 0.0;
+  Server srv(X, opt);
+  const std::vector<int> ids = iota_ids(n - 64);
+  ASSERT_EQ(srv.create_refs("main", ids), Status::kOk);
+
+  // The first ticket packs every block; the second measures one pass.
+  ASSERT_EQ(srv.wait(srv.submit("main", n - 1, k)), Status::kOk);
+  const auto warm = srv.refs_stats("main");
+  ASSERT_TRUE(warm.has_value());
+  ASSERT_EQ(srv.wait(srv.submit("main", n - 2, k)), Status::kOk);
+  const auto solo = srv.refs_stats("main");
+  ASSERT_TRUE(solo.has_value());
+  const std::uint64_t pass_hits = solo->hits - warm->hits;
+  ASSERT_GE(pass_hits, 1u);
+  ASSERT_EQ(solo->misses, warm->misses);
+
+  const Server::Stats before = srv.stats();
+  const FaultGuard guard(serve_stall(50000));
+  std::vector<int> queries;
+  for (int i = 1; i < burst; ++i) queries.push_back(n - 64 + i);
+  const std::vector<TicketId> tickets =
+      submit_behind_held_worker(srv, n - 64, queries, k, Lane::kBulk);
+  ASSERT_EQ(tickets.size(), static_cast<std::size_t>(burst));
+  for (const TicketId t : tickets) ASSERT_EQ(srv.wait(t), Status::kOk);
+  for (int i = 0; i < burst; ++i) {
+    expect_ticket_matches_cold(srv, tickets[static_cast<std::size_t>(i)], X,
+                               n - 64 + i, ids, k);
+  }
+
+  const Server::Stats after = srv.stats();
+  const auto end = srv.refs_stats("main");
+  ASSERT_TRUE(end.has_value());
+  const std::uint64_t calls = after.fused_calls - before.fused_calls;
+  EXPECT_EQ(after.fused_queries - before.fused_queries,
+            static_cast<std::uint64_t>(burst));
+  EXPECT_EQ(end->hits - solo->hits, calls * pass_hits)
+      << calls << " fused calls carried " << burst << " tickets";
+  EXPECT_EQ(end->misses, solo->misses);
+  EXPECT_GT(srv.fusion_ratio(), 1.0);
+}
+
+TEST(Serving, MultiThreadedFusedCallMatchesCold) {
+  // kernel_threads > 1 splits a fused call's rows over the kernel team in
+  // the 4th loop. An mc of one register tile gives a 64-row group one
+  // 4th-loop block per tile, so every team thread takes rows; each ticket
+  // must still equal the single-threaded cold kernel bitwise.
+  const int d = 24, n = 3000, k = 10, burst = 64;
+  const PointTable X = make_uniform(d, n, 0x4711);
+  ServerOptions opt;
+  opt.workers = 1;
+  opt.kernel_threads = 4;
+  opt.max_fused_queries = burst;
+  opt.watchdog_factor = 0.0;
+  BlockingParams bp = default_blocking(cpu_features().best_level());
+  bp.mc = bp.mr;
+  opt.blocking = bp;
+  Server srv(X, opt);
+  const std::vector<int> ids = iota_ids(n - burst);
+  ASSERT_EQ(srv.create_refs("main", ids), Status::kOk);
+
+  const FaultGuard guard(serve_stall(50000));
+  std::vector<int> queries;
+  for (int i = 1; i < burst; ++i) queries.push_back(n - burst + i);
+  const std::vector<TicketId> tickets = submit_behind_held_worker(
+      srv, n - burst, queries, k, Lane::kInteractive);
+  ASSERT_EQ(tickets.size(), static_cast<std::size_t>(burst));
+  for (const TicketId t : tickets) ASSERT_EQ(srv.wait(t), Status::kOk);
+  for (int i = 0; i < burst; ++i) {
+    expect_ticket_matches_cold(srv, tickets[static_cast<std::size_t>(i)], X,
+                               n - burst + i, ids, k);
+  }
+  const Server::Stats st = srv.stats();
+  EXPECT_EQ(st.completed, static_cast<std::uint64_t>(burst));
   EXPECT_GT(srv.fusion_ratio(), 1.0);
 }
 
@@ -493,13 +618,6 @@ TEST(Serving, CApiRoundTripMatchesSearch) {
 
 
 // ---- overload protection (docs/SERVING.md "Overload & degradation") ------
-
-/// Arm the fault hooks for one test body; disarm on every exit path so a
-/// failing ASSERT cannot leak a stalled worker into the next test.
-struct FaultGuard {
-  explicit FaultGuard(const fault::FaultConfig& fc) { fault::configure(fc); }
-  ~FaultGuard() { fault::reset(); }
-};
 
 TEST(Serving, WatchdogCancelsStuckWorkerAndRetryCapFails) {
   const PointTable X = make_uniform(16, 512, 0x7D06);
