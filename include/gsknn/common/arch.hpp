@@ -73,6 +73,12 @@ struct BlockingParams {
 /// of the parameter inside the FMA loop.
 inline constexpr int kMicroQPrefetchIters = 8;
 
+/// Upper bounds on every micro-kernel's register tile, GSKNN and GEMM alike
+/// (sizes of per-tile scratch arrays); the vector tile template
+/// static_asserts each instantiated shape against them.
+inline constexpr int kMaxMr = 16;
+inline constexpr int kMaxNr = 8;
+
 /// Detect CPU features via CPUID (cached after first call).
 const CpuFeatures& cpu_features();
 

@@ -9,6 +9,7 @@
 #define GSKNN_RESTRICT __restrict__
 #define GSKNN_ALWAYS_INLINE inline __attribute__((always_inline))
 #define GSKNN_NOINLINE __attribute__((noinline))
+#define GSKNN_INLINE_LAMBDA __attribute__((always_inline))
 #define GSKNN_LIKELY(x) __builtin_expect(!!(x), 1)
 #define GSKNN_UNLIKELY(x) __builtin_expect(!!(x), 0)
 #define GSKNN_PREFETCH_R(addr) __builtin_prefetch((addr), 0, 3)
@@ -21,6 +22,7 @@
 #define GSKNN_RESTRICT
 #define GSKNN_ALWAYS_INLINE inline
 #define GSKNN_NOINLINE
+#define GSKNN_INLINE_LAMBDA
 #define GSKNN_LIKELY(x) (x)
 #define GSKNN_UNLIKELY(x) (x)
 #define GSKNN_PREFETCH_R(addr) ((void)0)

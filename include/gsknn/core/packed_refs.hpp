@@ -252,23 +252,4 @@ Status knn_kernel_status(PackedRefsF& refs, std::span<const int> qidx,
                          std::span<const int> result_rows = {},
                          std::uint64_t expected_epoch = kEpochAny);
 
-/// One task of a packed batch: like KnnTask minus the reference list (every
-/// task queries the shared PackedRefs).
-struct PackedKnnTask {
-  std::span<const int> qidx;
-  NeighborTable* result = nullptr;
-  std::span<const int> result_rows = {};
-};
-
-/// Batch execution against one shared cache (§2.5 LPT scheduling, same
-/// semantics as knn_batch): workers run single-threaded warm kernels
-/// concurrently — block pins make concurrent reads safe, and a resident
-/// block is packed at most once across the whole batch.
-void knn_batch(PackedRefs& refs, std::span<const PackedKnnTask> tasks, int k,
-               const KnnConfig& cfg = {},
-               std::uint64_t expected_epoch = kEpochAny);
-Status knn_batch_status(PackedRefs& refs, std::span<const PackedKnnTask> tasks,
-                        int k, const KnnConfig& cfg = {},
-                        std::uint64_t expected_epoch = kEpochAny);
-
 }  // namespace gsknn

@@ -53,7 +53,7 @@ void gemm_impl(Trans transa, Trans transb, int m, int n, int k, T alpha,
   }
 
   const SimdLevel level = cpu_features().best_level();
-  const UKernelT<T> uk = select_ukernel_t<T>(level);
+  const UKernelT<T> uk = select_ukernel<T>(level);
   const BlockingParams bp = derive_blocking(uk.mr, uk.nr, sizeof(T));
   const UKernelFnT<T> ukr = uk.fn;
   const int tmr = uk.mr;

@@ -13,25 +13,21 @@
 //   scalar    8×4 (double and float)
 //   AVX2+FMA  8×4 double, 8×8 float
 //   AVX-512F  16×4 double, 16×8 float
+// The vector kernels are the GSKNN register tile (simd_tile.hpp) with the
+// alpha/beta epilogue, instantiated in ukernel_avx*.cpp.
 #pragma once
 
 #include "gsknn/common/arch.hpp"
 
 namespace gsknn::blas {
 
-/// Tile of the scalar and AVX2-double kernels (mirrors the paper's 8×4).
+/// Tile of the scalar kernels (mirrors the paper's 8×4).
 inline constexpr int kMr = 8;
 inline constexpr int kNr = 4;
-
-/// Largest tile any kernel uses (edge-staging buffer size).
-inline constexpr int kMaxMr = 16;
-inline constexpr int kMaxNr = 8;
 
 template <typename T>
 using UKernelFnT = void (*)(int kc, const T* Ap, const T* Bp, T alpha, T beta,
                             T* C, int ldc);
-
-using UKernelFn = UKernelFnT<double>;
 
 /// A kernel plus its tile geometry.
 template <typename T>
@@ -41,45 +37,18 @@ struct UKernelT {
   int nr = kNr;
 };
 
-using UKernel = UKernelT<double>;
-
-/// Portable C++ kernels (always available), 8×4.
-void ukernel_8x4_scalar(int kc, const double* Ap, const double* Bp,
-                        double alpha, double beta, double* C, int ldc);
-void ukernel_8x4_scalar_f32(int kc, const float* Ap, const float* Bp,
-                            float alpha, float beta, float* C, int ldc);
-
+/// The vector kernel of each ISA at one precision (T = double or float).
 #if defined(GSKNN_BUILD_AVX2)
-/// AVX2+FMA kernels: 8×4 double, 8×8 float.
-void ukernel_8x4_avx2(int kc, const double* Ap, const double* Bp, double alpha,
-                      double beta, double* C, int ldc);
-void ukernel_8x8_avx2_f32(int kc, const float* Ap, const float* Bp,
-                          float alpha, float beta, float* C, int ldc);
-#endif
-
-#if defined(GSKNN_BUILD_AVX512)
-/// AVX-512F kernels: 16×4 double, 16×8 float.
-void ukernel_16x4_avx512(int kc, const double* Ap, const double* Bp,
-                         double alpha, double beta, double* C, int ldc);
-void ukernel_16x8_avx512_f32(int kc, const float* Ap, const float* Bp,
-                             float alpha, float beta, float* C, int ldc);
-#endif
-
-/// Pick the best kernel for `level`.
-UKernel select_ukernel(SimdLevel level);
-UKernelT<float> select_ukernel_f32(SimdLevel level);
-
 template <typename T>
-UKernelT<T> select_ukernel_t(SimdLevel level);
+UKernelT<T> ukernel_avx2();
+#endif
+#if defined(GSKNN_BUILD_AVX512)
+template <typename T>
+UKernelT<T> ukernel_avx512();
+#endif
 
-template <>
-inline UKernelT<double> select_ukernel_t<double>(SimdLevel level) {
-  return select_ukernel(level);
-}
-
-template <>
-inline UKernelT<float> select_ukernel_t<float>(SimdLevel level) {
-  return select_ukernel_f32(level);
-}
+/// The best kernel at or below `level`.
+template <typename T>
+UKernelT<T> select_ukernel(SimdLevel level);
 
 }  // namespace gsknn::blas

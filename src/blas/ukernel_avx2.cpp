@@ -1,122 +1,26 @@
-// AVX2+FMA 8×4 double micro-kernel.
-//
-// Register allocation: 8 YMM accumulators (two 4-row halves × 4 columns),
-// 2 YMM for the current A sliver, 1 YMM for the broadcast B element — well
-// under the 16 architectural YMM registers, leaving room for the compiler
-// to software-pipeline the loads (the paper's "rank-dc update pipeline",
-// §2.4). With FMA available there is no need for Ivy Bridge's shuffle
-// choreography (paper Fig. 3): broadcast-FMA reaches the same port
-// utilization with fewer instructions.
+// AVX2+FMA GEMM micro-kernels: the GSKNN register tile at 8×4 doubles and
+// 8×8 floats.
 #include "ukernel.hpp"
 
 #if defined(GSKNN_BUILD_AVX2)
 
-#include <immintrin.h>
-
-#include "gsknn/common/macros.hpp"
+#include "simd_tile.hpp"
 
 namespace gsknn::blas {
 
-void ukernel_8x4_avx2(int kc, const double* GSKNN_RESTRICT Ap,
-                      const double* GSKNN_RESTRICT Bp, double alpha,
-                      double beta, double* GSKNN_RESTRICT C, int ldc) {
-  __m256d c00 = _mm256_setzero_pd(), c10 = _mm256_setzero_pd();
-  __m256d c01 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
-  __m256d c02 = _mm256_setzero_pd(), c12 = _mm256_setzero_pd();
-  __m256d c03 = _mm256_setzero_pd(), c13 = _mm256_setzero_pd();
-
-  const double* a = Ap;
-  const double* b = Bp;
-  for (int p = 0; p < kc; ++p) {
-    const __m256d a0 = _mm256_load_pd(a);
-    const __m256d a1 = _mm256_load_pd(a + 4);
-    GSKNN_PREFETCH_R(a + 8 * kMr);
-
-    __m256d bj = _mm256_broadcast_sd(b + 0);
-    c00 = _mm256_fmadd_pd(a0, bj, c00);
-    c10 = _mm256_fmadd_pd(a1, bj, c10);
-    bj = _mm256_broadcast_sd(b + 1);
-    c01 = _mm256_fmadd_pd(a0, bj, c01);
-    c11 = _mm256_fmadd_pd(a1, bj, c11);
-    bj = _mm256_broadcast_sd(b + 2);
-    c02 = _mm256_fmadd_pd(a0, bj, c02);
-    c12 = _mm256_fmadd_pd(a1, bj, c12);
-    bj = _mm256_broadcast_sd(b + 3);
-    c03 = _mm256_fmadd_pd(a0, bj, c03);
-    c13 = _mm256_fmadd_pd(a1, bj, c13);
-
-    a += kMr;
-    b += kNr;
-  }
-
-  const __m256d va = _mm256_set1_pd(alpha);
-  __m256d lo[kNr] = {c00, c01, c02, c03};
-  __m256d hi[kNr] = {c10, c11, c12, c13};
-  if (beta == 0.0) {
-    for (int j = 0; j < kNr; ++j) {
-      double* cj = C + static_cast<long>(j) * ldc;
-      _mm256_storeu_pd(cj, _mm256_mul_pd(va, lo[j]));
-      _mm256_storeu_pd(cj + 4, _mm256_mul_pd(va, hi[j]));
-    }
+template <typename T>
+UKernelT<T> ukernel_avx2() {
+  if constexpr (std::is_same_v<T, double>) {
+    using V = simd::Avx2F64;
+    return {simd::gemm_ukernel<V, 2, 4>, 2 * V::kLanes, 4};
   } else {
-    const __m256d vb = _mm256_set1_pd(beta);
-    for (int j = 0; j < kNr; ++j) {
-      double* cj = C + static_cast<long>(j) * ldc;
-      const __m256d old0 = _mm256_loadu_pd(cj);
-      const __m256d old1 = _mm256_loadu_pd(cj + 4);
-      _mm256_storeu_pd(cj, _mm256_fmadd_pd(va, lo[j], _mm256_mul_pd(vb, old0)));
-      _mm256_storeu_pd(cj + 4,
-                       _mm256_fmadd_pd(va, hi[j], _mm256_mul_pd(vb, old1)));
-    }
+    using V = simd::Avx2F32;
+    return {simd::gemm_ukernel<V, 1, 8>, V::kLanes, 8};
   }
 }
 
-
-// Single-precision 8×8 kernel: one 8-wide ymm accumulator per column.
-void ukernel_8x8_avx2_f32(int kc, const float* GSKNN_RESTRICT Ap,
-                          const float* GSKNN_RESTRICT Bp, float alpha,
-                          float beta, float* GSKNN_RESTRICT C, int ldc) {
-  __m256 c0 = _mm256_setzero_ps(), c1 = _mm256_setzero_ps();
-  __m256 c2 = _mm256_setzero_ps(), c3 = _mm256_setzero_ps();
-  __m256 c4 = _mm256_setzero_ps(), c5 = _mm256_setzero_ps();
-  __m256 c6 = _mm256_setzero_ps(), c7 = _mm256_setzero_ps();
-
-  const float* a = Ap;
-  const float* b = Bp;
-  for (int p = 0; p < kc; ++p) {
-    const __m256 av = _mm256_load_ps(a);
-    GSKNN_PREFETCH_R(a + 64);
-    c0 = _mm256_fmadd_ps(av, _mm256_broadcast_ss(b + 0), c0);
-    c1 = _mm256_fmadd_ps(av, _mm256_broadcast_ss(b + 1), c1);
-    c2 = _mm256_fmadd_ps(av, _mm256_broadcast_ss(b + 2), c2);
-    c3 = _mm256_fmadd_ps(av, _mm256_broadcast_ss(b + 3), c3);
-    c4 = _mm256_fmadd_ps(av, _mm256_broadcast_ss(b + 4), c4);
-    c5 = _mm256_fmadd_ps(av, _mm256_broadcast_ss(b + 5), c5);
-    c6 = _mm256_fmadd_ps(av, _mm256_broadcast_ss(b + 6), c6);
-    c7 = _mm256_fmadd_ps(av, _mm256_broadcast_ss(b + 7), c7);
-    a += 8;
-    b += 8;
-  }
-
-  const __m256 va = _mm256_set1_ps(alpha);
-  const auto writeout = [&](float* cj, __m256 acc) {
-    if (beta == 0.0f) {
-      _mm256_storeu_ps(cj, _mm256_mul_ps(va, acc));
-    } else {
-      const __m256 vb = _mm256_set1_ps(beta);
-      const __m256 old = _mm256_loadu_ps(cj);
-      _mm256_storeu_ps(cj, _mm256_fmadd_ps(va, acc, _mm256_mul_ps(vb, old)));
-    }
-  };
-  writeout(C + 0L * ldc, c0);
-  writeout(C + 1L * ldc, c1);
-  writeout(C + 2L * ldc, c2);
-  writeout(C + 3L * ldc, c3);
-  writeout(C + 4L * ldc, c4);
-  writeout(C + 5L * ldc, c5);
-  writeout(C + 6L * ldc, c6);
-  writeout(C + 7L * ldc, c7);
-}
+template UKernelT<double> ukernel_avx2();
+template UKernelT<float> ukernel_avx2();
 
 }  // namespace gsknn::blas
 

@@ -1,120 +1,26 @@
-// AVX-512F 16×4 double GEMM micro-kernel: eight zmm accumulators (two
-// 8-row halves per column), broadcast-FMA schema identical to the AVX2
-// kernel with twice the row count.
+// AVX-512F GEMM micro-kernels: the GSKNN register tile at 16×4 doubles and
+// 16×8 floats.
 #include "ukernel.hpp"
 
 #if defined(GSKNN_BUILD_AVX512)
 
-#include <immintrin.h>
-
-#include "gsknn/common/macros.hpp"
+#include "simd_tile.hpp"
 
 namespace gsknn::blas {
 
-void ukernel_16x4_avx512(int kc, const double* GSKNN_RESTRICT Ap,
-                         const double* GSKNN_RESTRICT Bp, double alpha,
-                         double beta, double* GSKNN_RESTRICT C, int ldc) {
-  __m512d a0 = _mm512_setzero_pd(), b0 = _mm512_setzero_pd();
-  __m512d a1 = _mm512_setzero_pd(), b1 = _mm512_setzero_pd();
-  __m512d a2 = _mm512_setzero_pd(), b2 = _mm512_setzero_pd();
-  __m512d a3 = _mm512_setzero_pd(), b3 = _mm512_setzero_pd();
-
-  const double* ap = Ap;
-  const double* bp = Bp;
-  constexpr int mr = 16;
-  for (int p = 0; p < kc; ++p) {
-    const __m512d qa = _mm512_load_pd(ap);
-    const __m512d qb = _mm512_load_pd(ap + 8);
-    GSKNN_PREFETCH_R(ap + 8 * mr);
-    __m512d rb = _mm512_set1_pd(bp[0]);
-    a0 = _mm512_fmadd_pd(qa, rb, a0);
-    b0 = _mm512_fmadd_pd(qb, rb, b0);
-    rb = _mm512_set1_pd(bp[1]);
-    a1 = _mm512_fmadd_pd(qa, rb, a1);
-    b1 = _mm512_fmadd_pd(qb, rb, b1);
-    rb = _mm512_set1_pd(bp[2]);
-    a2 = _mm512_fmadd_pd(qa, rb, a2);
-    b2 = _mm512_fmadd_pd(qb, rb, b2);
-    rb = _mm512_set1_pd(bp[3]);
-    a3 = _mm512_fmadd_pd(qa, rb, a3);
-    b3 = _mm512_fmadd_pd(qb, rb, b3);
-    ap += mr;
-    bp += 4;
-  }
-
-  const __m512d va = _mm512_set1_pd(alpha);
-  if (beta == 0.0) {
-    _mm512_storeu_pd(C + 0L * ldc, _mm512_mul_pd(va, a0));
-    _mm512_storeu_pd(C + 0L * ldc + 8, _mm512_mul_pd(va, b0));
-    _mm512_storeu_pd(C + 1L * ldc, _mm512_mul_pd(va, a1));
-    _mm512_storeu_pd(C + 1L * ldc + 8, _mm512_mul_pd(va, b1));
-    _mm512_storeu_pd(C + 2L * ldc, _mm512_mul_pd(va, a2));
-    _mm512_storeu_pd(C + 2L * ldc + 8, _mm512_mul_pd(va, b2));
-    _mm512_storeu_pd(C + 3L * ldc, _mm512_mul_pd(va, a3));
-    _mm512_storeu_pd(C + 3L * ldc + 8, _mm512_mul_pd(va, b3));
+template <typename T>
+UKernelT<T> ukernel_avx512() {
+  if constexpr (std::is_same_v<T, double>) {
+    using V = simd::Avx512F64;
+    return {simd::gemm_ukernel<V, 2, 4>, 2 * V::kLanes, 4};
   } else {
-    const __m512d vb = _mm512_set1_pd(beta);
-    const auto merge = [&](double* c, __m512d acc) {
-      const __m512d old = _mm512_loadu_pd(c);
-      _mm512_storeu_pd(c, _mm512_fmadd_pd(va, acc, _mm512_mul_pd(vb, old)));
-    };
-    merge(C + 0L * ldc, a0);
-    merge(C + 0L * ldc + 8, b0);
-    merge(C + 1L * ldc, a1);
-    merge(C + 1L * ldc + 8, b1);
-    merge(C + 2L * ldc, a2);
-    merge(C + 2L * ldc + 8, b2);
-    merge(C + 3L * ldc, a3);
-    merge(C + 3L * ldc + 8, b3);
+    using V = simd::Avx512F32;
+    return {simd::gemm_ukernel<V, 1, 8>, V::kLanes, 8};
   }
 }
 
-
-// Single-precision 16×8 kernel: one 16-wide zmm accumulator per column.
-void ukernel_16x8_avx512_f32(int kc, const float* GSKNN_RESTRICT Ap,
-                             const float* GSKNN_RESTRICT Bp, float alpha,
-                             float beta, float* GSKNN_RESTRICT C, int ldc) {
-  __m512 c0 = _mm512_setzero_ps(), c1 = _mm512_setzero_ps();
-  __m512 c2 = _mm512_setzero_ps(), c3 = _mm512_setzero_ps();
-  __m512 c4 = _mm512_setzero_ps(), c5 = _mm512_setzero_ps();
-  __m512 c6 = _mm512_setzero_ps(), c7 = _mm512_setzero_ps();
-
-  const float* a = Ap;
-  const float* b = Bp;
-  for (int p = 0; p < kc; ++p) {
-    const __m512 av = _mm512_load_ps(a);
-    GSKNN_PREFETCH_R(a + 128);
-    c0 = _mm512_fmadd_ps(av, _mm512_set1_ps(b[0]), c0);
-    c1 = _mm512_fmadd_ps(av, _mm512_set1_ps(b[1]), c1);
-    c2 = _mm512_fmadd_ps(av, _mm512_set1_ps(b[2]), c2);
-    c3 = _mm512_fmadd_ps(av, _mm512_set1_ps(b[3]), c3);
-    c4 = _mm512_fmadd_ps(av, _mm512_set1_ps(b[4]), c4);
-    c5 = _mm512_fmadd_ps(av, _mm512_set1_ps(b[5]), c5);
-    c6 = _mm512_fmadd_ps(av, _mm512_set1_ps(b[6]), c6);
-    c7 = _mm512_fmadd_ps(av, _mm512_set1_ps(b[7]), c7);
-    a += 16;
-    b += 8;
-  }
-
-  const __m512 va = _mm512_set1_ps(alpha);
-  const auto writeout = [&](float* cj, __m512 acc) {
-    if (beta == 0.0f) {
-      _mm512_storeu_ps(cj, _mm512_mul_ps(va, acc));
-    } else {
-      const __m512 vb = _mm512_set1_ps(beta);
-      const __m512 old = _mm512_loadu_ps(cj);
-      _mm512_storeu_ps(cj, _mm512_fmadd_ps(va, acc, _mm512_mul_ps(vb, old)));
-    }
-  };
-  writeout(C + 0L * ldc, c0);
-  writeout(C + 1L * ldc, c1);
-  writeout(C + 2L * ldc, c2);
-  writeout(C + 3L * ldc, c3);
-  writeout(C + 4L * ldc, c4);
-  writeout(C + 5L * ldc, c5);
-  writeout(C + 6L * ldc, c6);
-  writeout(C + 7L * ldc, c7);
-}
+template UKernelT<double> ukernel_avx512();
+template UKernelT<float> ukernel_avx512();
 
 }  // namespace gsknn::blas
 

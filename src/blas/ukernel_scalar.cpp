@@ -36,38 +36,19 @@ void ukernel_8x4_scalar_impl(int kc, const T* GSKNN_RESTRICT Ap,
 
 }  // namespace
 
-void ukernel_8x4_scalar(int kc, const double* Ap, const double* Bp,
-                        double alpha, double beta, double* C, int ldc) {
-  ukernel_8x4_scalar_impl<double>(kc, Ap, Bp, alpha, beta, C, ldc);
-}
-
-void ukernel_8x4_scalar_f32(int kc, const float* Ap, const float* Bp,
-                            float alpha, float beta, float* C, int ldc) {
-  ukernel_8x4_scalar_impl<float>(kc, Ap, Bp, alpha, beta, C, ldc);
-}
-
-UKernel select_ukernel(SimdLevel level) {
+template <typename T>
+UKernelT<T> select_ukernel(SimdLevel level) {
 #if defined(GSKNN_BUILD_AVX512)
-  if (level >= SimdLevel::kAvx512) return {ukernel_16x4_avx512, 16, 4};
+  if (level >= SimdLevel::kAvx512) return ukernel_avx512<T>();
 #endif
 #if defined(GSKNN_BUILD_AVX2)
-  if (level >= SimdLevel::kAvx2) return {ukernel_8x4_avx2, kMr, kNr};
-#else
-  (void)level;
+  if (level >= SimdLevel::kAvx2) return ukernel_avx2<T>();
 #endif
-  return {ukernel_8x4_scalar, kMr, kNr};
+  (void)level;
+  return {ukernel_8x4_scalar_impl<T>, kMr, kNr};
 }
 
-UKernelT<float> select_ukernel_f32(SimdLevel level) {
-#if defined(GSKNN_BUILD_AVX512)
-  if (level >= SimdLevel::kAvx512) return {ukernel_16x8_avx512_f32, 16, 8};
-#endif
-#if defined(GSKNN_BUILD_AVX2)
-  if (level >= SimdLevel::kAvx2) return {ukernel_8x8_avx2_f32, 8, 8};
-#else
-  (void)level;
-#endif
-  return {ukernel_8x4_scalar_f32, kMr, kNr};
-}
+template UKernelT<double> select_ukernel(SimdLevel);
+template UKernelT<float> select_ukernel(SimdLevel);
 
 }  // namespace gsknn::blas

@@ -24,7 +24,6 @@
 #include "gsknn/common/timer.hpp"
 #include "gsknn/core/entry_metrics.hpp"
 #include "gsknn/core/knn.hpp"
-#include "gsknn/core/packed_refs.hpp"
 #include "gsknn/model/perf_model.hpp"
 
 namespace gsknn {
@@ -35,15 +34,6 @@ namespace {
 /// Disjointness of rows across tasks sharing a table (validated below) makes
 /// concurrent marking from several workers race-free — distinct bytes.
 void mark_task_incomplete(const KnnTask& task) {
-  if (!task.result_rows.empty()) {
-    for (const int r : task.result_rows) task.result->mark_row_incomplete(r);
-  } else {
-    const int mq = static_cast<int>(task.qidx.size());
-    for (int i = 0; i < mq; ++i) task.result->mark_row_incomplete(i);
-  }
-}
-
-void mark_task_incomplete(const PackedKnnTask& task) {
   if (!task.result_rows.empty()) {
     for (const int r : task.result_rows) task.result->mark_row_incomplete(r);
   } else {
@@ -212,159 +202,6 @@ Status knn_batch_impl(const PointTable& X, std::span<const KnnTask> tasks,
   return static_cast<Status>(stop.load(std::memory_order_acquire));
 }
 
-/// Packed batch: same LPT scheduling and governance as knn_batch_impl, but
-/// every task queries one shared PackedRefs cache — workers run the warm
-/// single-threaded kernel, so a block is packed at most once across the
-/// whole batch (the cache's pin counts make concurrent leases safe) and
-/// repeat traffic moves zero packed reference bytes.
-Status knn_batch_packed_impl(PackedRefs& refs,
-                             std::span<const PackedKnnTask> tasks, int k,
-                             const KnnConfig& cfg,
-                             std::uint64_t expected_epoch) {
-  const int t = static_cast<int>(tasks.size());
-  if (!refs.built()) {
-    throw StatusError(Status::kInvalidArgument,
-                      "gsknn: PackedRefs::build() has not succeeded");
-  }
-  if (t == 0) return Status::kOk;
-  const int p = resolve_threads(cfg.threads);
-  const PointTable& X = *refs.table();
-  // One atomic (id list, epoch) capture for the whole batch: validation,
-  // scheduling and every task kernel run against this generation, immune to
-  // a concurrent insert()/erase() swapping the list mid-batch.
-  const PackedRefs::Snapshot snap = refs.snapshot();
-  const std::span<const int> ridx(*snap.ids);
-
-  for (int i = 0; i < t; ++i) {
-    const auto& task = tasks[static_cast<std::size_t>(i)];
-    if (task.result == nullptr) {
-      throw StatusError(Status::kInvalidArgument,
-                        "gsknn: batch task has a null result table");
-    }
-    check_knn_args(X, task.qidx, ridx, *task.result, cfg, task.result_rows);
-  }
-  // Batch-level epoch handshake, after validation and before any task runs:
-  // a stale batch touches nothing. kEpochAny resolves to the entry epoch
-  // here, and every task kernel pins its blocks against that resolved
-  // generation — an update racing the batch stops affected tasks with a
-  // clean kStale (rows flagged incomplete) instead of mixing generations.
-  if (expected_epoch != kEpochAny && expected_epoch != snap.epoch) {
-    return Status::kStale;
-  }
-  const std::uint64_t run_epoch = snap.epoch;
-
-  std::unordered_map<const NeighborTable*, std::vector<unsigned char>> used;
-  for (int i = 0; i < t; ++i) {
-    const auto& task = tasks[static_cast<std::size_t>(i)];
-    auto& rows_used = used[task.result];
-    if (rows_used.empty()) {
-      rows_used.assign(static_cast<std::size_t>(task.result->rows()), 0);
-    }
-    const int mq = static_cast<int>(task.qidx.size());
-    for (int qi = 0; qi < mq; ++qi) {
-      const int r = task.result_rows.empty()
-                        ? qi
-                        : task.result_rows[static_cast<std::size_t>(qi)];
-      if (rows_used[static_cast<std::size_t>(r)] != 0) {
-        throw StatusError(
-            Status::kInvalidArgument,
-            "gsknn: batch tasks write overlapping rows of a shared result "
-            "table");
-      }
-      rows_used[static_cast<std::size_t>(r)] = 1;
-    }
-  }
-
-  // LPT scheduling over the model estimates; every task shares n = |refs|,
-  // so the estimates differ only through m.
-  static const model::MachineParams mp{};
-  const BlockingParams bp = refs.blocking();
-  std::vector<double> est(static_cast<std::size_t>(t));
-  for (int i = 0; i < t; ++i) {
-    const auto& task = tasks[static_cast<std::size_t>(i)];
-    const model::ProblemShape s{static_cast<int>(task.qidx.size()),
-                                static_cast<int>(ridx.size()), X.dim(), k};
-    const Variant v = resolve_variant(s.m, s.n, s.d, s.k, cfg);
-    est[static_cast<std::size_t>(i)] = model::predicted_time(
-        v == Variant::kVar1 ? model::Method::kVar1 : model::Method::kVar6, s,
-        mp, bp);
-  }
-  const std::vector<int> assignment = model::schedule_lpt(est, p);
-
-  const bool prof = (cfg.profile != nullptr);
-  WallTimer wall_timer;
-  std::vector<telemetry::KernelProfile> wprof(
-      prof ? static_cast<std::size_t>(p) : 0);
-
-  std::atomic<int> stop{0};
-  const bool governed =
-      cfg.cancel != nullptr || cfg.deadline.has_value() || fault::active();
-  const auto poll_status = [&cfg]() {
-    if (fault::active() && fault::inject_cancel()) return Status::kCancelled;
-    if (cfg.cancel != nullptr && cfg.cancel->cancelled()) {
-      return Status::kCancelled;
-    }
-    if (cfg.deadline.has_value() && deadline_expired(*cfg.deadline)) {
-      return Status::kDeadlineExceeded;
-    }
-    return Status::kOk;
-  };
-
-  KnnConfig task_cfg = cfg;
-  task_cfg.threads = 1;
-  task_cfg.validate = false;
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp parallel num_threads(p)
-#endif
-  {
-    const int tid = thread_id();
-    // Same absent-worker fold as knn_batch_impl: the delivered team can be
-    // smaller than the p the LPT schedule targeted.
-    const int nt = team_size();
-    KnnConfig my_cfg = task_cfg;
-    my_cfg.profile = prof ? &wprof[static_cast<std::size_t>(tid)] : nullptr;
-    for (int i = 0; i < t; ++i) {
-      if (assignment[static_cast<std::size_t>(i)] % nt != tid) continue;
-      const auto& task = tasks[static_cast<std::size_t>(i)];
-      if (stop.load(std::memory_order_relaxed) != 0) {
-        mark_task_incomplete(task);
-        continue;
-      }
-      if (governed) {
-        const Status ps = poll_status();
-        if (ps != Status::kOk) {
-          int expected = 0;
-          stop.compare_exchange_strong(expected, static_cast<int>(ps),
-                                       std::memory_order_relaxed);
-          mark_task_incomplete(task);
-          continue;
-        }
-      }
-      const Status s = knn_kernel_status(refs, task.qidx, *task.result,
-                                         my_cfg, task.result_rows,
-                                         run_epoch);
-      if (s != Status::kOk) {
-        if (s != Status::kCancelled && s != Status::kDeadlineExceeded) {
-          mark_task_incomplete(task);
-        }
-        int expected = 0;
-        stop.compare_exchange_strong(expected, static_cast<int>(s),
-                                     std::memory_order_relaxed);
-      }
-    }
-  }
-
-  if (prof) {
-    telemetry::KernelProfile combined;
-    for (const auto& wp : wprof) combined.merge(wp);
-    combined.wall_seconds = wall_timer.seconds();
-    combined.algorithm = "gsknn_batch";
-    combined.threads = p;
-    cfg.profile->merge(combined);
-  }
-  return static_cast<Status>(stop.load(std::memory_order_acquire));
-}
-
 /// Batch-level shape for the aggregate metrics: queries/references summed
 /// across tasks (each task's kernel records its own exact shape too).
 void batch_totals(std::span<const KnnTask> tasks, int& m_total,
@@ -376,18 +213,6 @@ void batch_totals(std::span<const KnnTask> tasks, int& m_total,
   }
   m_total = m > static_cast<std::size_t>(INT_MAX) ? INT_MAX
                                                   : static_cast<int>(m);
-  n_total = n > static_cast<std::size_t>(INT_MAX) ? INT_MAX
-                                                  : static_cast<int>(n);
-}
-
-void packed_batch_totals(const PackedRefs& refs,
-                         std::span<const PackedKnnTask> tasks, int& m_total,
-                         int& n_total) {
-  std::size_t m = 0;
-  for (const PackedKnnTask& t : tasks) m += t.qidx.size();
-  m_total = m > static_cast<std::size_t>(INT_MAX) ? INT_MAX
-                                                  : static_cast<int>(m);
-  const std::size_t n = tasks.size() * static_cast<std::size_t>(refs.size());
   n_total = n > static_cast<std::size_t>(INT_MAX) ? INT_MAX
                                                   : static_cast<int>(n);
 }
@@ -415,39 +240,6 @@ Status knn_batch_status(const PointTable& X, std::span<const KnnTask> tasks,
     return core::record_entry_status(
         metrics::EntryPoint::kBatch, m_total, n_total, X.dim(), k,
         [&] { return knn_batch_impl(X, tasks, k, cfg); });
-  } catch (const StatusError& e) {
-    return e.status();
-  } catch (const std::bad_alloc&) {
-    return Status::kResourceExhausted;
-  }
-}
-
-void knn_batch(PackedRefs& refs, std::span<const PackedKnnTask> tasks, int k,
-               const KnnConfig& cfg, std::uint64_t expected_epoch) {
-  int m_total = 0, n_total = 0;
-  packed_batch_totals(refs, tasks, m_total, n_total);
-  const int d = refs.built() ? refs.table()->dim() : 0;
-  const Status s = core::record_entry_status(
-      metrics::EntryPoint::kBatch, m_total, n_total, d, k, [&] {
-        return knn_batch_packed_impl(refs, tasks, k, cfg, expected_epoch);
-      });
-  if (s != Status::kOk) {
-    throw StatusError(s, std::string("gsknn: batch stopped: ") +
-                             status_name(s));
-  }
-}
-
-Status knn_batch_status(PackedRefs& refs,
-                        std::span<const PackedKnnTask> tasks, int k,
-                        const KnnConfig& cfg, std::uint64_t expected_epoch) {
-  int m_total = 0, n_total = 0;
-  packed_batch_totals(refs, tasks, m_total, n_total);
-  const int d = refs.built() ? refs.table()->dim() : 0;
-  try {
-    return core::record_entry_status(
-        metrics::EntryPoint::kBatch, m_total, n_total, d, k, [&] {
-          return knn_batch_packed_impl(refs, tasks, k, cfg, expected_epoch);
-        });
   } catch (const StatusError& e) {
     return e.status();
   } catch (const std::bad_alloc&) {

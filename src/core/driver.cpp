@@ -150,7 +150,7 @@ template <typename T>
 Status plan_kernel_packed(const PackedRefsT<T>& refs, int m, int n, int d,
                           int k, const KnnConfig& cfg, KernelPlanT<T>& kp) {
   if (!refs.layout_compatible(cfg.norm)) return Status::kUnsupported;
-  kp.mk = select_micro_t<T>(refs.level(), cfg.norm);
+  kp.mk = select_micro<T>(refs.level(), cfg.norm);
   kp.chosen = refs.level();
   kp.bp = refs.blocking();
   if (kp.mk.fn == nullptr || kp.mk.nr != kp.bp.nr) return Status::kUnsupported;

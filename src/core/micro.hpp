@@ -19,6 +19,10 @@
 //   scalar    8×4 (double and float)
 //   AVX2+FMA  8×4 double, 8×8 float
 //   AVX-512F  16×4 double, 16×8 float
+// The vector kernels are one template (micro_simd.hpp, on the register
+// tile the GEMM kernels share, src/blas/simd_tile.hpp) instantiated at those
+// shapes in micro_avx*.cpp; the scalar kernel (micro_scalar.cpp) is the ℓp
+// path and the fallback without AVX2.
 //
 // Alongside the kernel contract live the selection rules every path shares
 // (sel_accepts, sel_insert_raw, the Var#5/#6 row_select) and the plan-phase
@@ -38,14 +42,9 @@
 
 namespace gsknn::core {
 
-/// Register tile of the scalar and AVX2-double kernels (the paper's mr=8,
-/// nr=4 on AVX).
+/// Register tile of the scalar kernels (the paper's mr=8, nr=4 on AVX).
 inline constexpr int kMr = 8;
 inline constexpr int kNr = 4;
-
-/// Upper bounds across all kernels (sizes of per-tile scratch arrays).
-inline constexpr int kMaxMr = 16;
-inline constexpr int kMaxNr = 8;
 
 /// Selection context for the fused (Var#1) path: per-valid-row heap
 /// pointers plus candidate metadata.
@@ -64,8 +63,6 @@ struct SelectCtxT {
   /// reclassifies accepted ones, so pushes + rejects == candidates exactly).
   telemetry::ThreadCounters* tc = nullptr;
 };
-
-using SelectCtx = SelectCtxT<double>;
 
 /// The selection accept predicate, shared by every path that offers a
 /// candidate to a heap row (scalar micro-kernel accept loops, the AVX
@@ -301,12 +298,10 @@ using MicroFnT = void (*)(int dcur, const T* Qp, const T* Rp, const T* Cin,
                           const T* q2, const T* r2, bool finish, int rows,
                           int cols, const SelectCtxT<T>* sel, double lp);
 
-using MicroFn = MicroFnT<double>;
-
 /// A micro-kernel plus the register-tile geometry it implements. Packing,
 /// blocking validation and edge handling in the driver all derive from
-/// mr/nr, so porting to a new ISA is: write the kernel, report its tile
-/// (the paper's portability argument, §5).
+/// mr/nr, so porting to a new ISA is: instantiate the tile template with
+/// its traits, report the tile (the paper's portability argument, §5).
 template <typename T>
 struct MicroKernelT {
   MicroFnT<T> fn = nullptr;
@@ -314,44 +309,22 @@ struct MicroKernelT {
   int nr = kNr;
 };
 
-using MicroKernel = MicroKernelT<double>;
-
-/// Portable micro-kernels, one per norm (8×4), both precisions.
-MicroFn micro_scalar(Norm norm);
-MicroFnT<float> micro_scalar_f32(Norm norm);
-
+/// The vector kernels of each ISA at one precision (T = double or float).
+/// fn == nullptr where an ISA has no kernel for the norm (ℓp runs only the
+/// scalar kernel of micro_scalar.cpp).
 #if defined(GSKNN_BUILD_AVX2)
-/// AVX2+FMA micro-kernels: 8×4 double, 8×8 float (ℓ2, ℓ1, ℓ∞, cosine; ℓp
-/// falls back to scalar).
-MicroFn micro_avx2(Norm norm);
-MicroKernelT<float> micro_avx2_f32(Norm norm);
-#endif
-
-#if defined(GSKNN_BUILD_AVX512)
-/// AVX-512F micro-kernels: 16×4 double, 16×8 float. fn == nullptr for norms
-/// without a 512-bit implementation.
-MicroKernel micro_avx512(Norm norm);
-MicroKernelT<float> micro_avx512_f32(Norm norm);
-#endif
-
-/// Dispatch by SIMD level (ℓp always resolves to the scalar kernel).
-MicroKernel select_micro(SimdLevel level, Norm norm);
-MicroKernelT<float> select_micro_f32(SimdLevel level, Norm norm);
-
-/// Precision-generic dispatch used by the templated driver.
 template <typename T>
-MicroKernelT<T> select_micro_t(SimdLevel level, Norm norm);
+MicroKernelT<T> micro_avx2(Norm norm);
+#endif
+#if defined(GSKNN_BUILD_AVX512)
+template <typename T>
+MicroKernelT<T> micro_avx512(Norm norm);
+#endif
 
-template <>
-inline MicroKernelT<double> select_micro_t<double>(SimdLevel level,
-                                                   Norm norm) {
-  return select_micro(level, norm);
-}
-
-template <>
-inline MicroKernelT<float> select_micro_t<float>(SimdLevel level, Norm norm) {
-  return select_micro_f32(level, norm);
-}
+/// The best kernel at or below `level` for `norm` (ℓp always resolves to
+/// the scalar kernel).
+template <typename T>
+MicroKernelT<T> select_micro(SimdLevel level, Norm norm);
 
 /// Resolve (micro-kernel, blocking) consistently: explicit blocking pins the
 /// tile geometry and the dispatcher searches lower SIMD levels for a kernel

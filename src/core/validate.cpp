@@ -115,7 +115,7 @@ Status validate_knn_args(const PointTableT<T>& X, std::span<const int> qidx,
     for (SimdLevel lv :
          {best, SimdLevel::kAvx2, SimdLevel::kScalar}) {
       if (lv > best) continue;
-      const core::MicroKernelT<T> mk = core::select_micro_t<T>(lv, cfg.norm);
+      const core::MicroKernelT<T> mk = core::select_micro<T>(lv, cfg.norm);
       if (mk.fn != nullptr && mk.mr == cfg.blocking->mr &&
           mk.nr == cfg.blocking->nr) {
         matched = true;

@@ -21,7 +21,7 @@ template <typename T>
 void resolve_kernel_and_blocking(SimdLevel level, const KnnConfig& cfg,
                                  MicroKernelT<T>& mk, BlockingParams& bp,
                                  SimdLevel& chosen) {
-  mk = select_micro_t<T>(level, cfg.norm);
+  mk = select_micro<T>(level, cfg.norm);
   chosen = level;
   if (cfg.blocking.has_value()) {
     bp = *cfg.blocking;
@@ -32,7 +32,7 @@ void resolve_kernel_and_blocking(SimdLevel level, const KnnConfig& cfg,
     if (bp.mr != mk.mr || bp.nr != mk.nr) {
       for (SimdLevel lv : {SimdLevel::kAvx2, SimdLevel::kScalar}) {
         if (lv > level) continue;
-        const MicroKernelT<T> alt = select_micro_t<T>(lv, cfg.norm);
+        const MicroKernelT<T> alt = select_micro<T>(lv, cfg.norm);
         if (alt.fn != nullptr && alt.mr == bp.mr && alt.nr == bp.nr) {
           mk = alt;
           chosen = lv;

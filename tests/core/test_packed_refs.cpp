@@ -267,30 +267,6 @@ TEST(PackedRefs, LayoutCompatibilityEnforced) {
             Status::kUnsupported);
 }
 
-TEST(PackedRefs, BatchMatchesSerialWarmCalls) {
-  const int d = 10, n = 240, k = 4;
-  const PointTable X = make_uniform(d, n, 6);
-  PackedRefs refs;
-  ASSERT_EQ(refs.build(X, iota_ids(n), {}), Status::kOk);
-
-  NeighborTable batched(n, k);
-  std::vector<std::vector<int>> slices;
-  for (int lo = 0; lo < n; lo += 60) slices.push_back(iota_ids(60, lo));
-  std::vector<PackedKnnTask> tasks;
-  for (const auto& s : slices) tasks.push_back(PackedKnnTask{s, &batched, s});
-  knn_batch(refs, tasks, k, {});
-
-  NeighborTable serial(n, k);
-  std::vector<int> ids = iota_ids(n);
-  for (const auto& s : slices) knn_kernel(X, s, ids, serial, {}, s);
-  expect_tables_identical(serial, batched, "packed batch");
-
-  // Batch-level epoch handshake: a stale pin rejects the whole batch.
-  const std::vector<int> extra = {0};
-  ASSERT_EQ(refs.insert(extra), Status::kOk);
-  EXPECT_EQ(knn_batch_status(refs, tasks, k, {}, 0), Status::kStale);
-}
-
 // Regression (lease TOCTOU): an insert()/erase() racing a warm call used to
 // slip between the call's entry epoch check and its block pins — the pins
 // did not re-validate, so the kernel could compute over a just-repacked

@@ -298,7 +298,6 @@ bool probe_malformed(const PointTable& X) {
 bool check_packed(const PointTable& X, const std::vector<int>& q,
                   const std::vector<int>& r, const Trial& t,
                   gsknn::Xoshiro256& rng) {
-  using gsknn::PackedKnnTask;
   using gsknn::PackedRefs;
   const std::uint64_t npts = static_cast<std::uint64_t>(X.size());
 
@@ -400,30 +399,26 @@ bool check_packed(const PointTable& X, const std::vector<int>& q,
       return false;
     }
 
-    // The shared-cache batch driver must agree with the same cold rows.
-    if (step == 0 && t.m >= 2) {
-      const int half = t.m / 2;
-      std::vector<int> rows_a(static_cast<std::size_t>(half));
-      std::vector<int> rows_b(static_cast<std::size_t>(t.m - half));
-      for (int i = 0; i < half; ++i) rows_a[static_cast<std::size_t>(i)] = i;
-      for (int i = half; i < t.m; ++i) {
-        rows_b[static_cast<std::size_t>(i - half)] = i;
+    // One warm call over every query, its rows sent through result_rows in
+    // reverse order, must put each cold row where it was sent.
+    if (step == 0) {
+      std::vector<int> rows(static_cast<std::size_t>(t.m));
+      for (int i = 0; i < t.m; ++i) {
+        rows[static_cast<std::size_t>(i)] = t.m - 1 - i;
       }
-      const std::vector<int> qa(q.begin(), q.begin() + half);
-      const std::vector<int> qb(q.begin() + half, q.end());
-      NeighborTable batched(t.m, t.k);
-      if (t.dedup) batched.enable_dedup_index();
-      const PackedKnnTask tasks[] = {{qa, &batched, rows_a},
-                                     {qb, &batched, rows_b}};
-      s = knn_batch_status(refs, tasks, t.k, cfg, refs.epoch());
+      NeighborTable mapped(t.m, t.k);
+      if (t.dedup) mapped.enable_dedup_index();
+      s = knn_kernel_status(refs, q, mapped, cfg, rows, refs.epoch());
       if (s != Status::kOk) {
-        std::fprintf(stderr, "packed: batch failed: %s\n",
+        std::fprintf(stderr, "packed: mapped-row query failed: %s\n",
                      gsknn::status_name(s));
         return false;
       }
-      if (collect_rows(batched, t.m) != collect_rows(cold, t.m)) {
-        std::fprintf(stderr, "packed: batch/cold divergence\n");
-        return false;
+      for (int i = 0; i < t.m; ++i) {
+        if (mapped.sorted_row(t.m - 1 - i) != cold.sorted_row(i)) {
+          std::fprintf(stderr, "packed: mapped-row/cold divergence\n");
+          return false;
+        }
       }
     }
   }

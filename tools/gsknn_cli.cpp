@@ -14,7 +14,8 @@
 //             [--pack-cache] [--cache-budget B]
 //             [--metrics [FILE]] [--metrics-prom [FILE]]
 //             split the all-pairs search into T independent tasks and run
-//             them through the §2.5 batch scheduler
+//             them through the §2.5 batch scheduler (with --pack-cache: one
+//             warm kernel call over every query, T is ignored)
 //   allnn     --data FILE --k K --out FILE [--trees T] [--leaf L] [--seed S]
 //             [--pack-cache] [--sweeps S] [--cache-budget B]
 //             [--profile [FILE]] [--trace [FILE]] [--metrics [FILE]]
@@ -24,11 +25,10 @@
 //
 // --pack-cache routes reference panels through a PackedRefs cache (see
 // docs/ARCHITECTURE.md "plan / pack / compute"): the references are packed
-// once, and repeat traffic (--repeat > 1 searches, --sweeps > 1 tree passes,
-// every task of a batch after the first to touch a block) runs warm — zero
-// packed reference bytes, bitwise-identical results. A pack-stats line
-// (hits / misses / bytes packed) is printed after the run; --cache-budget
-// caps resident panel bytes (LRU eviction).
+// once, and repeat traffic (--repeat > 1 searches, --sweeps > 1 tree passes)
+// runs warm — zero packed reference bytes, bitwise-identical results. A
+// pack-stats line (hits / misses / bytes packed) is printed after the run;
+// --cache-budget caps resident panel bytes (LRU eviction).
 //
 // Options take either `--key value` or `--key=value` form.
 //
@@ -473,8 +473,8 @@ int cmd_batch(const Args& a) {
   const int n = data.size();
   PackedRefs pr;
   if (pack_cache) {
-    // One shared cache: each reference block packs at most once across the
-    // whole batch, whichever task touches it first.
+    // One warm call over every query: the packed panels are shared by all
+    // rows, so splitting the rows into tasks would only stream them again.
     PackedRefs::Options opt;
     opt.norm = cfg.norm;
     opt.budget_bytes = static_cast<std::size_t>(a.get_long("cache-budget", 0));
@@ -483,22 +483,9 @@ int cmd_batch(const Args& a) {
       throw std::runtime_error(std::string("pack cache build failed: ") +
                                status_name(b));
     }
-    std::vector<PackedKnnTask> tasks;
-    tasks.reserve(static_cast<std::size_t>(ntasks));
-    for (int t = 0; t < ntasks; ++t) {
-      const int lo = static_cast<int>(static_cast<long>(n) * t / ntasks);
-      const int hi = static_cast<int>(static_cast<long>(n) * (t + 1) / ntasks);
-      if (hi <= lo) continue;
-      PackedKnnTask task;
-      task.qidx = std::span<const int>(refs.data() + lo,
-                                       static_cast<std::size_t>(hi - lo));
-      task.result = &result;
-      task.result_rows = task.qidx;
-      tasks.push_back(task);
-    }
-    ntasks_run = tasks.size();
+    ntasks_run = 1;
     timer.start();
-    knn_batch(pr, tasks, k, cfg);
+    knn_kernel(pr, refs, result, cfg);
     secs = timer.seconds();
     print_pack_stats(pr);
   } else {
