@@ -21,7 +21,7 @@ namespace gsknn {
 enum class SimdLevel : int {
   kScalar = 0,  ///< portable C++ only
   kAvx2 = 2,    ///< AVX2 + FMA3 (8×4 double micro-kernels)
-  kAvx512 = 3,  ///< AVX-512F (16×4 double micro-kernels)
+  kAvx512 = 3,  ///< AVX-512F (16×8 double micro-kernels)
 };
 
 /// CPUID-derived feature flags.
@@ -79,6 +79,23 @@ inline constexpr int kMicroQPrefetchIters = 8;
 inline constexpr int kMaxMr = 16;
 inline constexpr int kMaxNr = 8;
 
+/// A register tile: mr rows (queries) × nr columns (references).
+struct TileShape {
+  int mr;
+  int nr;
+};
+
+/// The double-precision register tile of each SIMD level, written down once:
+/// default_blocking() derives its blocking from it and the f64 kernels
+/// (micro_*.cpp, ukernel_*.cpp) are instantiated at it, so explicit blocking
+/// from default_blocking() always matches the kernel dispatch picks.
+///   scalar, AVX2+FMA  8×4   the paper's m_r = 8, n_r = 4 on AVX
+///   AVX-512F          16×8  two zmm rows × 8 columns: 16 of the 32 zmm
+///                           registers accumulate, 10 loads per 16 FMAs
+constexpr TileShape f64_tile(SimdLevel level) {
+  return level == SimdLevel::kAvx512 ? TileShape{16, 8} : TileShape{8, 4};
+}
+
 /// Detect CPU features via CPUID (cached after first call).
 const CpuFeatures& cpu_features();
 
@@ -86,7 +103,7 @@ const CpuFeatures& cpu_features();
 const CacheInfo& cache_info();
 
 /// Derive blocking parameters for `level` from the cache hierarchy using the
-/// §2.4 rules (double precision, the kernel tiles of this build).
+/// §2.4 rules (double precision, the register tile f64_tile(level)).
 /// Deterministic for a given machine.
 BlockingParams default_blocking(SimdLevel level);
 

@@ -12,9 +12,10 @@
 // UKernelT so each (ISA, scalar) pair picks its own shape:
 //   scalar    8×4 (double and float)
 //   AVX2+FMA  8×4 double, 8×8 float
-//   AVX-512F  16×4 double, 16×8 float
-// The vector kernels are the GSKNN register tile (simd_tile.hpp) with the
-// alpha/beta epilogue, instantiated in ukernel_avx*.cpp.
+//   AVX-512F  16×8 double, 16×8 float
+// The double tiles come from f64_tile() (arch.hpp). The vector kernels are
+// the GSKNN register tile (simd_tile.hpp) with the alpha/beta epilogue,
+// instantiated in ukernel_avx*.cpp.
 #pragma once
 
 #include "gsknn/common/arch.hpp"
@@ -22,8 +23,8 @@
 namespace gsknn::blas {
 
 /// Tile of the scalar kernels (mirrors the paper's 8×4).
-inline constexpr int kMr = 8;
-inline constexpr int kNr = 4;
+inline constexpr int kMr = f64_tile(SimdLevel::kScalar).mr;
+inline constexpr int kNr = f64_tile(SimdLevel::kScalar).nr;
 
 template <typename T>
 using UKernelFnT = void (*)(int kc, const T* Ap, const T* Bp, T alpha, T beta,

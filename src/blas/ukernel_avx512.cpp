@@ -1,5 +1,5 @@
-// AVX-512F GEMM micro-kernels: the GSKNN register tile at 16×4 doubles and
-// 16×8 floats.
+// AVX-512F GEMM micro-kernels: the GSKNN register tile at
+// f64_tile(kAvx512) = 16×8 doubles and 16×8 floats.
 #include "ukernel.hpp"
 
 #if defined(GSKNN_BUILD_AVX512)
@@ -12,7 +12,9 @@ template <typename T>
 UKernelT<T> ukernel_avx512() {
   if constexpr (std::is_same_v<T, double>) {
     using V = simd::Avx512F64;
-    return {simd::gemm_ukernel<V, 2, 4>, 2 * V::kLanes, 4};
+    constexpr TileShape t = f64_tile(SimdLevel::kAvx512);
+    constexpr int mv = t.mr / V::kLanes;
+    return {simd::gemm_ukernel<V, mv, t.nr>, mv * V::kLanes, t.nr};
   } else {
     using V = simd::Avx512F32;
     return {simd::gemm_ukernel<V, 1, 8>, V::kLanes, 8};

@@ -156,12 +156,8 @@ BlockingParams derive_blocking(int mr, int nr, int elem_bytes) {
 }
 
 BlockingParams default_blocking(SimdLevel level) {
-  // Register tile, per micro-kernel family: scalar and AVX2+FMA use 8×4
-  // doubles (mirroring the paper's mr=8, nr=4 on AVX); AVX-512 doubles the
-  // row count to 16×4 (two zmm rows per column, eight independent FMA
-  // chains — enough to cover the 4-cycle FMA latency on two ports).
-  return derive_blocking(level == SimdLevel::kAvx512 ? 16 : 8, 4,
-                         sizeof(double));
+  const TileShape t = f64_tile(level);
+  return derive_blocking(t.mr, t.nr, sizeof(double));
 }
 
 std::string arch_summary() {

@@ -18,11 +18,12 @@
 // pair picks its own shape:
 //   scalar    8×4 (double and float)
 //   AVX2+FMA  8×4 double, 8×8 float
-//   AVX-512F  16×4 double, 16×8 float
-// The vector kernels are one template (micro_simd.hpp, on the register
-// tile the GEMM kernels share, src/blas/simd_tile.hpp) instantiated at those
-// shapes in micro_avx*.cpp; the scalar kernel (micro_scalar.cpp) is the ℓp
-// path and the fallback without AVX2.
+//   AVX-512F  16×8 double, 16×8 float
+// The double tiles come from f64_tile() (arch.hpp), the one place they are
+// written down. The vector kernels are one template (micro_simd.hpp, on the
+// register tile the GEMM kernels share, src/blas/simd_tile.hpp) instantiated
+// at those shapes in micro_avx*.cpp; the scalar kernel (micro_scalar.cpp) is
+// the ℓp path and the fallback without AVX2.
 //
 // Alongside the kernel contract live the selection rules every path shares
 // (sel_accepts, sel_insert_raw, the Var#5/#6 row_select) and the plan-phase
@@ -43,8 +44,8 @@
 namespace gsknn::core {
 
 /// Register tile of the scalar kernels (the paper's mr=8, nr=4 on AVX).
-inline constexpr int kMr = 8;
-inline constexpr int kNr = 4;
+inline constexpr int kMr = f64_tile(SimdLevel::kScalar).mr;
+inline constexpr int kNr = f64_tile(SimdLevel::kScalar).nr;
 
 /// Selection context for the fused (Var#1) path: per-valid-row heap
 /// pointers plus candidate metadata.

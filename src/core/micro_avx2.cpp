@@ -1,5 +1,5 @@
 // AVX2+FMA fused micro-kernels (ℓ2, ℓ1, ℓ∞, cosine): the tile template at
-// 8×4 doubles and 8×8 floats.
+// f64_tile(kAvx2) = 8×4 doubles and 8×8 floats.
 #if defined(GSKNN_BUILD_AVX2)
 
 #include "micro_simd.hpp"
@@ -9,7 +9,9 @@ namespace gsknn::core {
 template <typename T>
 MicroKernelT<T> micro_avx2(Norm norm) {
   if constexpr (std::is_same_v<T, double>) {
-    return micro_table<simd::Avx2F64, 2, 4>(norm);
+    using V = simd::Avx2F64;
+    constexpr TileShape t = f64_tile(SimdLevel::kAvx2);
+    return micro_table<V, t.mr / V::kLanes, t.nr>(norm);
   } else {
     return micro_table<simd::Avx2F32, 1, 8>(norm);
   }

@@ -36,7 +36,7 @@ struct Shape {
 };
 
 /// Deliberately off every tile grid this build can dispatch to: the double
-/// kernels tile 8×4 or 16×4, the float kernels 8×8 or 16×8, and the forced
+/// kernels tile 8×4 or 16×8, the float kernels 8×8 or 16×8, and the forced
 /// blocking below uses d_c = 8. None of these m/n/d are multiples of any of
 /// those, so every loop level ends in a partial tile.
 const Shape kEdgeShapes[] = {
@@ -45,8 +45,9 @@ const Shape kEdgeShapes[] = {
 };
 
 /// Forced tiny blocking (dc=8, mc=16, nc=12) so the jc/pc/ic loops all
-/// iterate even on these small shapes; the driver substitutes the kernel's
-/// own m_r/n_r.
+/// iterate even on these small shapes. Its 8×4 tile pins the dispatch to the
+/// kernel with that tile (AVX2 or scalar for double, scalar for float); the
+/// wider AVX-512 tiles are covered by EdgeTileDefaultBlocking below.
 KnnConfig edge_config(Variant v) {
   KnnConfig cfg;
   cfg.variant = v;

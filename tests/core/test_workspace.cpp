@@ -10,6 +10,8 @@
 #include <numeric>
 #include <vector>
 
+#include "../../src/blas/ukernel.hpp"
+#include "../../src/core/micro.hpp"
 #include "gsknn/common/telemetry.hpp"
 #include "gsknn/core/knn.hpp"
 #include "gsknn/data/generators.hpp"
@@ -315,6 +317,25 @@ TEST(WorkspacePlan, AutoLargeKFootprintBoundedByNc) {
   EXPECT_LE(plan.total_bytes(), 2 * static_cast<std::size_t>(m) *
                                     static_cast<std::size_t>(nc) *
                                     sizeof(double));
+}
+
+// default_blocking() must name the tile dispatch picks at every level: a
+// caller that passes it as explicit blocking (a Server's options, autotune's
+// candidates, the benches) otherwise gets kBadConfig. The GEMM reference
+// shares the tile.
+TEST(BlockingFollowsDispatch, DefaultBlockingMatchesKernelTiles) {
+  const SimdLevel best = cpu_features().best_level();
+  for (SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (level > best) continue;
+    const BlockingParams b = default_blocking(level);
+    const auto mk = core::select_micro<double>(level, Norm::kL2Sq);
+    const auto uk = blas::select_ukernel<double>(level);
+    EXPECT_EQ(b.mr, mk.mr) << "level " << static_cast<int>(level);
+    EXPECT_EQ(b.nr, mk.nr) << "level " << static_cast<int>(level);
+    EXPECT_EQ(b.mr, uk.mr) << "level " << static_cast<int>(level);
+    EXPECT_EQ(b.nr, uk.nr) << "level " << static_cast<int>(level);
+  }
 }
 
 }  // namespace

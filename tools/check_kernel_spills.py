@@ -11,11 +11,20 @@ nonzero if any depth loop spills. Run it on a Release build:
 
     tools/check_kernel_spills.py build/src/core/CMakeFiles/gsknn_core.dir/micro_avx*.o \\
         build/src/blas/CMakeFiles/gsknn_blas.dir/ukernel_avx*.o
+
+The `kernel_spills` CTest runs it that way with `--config <build type>`: it
+then exits 77 (skipped) unless the build type is Release, since only
+optimized code keeps the tile in registers, and also when objdump is
+missing. Arguments holding ';'-separated lists are split.
 """
 
+import argparse
 import re
+import shutil
 import subprocess
 import sys
+
+SKIP = 77
 
 FUNC = re.compile(r"^([0-9a-f]+) <(.*)>:$")
 INSN = re.compile(r"^\s+([0-9a-f]+):\s+(.*)$")
@@ -55,7 +64,19 @@ def depth_loop(insns):
     return [t for lo, hi in inner for a, t in insns if lo <= a <= hi]
 
 
-def main(objs):
+def main(argv):
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--config", help="build type; skip unless Release")
+    ap.add_argument("objs", nargs="+")
+    args = ap.parse_args(argv)
+    if args.config is not None and args.config != "Release":
+        print(f"check_kernel_spills: skipped, {args.config or 'no'} build "
+              "type (Release only)")
+        return SKIP
+    if shutil.which("objdump") is None:
+        print("check_kernel_spills: skipped, objdump not found")
+        return SKIP
+    objs = [o for arg in args.objs for o in arg.split(";") if o]
     bad = checked = 0
     for obj in objs:
         for name, insns in functions(obj).items():
