@@ -207,5 +207,180 @@ TEST(TraceKernelTest, KernelEmitsSpans) {
   std::remove(path.c_str());
 }
 
+// ---- producer contract -----------------------------------------------------
+//
+// Every kernel layer reports one call through two sinks at once: the spans a
+// TraceSink records and the KernelProfile's phase times. The cases below pin
+// both for each producer — the exact span list (phase name and a/b args) at
+// threads = 1 with fixed blocking, which phases carry time, that the
+// attributed phases fit inside the wall, and that the PMU flag follows the
+// host.
+
+/// Every X span of `sink` as `name{args}` (args as serialized), sorted.
+std::vector<std::string> span_list(const TraceSink& sink) {
+  const std::string j = sink.to_json();
+  std::vector<std::string> out;
+  const std::string x = "\"ph\":\"X\"";
+  for (std::size_t at = j.find(x); at != std::string::npos;
+       at = j.find(x, at + 1)) {
+    const std::size_t open = j.rfind('{', at);
+    const std::size_t name = j.find("\"name\":\"", open) + 8;
+    std::string s = j.substr(name, j.find('"', name) - name);
+    const std::size_t end = j.find('}', at);
+    const std::size_t args = j.find("\"args\":", at);
+    if (args != std::string::npos && args < end) {
+      s += j.substr(args + 7, j.find('}', args) - args - 6);
+    }
+    out.push_back(s);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::string span(const char* name, const char* a, int av, const char* b,
+                 int bv) {
+  return std::string(name) + "{\"" + a + "\":" + std::to_string(av) + ",\"" +
+         b + "\":" + std::to_string(bv) + "}";
+}
+
+/// The small cache blocks every contract case runs with: two jc panels, two
+/// depth blocks and two query blocks on the base shape below.
+BlockingParams contract_blocking() {
+  BlockingParams bp = default_blocking(cpu_features().best_level());
+  bp.nc = 128;
+  bp.dc = 8;
+  bp.mc = 32;
+  return bp;
+}
+
+/// The spans one single-threaded fused kernel call over m × n (dimension d)
+/// records with contract_blocking(): pack_r per (jc, pc), pack_q and micro
+/// per (jc, pc, ic), and the Var#5/Var#6 row selection.
+void add_kernel_spans(std::vector<std::string>& out, int m, int n, int d,
+                      Variant v) {
+  const BlockingParams bp = contract_blocking();
+  for (int jc = 0; jc < n; jc += bp.nc) {
+    for (int pc = 0; pc < d; pc += bp.dc) {
+      out.push_back(span("pack_r", "jc", jc, "pc", pc));
+      for (int ic = 0; ic < m; ic += bp.mc) {
+        out.push_back(span("pack_q", "ic", ic, "pc", pc));
+        out.push_back(span("micro", "ic", ic, "jc", jc));
+      }
+    }
+    if (v == Variant::kVar5) out.push_back("select{\"jc\":" + std::to_string(jc) + "}");
+  }
+  if (v == Variant::kVar6) out.push_back("select");
+}
+
+/// Phases with non-zero time in `prof`, by name.
+std::vector<std::string> timed_phases(const telemetry::KernelProfile& prof) {
+  std::vector<std::string> out;
+  for (int p = 0; p < telemetry::kPhaseCount; ++p) {
+    if (prof.phase_seconds[p] > 0.0) {
+      out.emplace_back(telemetry::phase_name(static_cast<Phase>(p)));
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+class ProducerContract : public ::testing::Test {
+ protected:
+  static constexpr int kM = 64, kN = 256, kD = 16, kK = 8;
+
+  void SetUp() override {
+    X_ = make_uniform(kD, kM + kN, 0xC0DE);
+    q_.resize(kM);
+    r_.resize(kN);
+    std::iota(q_.begin(), q_.end(), 0);
+    std::iota(r_.begin(), r_.end(), kM);
+    cfg_.threads = 1;
+    cfg_.blocking = contract_blocking();
+    cfg_.profile = &prof_;
+    cfg_.trace = &sink_;
+  }
+
+  /// The checks every producer shares once the spans and phases match.
+  void expect_contract(std::vector<std::string> spans,
+                       std::vector<std::string> phases) {
+    std::sort(spans.begin(), spans.end());
+    std::sort(phases.begin(), phases.end());
+    EXPECT_EQ(span_list(sink_), spans);
+    EXPECT_EQ(timed_phases(prof_), phases);
+    EXPECT_GT(prof_.wall_seconds, 0.0);
+    EXPECT_LE(prof_.phase_total(), prof_.wall_seconds);
+    EXPECT_EQ(prof_.pmu_enabled, telemetry::pmu_available());
+  }
+
+  PointTable X_;
+  std::vector<int> q_, r_;
+  KnnConfig cfg_;
+  telemetry::KernelProfile prof_;
+  TraceSink sink_{256};
+};
+
+TEST_F(ProducerContract, KernelVar1) {
+  cfg_.variant = Variant::kVar1;
+  NeighborTable t(kM, kK);
+  knn_kernel(X_, q_, r_, t, cfg_);
+  std::vector<std::string> spans;
+  add_kernel_spans(spans, kM, kN, kD, Variant::kVar1);
+  expect_contract(spans, {"pack_q", "pack_r", "micro"});
+}
+
+TEST_F(ProducerContract, KernelVar6) {
+  cfg_.variant = Variant::kVar6;
+  NeighborTable t(kM, kK);
+  knn_kernel(X_, q_, r_, t, cfg_);
+  std::vector<std::string> spans;
+  add_kernel_spans(spans, kM, kN, kD, Variant::kVar6);
+  expect_contract(spans, {"pack_q", "pack_r", "micro", "select"});
+}
+
+TEST_F(ProducerContract, GemmBaseline) {
+  NeighborTable t(kM, kK);
+  knn_gemm_baseline(X_, q_, r_, t, cfg_);
+  expect_contract({span("collect", "m", kM, "n", kN),
+                   span("micro", "ic", kM, "jc", kN),
+                   span("sq2d", "m", kM, "n", kN),
+                   span("select", "ic", kM, "jc", kN)},
+                  {"collect", "micro", "sq2d", "select"});
+}
+
+TEST_F(ProducerContract, ParallelRefs) {
+  constexpr int kThreads = 4;
+  if (resolve_threads(kThreads) < kThreads) {
+    GTEST_SKIP() << "no OpenMP: parallel_refs runs the plain kernel";
+  }
+  cfg_.threads = kThreads;
+  NeighborTable t(kM, kK);
+  knn_kernel_parallel_refs(X_, q_, r_, t, cfg_);
+  // Each worker runs the single-threaded kernel over its kN / 4 slice; the
+  // merge records one span per team thread.
+  std::vector<std::string> spans;
+  for (int w = 0; w < kThreads; ++w) {
+    add_kernel_spans(spans, kM, kN / kThreads, kD, Variant::kVar1);
+    spans.push_back("merge");
+  }
+  expect_contract(spans, {"pack_q", "pack_r", "micro", "merge"});
+}
+
+TEST_F(ProducerContract, Batch) {
+  // Two tasks on disjoint rows of one table, different shapes.
+  NeighborTable t(kM, kK);
+  const std::span<const int> q(q_), r(r_);
+  std::vector<int> rows1(kM / 2);
+  std::iota(rows1.begin(), rows1.end(), kM / 2);
+  const KnnTask tasks[] = {
+      {q.first(kM / 2), r.first(kN / 2), &t, {}},
+      {q.last(kM / 2), r, &t, rows1},
+  };
+  knn_batch(X_, tasks, kK, cfg_);
+  std::vector<std::string> spans;
+  add_kernel_spans(spans, kM / 2, kN / 2, kD, Variant::kVar1);
+  add_kernel_spans(spans, kM / 2, kN, kD, Variant::kVar1);
+  expect_contract(spans, {"pack_q", "pack_r", "micro"});
+}
+
 }  // namespace
 }  // namespace gsknn
