@@ -74,7 +74,7 @@ int main() {
 
   // Scheduler quality: model-estimated makespan, LPT vs round-robin.
   {
-    const model::MachineParams mp{};
+    const model::MachineParams& mp = model::machine();
     const BlockingParams bp = default_blocking(cpu_features().best_level());
     std::vector<double> est;
     for (const auto& g : groups) {

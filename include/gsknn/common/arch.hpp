@@ -33,8 +33,8 @@ struct CpuFeatures {
   bool avx512f = false;
 
   /// Highest level usable by this build *and* this machine. The environment
-  /// overrides GSKNN_FORCE_SCALAR=1 and GSKNN_MAX_SIMD=avx2|avx512|scalar
-  /// cap it (tests and A/B comparisons).
+  /// override GSKNN_MAX_SIMD=avx2|avx512|scalar caps it (tests and A/B
+  /// comparisons).
   SimdLevel best_level() const;
 };
 
@@ -115,9 +115,5 @@ BlockingParams derive_blocking(int mr, int nr, int elem_bytes);
 
 /// Human-readable one-line description (for bench headers).
 std::string arch_summary();
-
-/// Environment override: set GSKNN_FORCE_SCALAR=1 to disable vector kernels
-/// (used by tests to compare code paths). Evaluated once.
-bool force_scalar();
 
 }  // namespace gsknn

@@ -58,8 +58,7 @@ struct PmuCounts {
     }
     return out;
   }
-  /// Element-wise accumulation (drivers total sub-phase deltas with this
-  /// before subtracting them from an enclosing phase's delta).
+  /// Element-wise accumulation.
   void accumulate(const PmuCounts& d) {
     for (int i = 0; i < kPmuEventCount; ++i) v[i] += d.v[i];
   }

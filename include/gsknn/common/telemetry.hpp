@@ -31,6 +31,7 @@
 // (total CPU spent), and counters the SUM (they are exact work tallies).
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -91,16 +92,8 @@ struct alignas(64) ThreadCounters {
   /// recorded by this thread's PmuGroup; all zero when perf is unavailable.
   std::uint64_t pmu[kPhaseCount][kPmuEventCount] = {};
 
-  void add_phase(Phase p, double seconds) {
-    phase[static_cast<int>(p)] += seconds;
-  }
   void add(Counter c, std::uint64_t v) { counter[static_cast<int>(c)] += v; }
   void sub(Counter c, std::uint64_t v) { counter[static_cast<int>(c)] -= v; }
-  void add_pmu(Phase p, const PmuCounts& delta) {
-    for (int i = 0; i < kPmuEventCount; ++i) {
-      pmu[static_cast<int>(p)][i] += delta.v[i];
-    }
-  }
 };
 
 /// Aggregated profile of one or more kernel invocations. Kernels *accumulate*
@@ -190,26 +183,84 @@ struct KernelProfile {
   std::string format_table() const;
 };
 
-/// Driver-side recording helper. Inactive (null sink) recorders make every
-/// operation a no-op so the hot paths stay branch-cheap:
+class TraceSink;
+
+/// One phase bracket: the single place a kernel layer measures a phase.
+/// Each end reads only the clocks its sinks need (steady clock and PMU
+/// group for a profile slot, the trace clock for a TraceSink) and close()
+/// records the phase once into each. next() closes the phase and opens the
+/// following one at the same reading. With no sink nothing is read; a span
+/// that is never closed records nothing.
+class PhaseSpan {
+ public:
+  PhaseSpan(ThreadCounters* slot, bool pmu, TraceSink* trace, Phase p,
+            int a = -1, int b = -1)
+      : slot_(slot), trace_(trace), pmu_(pmu && slot != nullptr) {
+    if (on()) open(p, a, b);
+  }
+  PhaseSpan(const PhaseSpan&) = delete;
+  PhaseSpan& operator=(const PhaseSpan&) = delete;
+
+  void next(Phase p, int a = -1, int b = -1) {
+    if (on()) open(p, a, b);
+  }
+  void close() {
+    if (on()) open(Phase::kNumPhases, -1, -1);
+  }
+
+ private:
+  struct Reading {
+    std::chrono::steady_clock::time_point wall;
+    std::uint64_t ticks = 0;
+    PmuCounts pmu;
+    bool pmu_ok = false;
+  };
+  bool on() const { return slot_ != nullptr || trace_ != nullptr; }
+  /// Read, record the open phase up to the reading, then open `p` from it
+  /// (kNumPhases: close for good).
+  void open(Phase p, int a, int b);
+
+  ThreadCounters* slot_;
+  TraceSink* trace_;
+  bool pmu_;
+  Phase phase_ = Phase::kNumPhases;  ///< the open phase; kNumPhases = none
+  int a_ = -1, b_ = -1;
+  Reading start_;
+};
+
+/// Per-call recording context: the thread slots, wall clock and trace sink
+/// of one kernel-layer call. Inactive (null profile sink) recorders allocate
+/// nothing and read no clock; their spans only trace, if a sink is given.
 ///
-///   Recorder rec(cfg.profile, threads);
-///   const bool prof = rec.active();
-///   ... if (prof) { t.start(); } ... if (prof) rec.slot(tid).add_phase(...);
-///   rec.aggregate(wall.seconds());
+///   Recorder rec(cfg.profile, threads, cfg.trace);
+///   PhaseSpan s = rec.span(tid, Phase::kPackQ, ic, pc);
+///   ... pack ...  s.next(Phase::kMicro, ic, jc);  ... micro ...  s.close();
+///   finish_profile(rec, call);  // src/core/profile.hpp
 class Recorder {
  public:
   /// `sink == nullptr` produces an inactive recorder (no allocation).
-  Recorder(KernelProfile* sink, int threads);
+  Recorder(KernelProfile* sink, int threads, TraceSink* trace = nullptr);
   ~Recorder();
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
 
   bool active() const { return sink_ != nullptr; }
-  int threads() const { return threads_; }
+  KernelProfile* sink() const { return sink_; }
 
-  /// Thread tid's private slot; valid for tid in [0, threads).
-  ThreadCounters& slot(int tid) { return slots_[tid]; }
+  /// Thread tid's private slot (tid in [0, threads)); null when inactive.
+  ThreadCounters* slot(int tid) { return active() ? &slots_[tid] : nullptr; }
+
+  /// Open phase p on thread tid.
+  PhaseSpan span(int tid, Phase p, int a = -1, int b = -1) {
+    return PhaseSpan(slot(tid), pmu_, trace_, p, a, b);
+  }
+
+  /// Add a single-threaded worker kernel's profile to slot tid.
+  void absorb(int tid, const KernelProfile& worker);
+  /// Max across slots of phase p's seconds (the critical-path estimate).
+  double phase_seconds(Phase p) const;
+  /// Seconds since construction (0 when inactive).
+  double wall_seconds() const;
 
   /// Reduce the slots into the sink (max-of-threads phase times, summed
   /// thread-seconds and counters) and add `wall_seconds` and one invocation.
@@ -218,8 +269,11 @@ class Recorder {
 
  private:
   KernelProfile* sink_ = nullptr;
+  TraceSink* trace_ = nullptr;
   ThreadCounters* slots_ = nullptr;
   int threads_ = 0;
+  bool pmu_ = false;
+  std::chrono::steady_clock::time_point t0_;
 };
 
 /// Name of a SimdLevel integer as stored in KernelProfile::simd_level.

@@ -186,9 +186,9 @@ Status knn_kernel_status(const PointTableF& X, std::span<const int> qidx,
                          std::span<const int> result_rows = {});
 
 /// Phase breakdown of the GEMM baseline (Table 5's Tcoll/Tgemm/Tsq2d/Theap).
-/// Thin legacy shim over the unified telemetry: the baseline now times
-/// itself through telemetry::KernelProfile (phases kCollect/kMicro/kSq2d/
-/// kSelect) and this view is derived from that profile.
+/// Thin legacy shim over the unified telemetry: the baseline times itself
+/// through telemetry phase spans (kCollect/kMicro/kSq2d/kSelect) and this
+/// view holds the call's phase seconds, as its profile reports them.
 struct BaselineBreakdown {
   double t_collect = 0.0;  ///< gathering Q, R (and norms) from X
   double t_gemm = 0.0;     ///< the −2·QᵀR GEMM call
@@ -202,16 +202,6 @@ struct BaselineBreakdown {
   /// "not measured".
   bool counters_enabled = false;
   double total() const { return t_collect + t_gemm + t_sq2d + t_heap; }
-
-  static BaselineBreakdown from_profile(const telemetry::KernelProfile& p) {
-    BaselineBreakdown bd;
-    bd.t_collect = p.phase(telemetry::Phase::kCollect);
-    bd.t_gemm = p.phase(telemetry::Phase::kMicro);
-    bd.t_sq2d = p.phase(telemetry::Phase::kSq2d);
-    bd.t_heap = p.phase(telemetry::Phase::kSelect);
-    bd.counters_enabled = p.counters_enabled;
-    return bd;
-  }
 };
 
 /// Algorithm 2.1: collect Q/R, C = −2·QᵀR via blas::dgemm, add norms, then

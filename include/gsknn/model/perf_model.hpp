@@ -19,6 +19,10 @@
 
 #include "gsknn/common/arch.hpp"
 
+namespace gsknn {
+enum class Variant;  // gsknn/core/knn.hpp
+}
+
 namespace gsknn::model {
 
 struct MachineParams {
@@ -32,6 +36,11 @@ struct MachineParams {
 /// replaying the paper's own predictions.
 MachineParams paper_params_1core();
 MachineParams paper_params_10core();
+
+/// The parameters every library consumer prices with (kernel profiles,
+/// the drift samples, the batch scheduler, server admission, the diag
+/// bundle, autotune): the paper's 1-core constants, MachineParams{}.
+const MachineParams& machine();
 
 /// Streaming-bandwidth peak implied by tau_b, in GB/s (8 bytes per double
 /// every tau_b seconds). The roofline reporter uses this as the memory
@@ -55,6 +64,11 @@ enum class Method {
   kVar6,          ///< fused packing, selection after the full distance matrix
   kGemmBaseline,  ///< Algorithm 2.1: collect Q/R + GEMM + norms + selection
 };
+
+/// The method that prices a resolved selection variant: Var#1 selects
+/// inside the micro-kernel; Var#5 and Var#6 select finished rows and are
+/// priced as Var#6.
+Method method_for(Variant v);
 
 /// Floating-point time Tf: (2d + 3)·m·n flops (rank-d update + norm finish).
 double time_flops(const ProblemShape& s, const MachineParams& mp);

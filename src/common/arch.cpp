@@ -97,7 +97,6 @@ SimdLevel max_simd_cap() {
 }  // namespace
 
 SimdLevel CpuFeatures::best_level() const {
-  if (force_scalar()) return SimdLevel::kScalar;
   const SimdLevel cap = max_simd_cap();
 #if defined(GSKNN_BUILD_AVX512)
   if (avx512f && fma && cap >= SimdLevel::kAvx512) return SimdLevel::kAvx512;
@@ -116,14 +115,6 @@ const CpuFeatures& cpu_features() {
 const CacheInfo& cache_info() {
   static const CacheInfo c = detect_caches();
   return c;
-}
-
-bool force_scalar() {
-  static const bool v = [] {
-    const char* e = std::getenv("GSKNN_FORCE_SCALAR");
-    return e != nullptr && e[0] == '1';
-  }();
-  return v;
 }
 
 BlockingParams derive_blocking(int mr, int nr, int elem_bytes) {

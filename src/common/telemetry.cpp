@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "gsknn/common/trace.hpp"
+
 namespace gsknn::telemetry {
 
 namespace {
@@ -343,24 +345,80 @@ std::string KernelProfile::format_table() const {
   return out;
 }
 
-Recorder::Recorder(KernelProfile* sink, int threads)
-    : sink_(sink), threads_(threads < 1 ? 1 : threads) {
+void PhaseSpan::open(Phase p, int a, int b) {
+  Reading now;
+  if (slot_ != nullptr) now.wall = std::chrono::steady_clock::now();
+  if (pmu_) now.pmu_ok = PmuGroup::this_thread().read(now.pmu);
+  if (trace_ != nullptr) now.ticks = trace_now();
+  if (phase_ != Phase::kNumPhases) {
+    if (trace_ != nullptr) {
+      trace_->record(phase_, start_.ticks, now.ticks, a_, b_);
+    }
+    if (slot_ != nullptr) {
+      const int i = static_cast<int>(phase_);
+      slot_->phase[i] +=
+          std::chrono::duration<double>(now.wall - start_.wall).count();
+      if (start_.pmu_ok && now.pmu_ok) {
+        const PmuCounts delta = now.pmu.delta_since(start_.pmu);
+        for (int e = 0; e < kPmuEventCount; ++e) slot_->pmu[i][e] += delta.v[e];
+      }
+    }
+  }
+  if (p == Phase::kNumPhases) {
+    slot_ = nullptr;
+    trace_ = nullptr;
+    return;
+  }
+  phase_ = p;
+  a_ = a;
+  b_ = b;
+  start_ = now;
+}
+
+Recorder::Recorder(KernelProfile* sink, int threads, TraceSink* trace)
+    : sink_(sink), trace_(trace), threads_(threads < 1 ? 1 : threads) {
   if (sink_ != nullptr) {
     slots_ = new ThreadCounters[static_cast<std::size_t>(threads_)]();
+    pmu_ = pmu_available();
+    t0_ = std::chrono::steady_clock::now();
   }
 }
 
 Recorder::~Recorder() { delete[] slots_; }
 
+void Recorder::absorb(int tid, const KernelProfile& worker) {
+  if (sink_ == nullptr) return;
+  ThreadCounters& s = slots_[tid];
+  for (int p = 0; p < kPhaseCount; ++p) {
+    s.phase[p] += worker.phase_seconds[p];
+    for (int e = 0; e < kPmuEventCount; ++e) {
+      s.pmu[p][e] += worker.phase_pmu[p][e];
+    }
+  }
+  for (int c = 0; c < kCounterCount; ++c) s.counter[c] += worker.counters[c];
+  sink_->counters_enabled = sink_->counters_enabled || worker.counters_enabled;
+}
+
+double Recorder::phase_seconds(Phase p) const {
+  double mx = 0.0;
+  for (int t = 0; sink_ != nullptr && t < threads_; ++t) {
+    mx = std::max(mx, slots_[t].phase[static_cast<int>(p)]);
+  }
+  return mx;
+}
+
+double Recorder::wall_seconds() const {
+  if (sink_ == nullptr) return 0.0;
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
+      .count();
+}
+
 void Recorder::aggregate(double wall_seconds) {
   if (sink_ == nullptr) return;
   for (int p = 0; p < kPhaseCount; ++p) {
-    double mx = 0.0, sum = 0.0;
-    for (int t = 0; t < threads_; ++t) {
-      mx = std::max(mx, slots_[t].phase[p]);
-      sum += slots_[t].phase[p];
-    }
-    sink_->phase_seconds[p] += mx;
+    double sum = 0.0;
+    for (int t = 0; t < threads_; ++t) sum += slots_[t].phase[p];
+    sink_->phase_seconds[p] += phase_seconds(static_cast<Phase>(p));
     sink_->phase_thread_seconds[p] += sum;
   }
   for (int c = 0; c < kCounterCount; ++c) {
@@ -378,6 +436,7 @@ void Recorder::aggregate(double wall_seconds) {
       sink_->phase_pmu[p][e] += sum;
     }
   }
+  sink_->pmu_enabled = sink_->pmu_enabled || pmu_;
   sink_->wall_seconds += wall_seconds;
   sink_->invocations += 1;
 }

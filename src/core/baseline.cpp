@@ -17,14 +17,11 @@
 #include "gsknn/blas/gemm.hpp"
 #include "gsknn/common/aligned.hpp"
 #include "gsknn/common/metrics.hpp"
-#include "gsknn/common/pmu.hpp"
 #include "gsknn/common/threads.hpp"
-#include "gsknn/common/timer.hpp"
-#include "gsknn/common/trace.hpp"
 #include "gsknn/core/entry_metrics.hpp"
 #include "gsknn/core/knn.hpp"
-#include "gsknn/model/perf_model.hpp"
 #include "gsknn/select/select.hpp"
+#include "profile.hpp"
 
 namespace gsknn {
 
@@ -56,36 +53,20 @@ void gemm_baseline_impl(const PointTable& X, std::span<const int> qidx,
     return result_rows.empty() ? i : result_rows[static_cast<std::size_t>(i)];
   };
 
-  // All four Table-5 phases are timed into the unified telemetry profile;
-  // the legacy BaselineBreakdown view is derived from it at the end. The
-  // phases run (or are orchestrated) from this thread, so master-side wall
-  // timing per phase is exact — no per-thread recorder needed.
-  telemetry::KernelProfile prof;
-  WallTimer wall_timer;
-  WallTimer t;
-  const auto record = [&prof](telemetry::Phase ph, double secs) {
-    prof.phase_seconds[static_cast<int>(ph)] += secs;
-    prof.phase_thread_seconds[static_cast<int>(ph)] += secs;
-  };
-  // PMU/trace instrumentation mirrors the fused driver: counter deltas are
-  // attributed at the same boundaries as the timers. Workers in the parallel
-  // phases read their own thread-pinned groups and merge under a critical
-  // (once per phase per thread — not hot).
-  const bool pmu_on = cfg.profile != nullptr && telemetry::pmu_available();
-  telemetry::TraceSink* const trace = cfg.trace;
-  const auto record_pmu = [&prof](telemetry::Phase ph,
-                                  const telemetry::PmuCounts& delta) {
-    for (int e = 0; e < telemetry::kPmuEventCount; ++e) {
-      prof.phase_pmu[static_cast<int>(ph)][e] += delta.v[e];
-    }
-  };
+  // The four Table-5 phases are spans of one recorder: collect and the
+  // GEMM on this thread, the finish and selection passes on each worker
+  // (written as parallel + for-nowait so each worker's span ends when its
+  // chunk does — load imbalance shows up on the timeline). A breakdown-only
+  // call still times its phases, into a local sink.
+  const int threads = resolve_threads(cfg.threads);
+  telemetry::KernelProfile local;
+  telemetry::Recorder rec(
+      cfg.profile != nullptr ? cfg.profile
+                             : (breakdown != nullptr ? &local : nullptr),
+      threads, cfg.trace);
 
   // Phase 1 — collect: gather Q (d×m), R (d×n) and the norms from X.
-  t.start();
-  telemetry::PmuCounts mc0;
-  std::uint64_t mt0 = 0;
-  if (pmu_on) telemetry::PmuGroup::this_thread().read(mc0);
-  if (trace != nullptr) mt0 = telemetry::trace_now();
+  telemetry::PhaseSpan span = rec.span(0, telemetry::Phase::kCollect, m, n);
   AlignedBuffer<double> q(static_cast<std::size_t>(d) * m);
   AlignedBuffer<double> r(static_cast<std::size_t>(d) * n);
   AlignedBuffer<double> q2(static_cast<std::size_t>(m));
@@ -102,51 +83,23 @@ void gemm_baseline_impl(const PointTable& X, std::span<const int> qidx,
     for (int p = 0; p < d; ++p) dst[p] = src[p];
     r2[static_cast<std::size_t>(j)] = X.norms2()[ridx[static_cast<std::size_t>(j)]];
   }
-  record(telemetry::Phase::kCollect, t.seconds());
-  if (trace != nullptr) {
-    const std::uint64_t now = telemetry::trace_now();
-    trace->record(telemetry::Phase::kCollect, mt0, now, m, n);
-    mt0 = now;
-  }
-  if (pmu_on) {
-    telemetry::PmuCounts mc1;
-    if (telemetry::PmuGroup::this_thread().read(mc1)) {
-      record_pmu(telemetry::Phase::kCollect, mc1.delta_since(mc0));
-      mc0 = mc1;
-    }
-  }
 
   // Phase 2 — GEMM: Cᵀ(n×m) = α·RᵀQ (α = −2 for ℓ2, 1 for cosine), so
   // query i's distances are the contiguous column C[:, i].
-  t.start();
+  span.next(telemetry::Phase::kMicro, m, n);
   AlignedBuffer<double> c(static_cast<std::size_t>(n) * m);
   blas::dgemm(blas::Trans::kYes, blas::Trans::kNo, n, m, d,
               cosine ? 1.0 : -2.0, r.data(), d, q.data(), d, 0.0, c.data(), n);
-  record(telemetry::Phase::kMicro, t.seconds());
-  if (trace != nullptr) {
-    trace->record(telemetry::Phase::kMicro, mt0, telemetry::trace_now(), m, n);
-  }
-  if (pmu_on) {
-    telemetry::PmuCounts mc1;
-    if (telemetry::PmuGroup::this_thread().read(mc1)) {
-      record_pmu(telemetry::Phase::kMicro, mc1.delta_since(mc0));
-    }
-  }
+  span.close();
 
   // Phase 3 — finish the distances: ℓ2 adds ‖q_i‖² + ‖r_j‖²; cosine
-  // normalizes by the norms. The worksharing loop is written as parallel +
-  // for-nowait so each worker can bracket its own chunk with PMU reads and a
-  // trace span (the nowait makes per-thread span ends reflect real finish
-  // times — 4th-phase load imbalance shows up on the timeline).
-  t.start();
+  // normalizes by the norms.
 #if defined(GSKNN_HAVE_OPENMP)
-#pragma omp parallel num_threads(resolve_threads(cfg.threads))
+#pragma omp parallel num_threads(threads)
 #endif
   {
-    telemetry::PmuCounts w0;
-    std::uint64_t wt0 = 0;
-    if (pmu_on) telemetry::PmuGroup::this_thread().read(w0);
-    if (trace != nullptr) wt0 = telemetry::trace_now();
+    telemetry::PhaseSpan sq2d =
+        rec.span(thread_id(), telemetry::Phase::kSq2d, m, n);
 #if defined(GSKNN_HAVE_OPENMP)
 #pragma omp for schedule(static) nowait
 #endif
@@ -170,34 +123,17 @@ void gemm_baseline_impl(const PointTable& X, std::span<const int> qidx,
         }
       }
     }
-    if (trace != nullptr) {
-      trace->record(telemetry::Phase::kSq2d, wt0, telemetry::trace_now(), m,
-                    n);
-    }
-    if (pmu_on) {
-      telemetry::PmuCounts w1;
-      if (telemetry::PmuGroup::this_thread().read(w1)) {
-        const telemetry::PmuCounts delta = w1.delta_since(w0);
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp critical(gsknn_baseline_pmu)
-#endif
-        record_pmu(telemetry::Phase::kSq2d, delta);
-      }
-    }
+    sq2d.close();
   }
-  record(telemetry::Phase::kSq2d, t.seconds());
 
   // Phase 4 — selection: STL max-heap per query row.
-  t.start();
 #if defined(GSKNN_HAVE_OPENMP)
-#pragma omp parallel num_threads(resolve_threads(cfg.threads))
+#pragma omp parallel num_threads(threads)
 #endif
   {
     SelectScratch scratch;
-    telemetry::PmuCounts w0;
-    std::uint64_t wt0 = 0;
-    if (pmu_on) telemetry::PmuGroup::this_thread().read(w0);
-    if (trace != nullptr) wt0 = telemetry::trace_now();
+    telemetry::PhaseSpan select =
+        rec.span(thread_id(), telemetry::Phase::kSelect, m, n);
 #if defined(GSKNN_HAVE_OPENMP)
 #pragma omp for schedule(static) nowait
 #endif
@@ -218,46 +154,23 @@ void gemm_baseline_impl(const PointTable& X, std::span<const int> qidx,
         }
       }
     }
-    if (trace != nullptr) {
-      trace->record(telemetry::Phase::kSelect, wt0, telemetry::trace_now(), m,
-                    n);
-    }
-    if (pmu_on) {
-      telemetry::PmuCounts w1;
-      if (telemetry::PmuGroup::this_thread().read(w1)) {
-        const telemetry::PmuCounts delta = w1.delta_since(w0);
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp critical(gsknn_baseline_pmu)
-#endif
-        record_pmu(telemetry::Phase::kSelect, delta);
-      }
-    }
+    select.close();
   }
-  record(telemetry::Phase::kSelect, t.seconds());
 
-  prof.algorithm = "gemm_baseline";
-  prof.precision = "f64";
-  prof.m = m;
-  prof.n = n;
-  prof.d = d;
-  prof.k = k;
-  prof.threads = resolve_threads(cfg.threads);
-  prof.simd_level = static_cast<int>(cpu_features().best_level());
-  prof.blocking = default_blocking(cpu_features().best_level());
-  prof.wall_seconds = wall_timer.seconds();
-  prof.invocations = 1;
-  {
-    static const model::MachineParams mp{};
-    const model::ProblemShape shape{m, n, d, k};
-    prof.model_gflops = model::predicted_gflops(model::Method::kGemmBaseline,
-                                                shape, mp, prof.blocking);
-    prof.peak_gflops = mp.peak_flops / 1e9;
-    prof.peak_gbs = model::peak_stream_gbs(mp);
+  if (breakdown != nullptr) {
+    breakdown->t_collect = rec.phase_seconds(telemetry::Phase::kCollect);
+    breakdown->t_gemm = rec.phase_seconds(telemetry::Phase::kMicro);
+    breakdown->t_sq2d = rec.phase_seconds(telemetry::Phase::kSq2d);
+    breakdown->t_heap = rec.phase_seconds(telemetry::Phase::kSelect);
+    breakdown->counters_enabled = false;  // the baseline counts no work
   }
-  prof.pmu_enabled = pmu_on;
-
-  if (cfg.profile != nullptr) cfg.profile->merge(prof);
-  if (breakdown != nullptr) *breakdown = BaselineBreakdown::from_profile(prof);
+  const SimdLevel level = cpu_features().best_level();
+  core::finish_profile(rec, {.algorithm = "gemm_baseline",
+                             .shape = {m, n, d, k},
+                             .threads = threads,
+                             .level = level,
+                             .blocking = default_blocking(level),
+                             .method = model::Method::kGemmBaseline});
 }
 
 }  // namespace

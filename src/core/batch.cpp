@@ -21,10 +21,10 @@
 #include "gsknn/common/metrics.hpp"
 #include "gsknn/common/telemetry.hpp"
 #include "gsknn/common/threads.hpp"
-#include "gsknn/common/timer.hpp"
 #include "gsknn/core/entry_metrics.hpp"
 #include "gsknn/core/knn.hpp"
 #include "gsknn/model/perf_model.hpp"
+#include "profile.hpp"
 
 namespace gsknn {
 
@@ -89,10 +89,10 @@ Status knn_batch_impl(const PointTable& X, std::span<const KnnTask> tasks,
   }
 
   // Estimate per-task runtimes with the performance model.
-  static const model::MachineParams mp{};
-  const BlockingParams bp =
-      cfg.blocking.value_or(default_blocking(cpu_features().best_level()));
+  const SimdLevel level = cpu_features().best_level();
+  const BlockingParams bp = cfg.blocking.value_or(default_blocking(level));
   std::vector<double> est(static_cast<std::size_t>(t));
+  double queries = 0.0, pairs = 0.0;
   for (int i = 0; i < t; ++i) {
     const auto& task = tasks[static_cast<std::size_t>(i)];
     const model::ProblemShape s{static_cast<int>(task.qidx.size()),
@@ -100,16 +100,17 @@ Status knn_batch_impl(const PointTable& X, std::span<const KnnTask> tasks,
                                 k};
     const Variant v = resolve_variant(s.m, s.n, s.d, s.k, cfg);
     est[static_cast<std::size_t>(i)] = model::predicted_time(
-        v == Variant::kVar1 ? model::Method::kVar1 : model::Method::kVar6, s,
-        mp, bp);
+        model::method_for(v), s, model::machine(), bp);
+    queries += s.m;
+    pairs += static_cast<double>(s.m) * s.n;
   }
 
   const std::vector<int> assignment = model::schedule_lpt(est, p);
 
   // Telemetry: per-worker private profiles (workers run concurrently and
-  // must not share the caller's sink), merged after the region.
+  // must not share the caller's sink), finished as their threads' shares.
   const bool prof = (cfg.profile != nullptr);
-  WallTimer wall_timer;
+  telemetry::Recorder rec(cfg.profile, p, cfg.trace);
   std::vector<telemetry::KernelProfile> wprof(
       prof ? static_cast<std::size_t>(p) : 0);
 
@@ -189,16 +190,21 @@ Status knn_batch_impl(const PointTable& X, std::span<const KnnTask> tasks,
     }
   }
 
-  if (prof) {
-    telemetry::KernelProfile combined;
-    for (const auto& wp : wprof) combined.merge(wp);
-    // As with parallel_refs: report the batch's real elapsed time; the
-    // summed phases are total busy time across all task kernels.
-    combined.wall_seconds = wall_timer.seconds();
-    combined.algorithm = "gsknn_batch";
-    combined.threads = p;
-    cfg.profile->merge(combined);
-  }
+  // The batch is one call: m counts its queries and n the references per
+  // query on average, so (2d+3)·m·n is the batch's useful flop count.
+  const model::ProblemShape shape{
+      static_cast<int>(queries),
+      queries > 0.0 ? static_cast<int>(pairs / queries + 0.5) : 0, X.dim(), k};
+  const Variant v = resolve_variant(shape.m, shape.n, shape.d, k, cfg);
+  core::finish_profile(rec,
+                       {.algorithm = "gsknn_batch",
+                        .shape = shape,
+                        .threads = p,
+                        .variant = static_cast<int>(v),
+                        .level = level,
+                        .blocking = bp,
+                        .method = model::method_for(v)},
+                       wprof);
   return static_cast<Status>(stop.load(std::memory_order_acquire));
 }
 

@@ -72,7 +72,6 @@ const char* const kEnvKnobs[] = {
     "GSKNN_SLO_AVAILABILITY", "GSKNN_MAX_WORKSPACE",
     "GSKNN_FAULT",            "GSKNN_PMU",
     "GSKNN_TRACE_RING_KB",    "GSKNN_MAX_SIMD",
-    "GSKNN_FORCE_SCALAR",     "GSKNN_THREADS",
     "GSKNN_BENCH_JSON",       "GSKNN_BENCH_QUICK",
 };
 
@@ -160,7 +159,7 @@ void append_flightrec(std::string& out) {
 /// reference the drift histograms measure against — and the variant kAuto
 /// actually runs there (resolve_variant).
 void append_model(std::string& out) {
-  const model::MachineParams mp{};
+  const model::MachineParams& mp = model::machine();
   const BlockingParams bp = default_blocking(cpu_features().best_level());
   append_fmt(out,
              "\"model\":{\"machine\":{\"peak_flops\":%.9g,\"tau_b\":%.9g,"

@@ -37,11 +37,8 @@
 #include "gsknn/common/fault.hpp"
 #include "gsknn/common/flightrec.hpp"
 #include "gsknn/common/metrics.hpp"
-#include "gsknn/common/pmu.hpp"
 #include "gsknn/common/telemetry.hpp"
 #include "gsknn/common/threads.hpp"
-#include "gsknn/common/timer.hpp"
-#include "gsknn/common/trace.hpp"
 #include "gsknn/common/workspace.hpp"
 #include "gsknn/core/entry_metrics.hpp"
 #include "gsknn/core/knn.hpp"
@@ -50,6 +47,7 @@
 #include "gsknn/model/perf_model.hpp"
 #include "micro.hpp"
 #include "pack.hpp"
+#include "profile.hpp"
 
 namespace gsknn {
 
@@ -332,15 +330,10 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
     }
   }
 
-  // Telemetry: inactive (null sink) recorders cost one predictable branch
-  // per cache block; counters additionally require a GSKNN_PROFILE build.
-  telemetry::Recorder rec(cfg.profile, threads);
-  const bool prof = rec.active();
-  // Hardware-counter attribution piggybacks on the same snapshot points as
-  // the phase timers; trace spans read timestamps only with a sink attached.
-  const bool pmu_on = prof && telemetry::pmu_available();
-  telemetry::TraceSink* const trace = cfg.trace;
-  WallTimer wall_timer;
+  // Telemetry: every phase is one telemetry::PhaseSpan, which reads only
+  // the clocks of the sinks attached (none: one predictable branch per
+  // cache block); counters additionally require a GSKNN_PROFILE build.
+  telemetry::Recorder rec(cfg.profile, threads, cfg.trace);
 
   const auto heap_row = [&](int i) {
     return result_rows.empty() ? i : result_rows[static_cast<std::size_t>(i)];
@@ -447,13 +440,10 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
 #pragma omp parallel num_threads(threads)
 #endif
     {
-      telemetry::ThreadCounters* tc = prof ? &rec.slot(thread_id()) : nullptr;
-      WallTimer sel_timer;
-      telemetry::PmuCounts sc0;
-      std::uint64_t ts0 = 0;
-      if (prof) sel_timer.start();
-      if (pmu_on) telemetry::PmuGroup::this_thread().read(sc0);
-      if (trace != nullptr) ts0 = telemetry::trace_now();
+      const int tid = thread_id();
+      telemetry::ThreadCounters* tc = rec.slot(tid);
+      telemetry::PhaseSpan span =
+          rec.span(tid, telemetry::Phase::kSelect, -1, span_col);
       // The batch scratch reuses this thread's arena, idle between 4th-loop
       // regions. The preamble reserved it; a team thread that missed that
       // reservation reserves here, as the 4th loop does, and if that fails
@@ -487,17 +477,7 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
                    result.row_idset(row), k, stride, arity, cfg.dedup,
                    scratch, tc);
       }
-      if (trace != nullptr) {
-        trace->record(telemetry::Phase::kSelect, ts0, telemetry::trace_now(),
-                      -1, span_col);
-      }
-      if (pmu_on) {
-        telemetry::PmuCounts sc1;
-        if (telemetry::PmuGroup::this_thread().read(sc1)) {
-          tc->add_pmu(telemetry::Phase::kSelect, sc1.delta_since(sc0));
-        }
-      }
-      if (prof) tc->add_phase(telemetry::Phase::kSelect, sel_timer.seconds());
+      span.close();
     }
   };
 
@@ -520,12 +500,9 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
       // Pack phase, reference side: cold packs the slab into the arena and
       // reports its bytes; warm leases the cached block — 0 bytes on a
       // resident hit, which is exactly what kBytesPackedR then records.
-      WallTimer pack_r_timer;
-      telemetry::PmuCounts pr0;
-      std::uint64_t tr0 = 0;
-      if (prof) pack_r_timer.start();
-      if (pmu_on) telemetry::PmuGroup::this_thread().read(pr0);
-      if (trace != nullptr) tr0 = telemetry::trace_now();
+      // pack-Rc runs outside the parallel region, on the master thread.
+      telemetry::PhaseSpan pack_r =
+          rec.span(0, telemetry::Phase::kPackR, jc, pc);
       std::uint64_t pack_bytes = 0;
       const T* const rcp =
           rpanels.get(jc, nb, nbpad, pc, db, last, needs_norms, pack_bytes);
@@ -539,22 +516,10 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
         break;
       }
       const T* const r2cur = (last && needs_norms) ? rpanels.norms() : nullptr;
-      if (trace != nullptr) {
-        trace->record(telemetry::Phase::kPackR, tr0, telemetry::trace_now(),
-                      jc, pc);
-      }
-      if (prof) {
-        // pack-Rc runs outside the parallel region, on the master thread.
-        telemetry::ThreadCounters& s0 = rec.slot(0);
-        s0.add_phase(telemetry::Phase::kPackR, pack_r_timer.seconds());
-        if (pmu_on) {
-          telemetry::PmuCounts pr1;
-          if (telemetry::PmuGroup::this_thread().read(pr1)) {
-            s0.add_pmu(telemetry::Phase::kPackR, pr1.delta_since(pr0));
-          }
-        }
-        if constexpr (telemetry::kCountersEnabled) {
-          s0.add(telemetry::Counter::kBytesPackedR, pack_bytes);
+      pack_r.close();
+      if constexpr (telemetry::kCountersEnabled) {
+        if (rec.active()) {
+          rec.slot(0)->add(telemetry::Counter::kBytesPackedR, pack_bytes);
         }
       }
 
@@ -579,16 +544,12 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
         const int mbpad = static_cast<int>(round_up(
             static_cast<std::size_t>(mb), static_cast<std::size_t>(tmr)));
         const int tid = thread_id();
-        telemetry::ThreadCounters* tc = prof ? &rec.slot(tid) : nullptr;
-        WallTimer block_timer;
+        telemetry::ThreadCounters* tc = rec.slot(tid);
         [[maybe_unused]] std::uint64_t tiles_local = 0, cand_local = 0;
-        // PMU snapshots bracket the same regions as the timers: bc0→bc1 is
-        // pack-Qc, bc1→block-end is the micro-kernel.
-        telemetry::PmuCounts bc0, bc1;
-        std::uint64_t tq0 = 0;
-        if (prof) block_timer.start();
-        if (pmu_on) telemetry::PmuGroup::this_thread().read(bc0);
-        if (trace != nullptr) tq0 = telemetry::trace_now();
+        // One span over the block: pack-Qc, then the micro-kernel from the
+        // same reading to the end of the 3rd loop.
+        telemetry::PhaseSpan span =
+            rec.span(tid, telemetry::Phase::kPackQ, ic, pc);
         WorkspaceArena& ws = thread_arena();
         if (ws.capacity() < plan.per_thread_bytes) {
           ws.reserve(plan.per_thread_bytes);  // preamble insurance (above)
@@ -605,23 +566,14 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
           pack_norms_rt(tmr, X, qidx.data(), ic, mb, q2);
           q2c = q2;
         }
-        std::uint64_t tm0 = 0;
-        if (trace != nullptr) {
-          tm0 = telemetry::trace_now();
-          trace->record(telemetry::Phase::kPackQ, tq0, tm0, ic, pc);
-        }
-        if (prof) {
-          tc->add_phase(telemetry::Phase::kPackQ, block_timer.seconds());
-          if (pmu_on && telemetry::PmuGroup::this_thread().read(bc1)) {
-            tc->add_pmu(telemetry::Phase::kPackQ, bc1.delta_since(bc0));
-          }
-          if constexpr (telemetry::kCountersEnabled) {
+        span.next(telemetry::Phase::kMicro, ic, jc);
+        if constexpr (telemetry::kCountersEnabled) {
+          if (tc != nullptr) {
             std::uint64_t bytes =
                 static_cast<std::uint64_t>(mbpad) * db * sizeof(T);
             if (last && needs_norms) bytes += static_cast<std::uint64_t>(mbpad) * sizeof(T);
             tc->add(telemetry::Counter::kBytesPackedQ, bytes);
           }
-          block_timer.start();  // from here to the end of the 3rd loop: micro
         }
 
         for (int jr = 0; jr < nb; jr += tnr) {  // ---- 3rd loop ----
@@ -680,23 +632,11 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
           }  // 2nd loop
         }  // 3rd loop
 
-        // The micro span covers the whole 3rd loop.
-        if (trace != nullptr) {
-          trace->record(telemetry::Phase::kMicro, tm0, telemetry::trace_now(),
-                        ic, jc);
-        }
-
-        if (prof) {
-          // The whole 3rd loop is micro-kernel time (for Var#1 that includes
-          // the fused selection).
-          tc->add_phase(telemetry::Phase::kMicro, block_timer.seconds());
-          if (pmu_on) {
-            telemetry::PmuCounts bc2;
-            if (telemetry::PmuGroup::this_thread().read(bc2)) {
-              tc->add_pmu(telemetry::Phase::kMicro, bc2.delta_since(bc1));
-            }
-          }
-          if constexpr (telemetry::kCountersEnabled) {
+        // The whole 3rd loop is micro-kernel time (for Var#1 that includes
+        // the fused selection).
+        span.close();
+        if constexpr (telemetry::kCountersEnabled) {
+          if (tc != nullptr) {
             tc->add(telemetry::Counter::kTiles, tiles_local);
             tc->add(telemetry::Counter::kCandidates, cand_local);
             tc->add(telemetry::Counter::kRootRejects, cand_local);
@@ -750,36 +690,21 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
     }
   }
 
-  if (prof) {
-    telemetry::KernelProfile& P = *cfg.profile;
-    P.algorithm = "gsknn";
-    P.precision = sizeof(T) == 8 ? "f64" : "f32";
-    P.m = m;
-    P.n = n;
-    P.d = d;
-    P.k = k;
-    P.threads = threads;
-    P.variant = static_cast<int>(variant);
-    P.simd_level = static_cast<int>(chosen);
-    P.blocking = kp.bp;
-    P.workspace_bytes = plan.total_bytes();
-    P.workspace_cap = plan.cap_bytes;
-    P.workspace_retiles = plan.retile_steps;
-    static const model::MachineParams mp{};
-    const model::ProblemShape shape{m, n, d, k};
-    P.model_gflops = model::predicted_gflops(
-        variant == Variant::kVar1 ? model::Method::kVar1 : model::Method::kVar6,
-        shape, mp, kp.bp);
-    // Machine ceilings for the roofline reporter: the profile JSON carries
-    // everything tools/roofline_report.py needs in one file.
-    P.peak_gflops = mp.peak_flops / 1e9;
-    P.peak_gbs = model::peak_stream_gbs(mp);
-    // Evaluated in *this* translation unit so a profiled core build reports
-    // its counters even to consumers compiled without GSKNN_PROFILE.
-    P.counters_enabled = P.counters_enabled || telemetry::kCountersEnabled;
-    P.pmu_enabled = P.pmu_enabled || pmu_on;
-    rec.aggregate(wall_timer.seconds());
-  }
+  finish_profile(rec, {.algorithm = "gsknn",
+                       .precision = sizeof(T) == 8 ? "f64" : "f32",
+                       .shape = {m, n, d, k},
+                       .threads = threads,
+                       .variant = static_cast<int>(variant),
+                       .level = chosen,
+                       .blocking = kp.bp,
+                       .method = model::method_for(variant),
+                       // Evaluated in *this* translation unit so a profiled
+                       // core build reports its counters even to consumers
+                       // compiled without GSKNN_PROFILE.
+                       .counters_enabled = telemetry::kCountersEnabled,
+                       .workspace_bytes = plan.total_bytes(),
+                       .workspace_cap = plan.cap_bytes,
+                       .workspace_retiles = plan.retile_steps});
   return outcome;
 }
 
@@ -905,14 +830,11 @@ Status kernel_with_metrics(const PointTableT<T>& X, std::span<const int> qidx,
       &timing);
   if (s == Status::kOk && timing.end_ns != 0 && metrics::enabled() && m > 0 &&
       n > 0 && d > 0 && k > 0) {
-    const Variant v = resolve_variant(m, n, d, k, cfg);
-    static const model::MachineParams mp{};
     const BlockingParams bp = cfg.blocking.value_or(
         default_blocking(cpu_features().best_level()));
-    const model::ProblemShape shape{m, n, d, k};
     const double predicted = model::predicted_time(
-        v == Variant::kVar1 ? model::Method::kVar1 : model::Method::kVar6,
-        shape, mp, bp);
+        model::method_for(resolve_variant(m, n, d, k, cfg)), {m, n, d, k},
+        model::machine(), bp);
     metrics::record_drift_at(timing.end_ns, sizeof(T) == 4, predicted,
                              static_cast<double>(timing.elapsed_ns) * 1e-9);
   }

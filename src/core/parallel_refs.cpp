@@ -17,13 +17,11 @@
 #include <vector>
 
 #include "gsknn/common/metrics.hpp"
-#include "gsknn/common/pmu.hpp"
 #include "gsknn/common/telemetry.hpp"
 #include "gsknn/common/threads.hpp"
-#include "gsknn/common/timer.hpp"
-#include "gsknn/common/trace.hpp"
 #include "gsknn/core/entry_metrics.hpp"
 #include "gsknn/core/knn.hpp"
+#include "profile.hpp"
 
 namespace gsknn {
 
@@ -71,15 +69,12 @@ Status parallel_refs_impl(const PointTableT<double>& X,
   }
 
   // Telemetry: concurrent workers must not share one sink, so each records
-  // into a private profile; the privates are merged into cfg.profile below
-  // and the end-to-end wall time replaces the summed per-worker walls. The
+  // into a private profile that finish_profile adds to its thread slot. The
   // trace sink (if any) IS shared — my_cfg copies it from cfg — because its
   // per-thread rings make concurrent recording safe, giving one unified
   // timeline across the worker kernels and the merge.
   const bool prof = (cfg.profile != nullptr);
-  const bool pmu_on = prof && telemetry::pmu_available();
-  telemetry::TraceSink* const trace = cfg.trace;
-  WallTimer wall_timer;
+  telemetry::Recorder rec(cfg.profile, threads, cfg.trace);
   std::vector<telemetry::KernelProfile> wprof(
       prof ? static_cast<std::size_t>(threads) : 0);
   std::vector<Status> wstat(static_cast<std::size_t>(threads), Status::kOk);
@@ -110,21 +105,14 @@ Status parallel_refs_impl(const PointTableT<double>& X,
     if (s != Status::kOk) return s;  // merge skipped; result untouched
   }
 
-  WallTimer merge_timer;
-  if (prof) merge_timer.start();
-  telemetry::PmuCounts merge_pmu;
   // Parallel merge: each query row is owned by one iteration, so inserting
   // every private candidate into the caller's row is race-free. Written as
-  // parallel + for-nowait so each worker brackets its own chunk with PMU
-  // reads and a trace span.
+  // parallel + for-nowait so each worker's merge span covers its own chunk.
 #if defined(GSKNN_HAVE_OPENMP)
 #pragma omp parallel num_threads(threads)
 #endif
   {
-    telemetry::PmuCounts w0;
-    std::uint64_t wt0 = 0;
-    if (pmu_on) telemetry::PmuGroup::this_thread().read(w0);
-    if (trace != nullptr) wt0 = telemetry::trace_now();
+    telemetry::PhaseSpan span = rec.span(thread_id(), telemetry::Phase::kMerge);
 #if defined(GSKNN_HAVE_OPENMP)
 #pragma omp for schedule(static) nowait
 #endif
@@ -148,49 +136,23 @@ Status parallel_refs_impl(const PointTableT<double>& X,
       // completion flag left by an earlier interrupted call on this table.
       result.mark_row_complete(row);
     }
-    if (trace != nullptr) {
-      trace->record(telemetry::Phase::kMerge, wt0, telemetry::trace_now());
-    }
-    if (pmu_on) {
-      telemetry::PmuCounts w1;
-      if (telemetry::PmuGroup::this_thread().read(w1)) {
-        const telemetry::PmuCounts delta = w1.delta_since(w0);
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp critical(gsknn_merge_pmu)
-#endif
-        merge_pmu.accumulate(delta);
-      }
-    }
+    span.close();
   }
 
-  if (prof) {
-    const double merge_secs = merge_timer.seconds();
-    telemetry::KernelProfile combined;
-    for (const auto& wp : wprof) combined.merge(wp);
-    // Workers ran concurrently: the summed worker walls overstate elapsed
-    // time, so report the region's actual wall and keep the summed phase
-    // attribution (phase_seconds becomes total busy time across workers —
-    // per-phase critical paths are not defined for task parallelism).
-    combined.wall_seconds = wall_timer.seconds();
-    combined.phase_seconds[static_cast<int>(telemetry::Phase::kMerge)] +=
-        merge_secs;
-    combined.phase_thread_seconds[static_cast<int>(telemetry::Phase::kMerge)] +=
-        merge_secs;
-    if (pmu_on) {
-      for (int e = 0; e < telemetry::kPmuEventCount; ++e) {
-        combined.phase_pmu[static_cast<int>(telemetry::Phase::kMerge)][e] +=
-            merge_pmu.v[e];
-      }
-      combined.pmu_enabled = true;
-    }
-    combined.algorithm = "gsknn_parallel_refs";
-    combined.m = m;
-    combined.n = n;
-    combined.threads = threads;
-    // The workers are parts of ONE logical kernel call, not separate ones.
-    combined.invocations = 1;
-    cfg.profile->merge(combined);
-  }
+  // The workers are parts of ONE logical kernel call: their profiles become
+  // their threads' shares of it, timed by the region's wall.
+  const Variant v = resolve_variant(m, n, X.dim(), k, worker_cfg);
+  const SimdLevel level = cpu_features().best_level();
+  core::finish_profile(
+      rec,
+      {.algorithm = "gsknn_parallel_refs",
+       .shape = {m, n, X.dim(), k},
+       .threads = threads,
+       .variant = static_cast<int>(v),
+       .level = level,
+       .blocking = cfg.blocking.value_or(default_blocking(level)),
+       .method = model::method_for(v)},
+      wprof);
   return Status::kOk;
 }
 

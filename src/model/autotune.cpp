@@ -34,7 +34,7 @@ std::vector<BlockingParams> tune_candidates(const TuneOptions& opts) {
     }
   }
   // Rank by model-predicted time for the tuning shape; keep the shortlist.
-  const MachineParams mp{};
+  const MachineParams& mp = machine();
   const ProblemShape shape{opts.m, opts.n, opts.d, opts.k};
   std::sort(out.begin(), out.end(), [&](const BlockingParams& a,
                                         const BlockingParams& b) {

@@ -8,6 +8,7 @@
 #include <queue>
 
 #include "gsknn/common/macros.hpp"
+#include "gsknn/core/knn.hpp"
 
 namespace gsknn::model {
 
@@ -26,6 +27,15 @@ MachineParams paper_params_10core() {
   // Fig. 4 caption: τf = 10 × 8 × 3.10 GF, τb and τℓ are 1/5 of the 1-core
   // values (shared bandwidth scales sub-linearly with cores).
   return {10.0 * 8.0 * 3.10e9, 2.2e-9 / 5.0, 13.91e-9 / 5.0, 0.5};
+}
+
+const MachineParams& machine() {
+  static const MachineParams mp{};
+  return mp;
+}
+
+Method method_for(Variant v) {
+  return v == Variant::kVar1 ? Method::kVar1 : Method::kVar6;
 }
 
 double peak_stream_gbs(const MachineParams& mp) {

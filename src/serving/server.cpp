@@ -837,14 +837,12 @@ SubmitResult Server::submit_ex(std::string_view refs, int query, int k,
   }
 
   // §2.6 estimate for the scheduler (shape: one query against the set).
-  static const model::MachineParams mp{};
   const BlockingParams bp =
       r->blocking();  // the geometry the fused call will actually run
   const model::ProblemShape shape{1, n, impl_->X->dim(), k};
-  const Variant v = resolve_variant(1, n, impl_->X->dim(), k, KnnConfig{});
   const double est = model::predicted_time(
-      v == Variant::kVar1 ? model::Method::kVar1 : model::Method::kVar6,
-      shape, mp, bp);
+      model::method_for(resolve_variant(1, n, shape.d, k, KnnConfig{})),
+      shape, model::machine(), bp);
 
   // Predictive admission: price the ticket against the lane's drain
   // forecast — queued work ahead of it (interactive always drains first,

@@ -258,7 +258,7 @@ TEST(KernelEmpty, ZeroQueriesOrReferencesNoop) {
 }
 
 TEST(KernelScalarPath, ForcedScalarMatchesVectorized) {
-  // GSKNN_FORCE_SCALAR is evaluated once per process, so instead compare
+  // GSKNN_MAX_SIMD is evaluated once per process, so instead compare
   // explicit micro-kernel paths through the blocking override: the scalar
   // kernel is exercised by the kLp norm (no vector path exists).
   const PointTable X = make_uniform(9, 100, 17);

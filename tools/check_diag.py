@@ -48,8 +48,7 @@ ENV_KNOBS = [
     "GSKNN_FLIGHTREC_TRIGGER", "GSKNN_SLO_LATENCY_MS",
     "GSKNN_SLO_LATENCY_TARGET", "GSKNN_SLO_AVAILABILITY",
     "GSKNN_MAX_WORKSPACE", "GSKNN_FAULT", "GSKNN_PMU", "GSKNN_TRACE_RING_KB",
-    "GSKNN_MAX_SIMD", "GSKNN_FORCE_SCALAR", "GSKNN_THREADS",
-    "GSKNN_BENCH_JSON", "GSKNN_BENCH_QUICK",
+    "GSKNN_MAX_SIMD", "GSKNN_BENCH_JSON", "GSKNN_BENCH_QUICK",
 ]
 SIMD_LEVELS = ["scalar", "avx2", "avx512"]
 MODEL_ROW_KEYS = ["m", "n", "d", "k", "var1_ms", "var6_ms", "gemm_ms",

@@ -11,7 +11,7 @@ It is the schema gate behind `ctest -L observability`.
 
 Usage:
     tools/check_trace.py trace.json [--min-spans N] [--min-tracks N]
-                         [--verbose]
+                         [--require-phase NAME ...] [--verbose]
 """
 
 import argparse
@@ -77,6 +77,10 @@ def main():
                     help="require at least N complete spans (default 1)")
     ap.add_argument("--min-tracks", type=int, default=1,
                     help="require at least N thread tracks (default 1)")
+    ap.add_argument("--require-phase", action="append", default=[],
+                    metavar="NAME", choices=sorted(PHASE_NAMES),
+                    help="require at least one span of phase NAME "
+                         "(repeatable)")
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args()
 
@@ -127,11 +131,14 @@ def main():
     if other["dropped_spans"] < 0:
         fail("negative dropped_spans")
 
+    by_phase = {}
+    for ev in events:
+        if ev["ph"] == "X":
+            by_phase[ev["name"]] = by_phase.get(ev["name"], 0) + 1
+    for name in args.require_phase:
+        if name not in by_phase:
+            fail(f"no {name} span recorded")
     if args.verbose:
-        by_phase = {}
-        for ev in events:
-            if ev["ph"] == "X":
-                by_phase[ev["name"]] = by_phase.get(ev["name"], 0) + 1
         for name in sorted(by_phase):
             print(f"  {name}: {by_phase[name]} spans")
     print(f"check_trace: ok: {spans} spans on {tracks} track(s), "
