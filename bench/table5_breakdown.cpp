@@ -101,13 +101,11 @@ int main() {
 
     const double g1 = run_gsknn_ms(X, q, r, 1);  // Theap baseline for GSKNN
     for (int k : {16, 128, 512, 2048}) {
-      // The breakdown and the telemetry profile come from the same unified
-      // instrumentation inside knn_gemm_baseline; the profile (last rep) also
-      // feeds the structured JSON row below.
+      // The baseline's Table-5 phases are its profile's collect/micro/sq2d/
+      // select phases (last rep); the same profile feeds the JSON row below.
       // Per-cell aggregate window: the agg_* columns below then describe
       // exactly this cell's kernel invocations.
       metrics::reset();
-      BaselineBreakdown bd;
       telemetry::KernelProfile ref_prof;
       KnnConfig ref_cfg;
       ref_cfg.profile = &ref_prof;
@@ -115,16 +113,21 @@ int main() {
       time_best(2, [&] {
         ref.reset();
         ref_prof.reset();
-        knn_gemm_baseline(X, q, r, ref, ref_cfg, {}, &bd);
+        knn_gemm_baseline(X, q, r, ref, ref_cfg);
       });
       telemetry::KernelProfile gsknn_prof;
       const double gk = run_gsknn_ms(
           X, q, r, k, json_sink() != nullptr ? &gsknn_prof : nullptr);
       std::uint64_t warm_bytes = 0;
       const double gw = run_gsknn_warm_ms(refs, q, k, warm_bytes);
+      using telemetry::Phase;
+      const double t_collect = ref_prof.phase(Phase::kCollect);
+      const double t_gemm = ref_prof.phase(Phase::kMicro);
+      const double t_sq2d = ref_prof.phase(Phase::kSq2d);
+      const double t_heap = ref_prof.phase(Phase::kSelect);
       std::printf("%6d | %6.0f + %6.0f + %6.0f + %4.0f | %8.0f || %10.0f | %10.0f | %10.0f\n",
-                  k, bd.t_collect * 1e3, bd.t_gemm * 1e3, bd.t_sq2d * 1e3,
-                  bd.t_heap * 1e3, bd.total() * 1e3,
+                  k, t_collect * 1e3, t_gemm * 1e3, t_sq2d * 1e3,
+                  t_heap * 1e3, (t_collect + t_gemm + t_sq2d + t_heap) * 1e3,
                   gk - g1 > 0 ? gk - g1 : 0.0, gk, gw);
       char head[256];
       std::snprintf(head, sizeof(head),

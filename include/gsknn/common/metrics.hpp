@@ -43,6 +43,8 @@
 #include <cstdint>
 #include <string>
 
+#include "gsknn/common/status.hpp"
+
 namespace gsknn::metrics {
 
 /// Public entry points the aggregate layer distinguishes. Nested calls
@@ -73,12 +75,10 @@ inline constexpr int kEntryPointCount =
 /// export formats.
 const char* entry_point_name(EntryPoint ep);
 
-/// Result-status axis. Mirrors gsknn::Status (gsknn/core/knn.hpp) by value
-/// without depending on it — the common layer sits below core. The label
-/// table is pinned to gsknn::status_name() by tests/common/test_metrics.cpp.
-inline constexpr int kStatusCount = 11;
+/// Result-status axis: one slot per gsknn::Status value.
+inline constexpr int kStatusCount = gsknn::kStatusCount;
 
-/// Stable lowercase status label ("ok", "deadline_exceeded", ...);
+/// gsknn::status_name() of a status value ("ok", "deadline_exceeded", ...);
 /// "unknown" outside [0, kStatusCount).
 const char* status_label(int status);
 

@@ -1,119 +1,107 @@
-// Internal helpers bracketing public entry points with the aggregate
-// metrics layer (gsknn/common/metrics.hpp) and the flight recorder
-// (gsknn/common/flightrec.hpp): one steady-clock pair per call, the
-// resulting Status recorded even when the entry point reports it by
-// throwing, plus a call_begin/call_end event pair in the recorder. Used by
-// the driver, baselines, batch, parallel_refs and the tree solvers; not
-// part of the public API.
+// The one status boundary of the public entry points. Every entry point —
+// the kernel (cold and warm, both precisions), batch, parallel_refs, the
+// baselines and the tree solvers — is written once as a Status-returning
+// body run through run_entry(), the only place that
+//   * maps an escaping exception onto a Status: StatusError to its status,
+//     std::bad_alloc to kResourceExhausted, anything else to kInternal;
+//   * records the call's (status, latency, shape) sample into the metrics
+//     registry (gsknn/common/metrics.hpp) and its call_begin/call_end pair
+//     into the flight recorder (gsknn/common/flightrec.hpp), each gated only
+//     on its own sink being armed;
+//   * keeps the failure's text for the throwing forms and the C API
+//     (entry_error()).
+// A throwing form is throw_if_error() over its Status form. Not part of the
+// public API.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <exception>
 #include <new>
 #include <utility>
 
 #include "gsknn/common/flightrec.hpp"
 #include "gsknn/common/metrics.hpp"
-#include "gsknn/core/knn.hpp"
+#include "gsknn/common/status.hpp"
 
 namespace gsknn::core {
 
-/// One finished-call sample into both sinks; `t1` is the end-of-call
-/// now_ns() so the metrics layer places it in the right window slot
-/// without a second clock read. Returns `t1`.
-inline std::uint64_t record_entry_end(bool met, bool rec,
-                                      metrics::EntryPoint ep, int status,
-                                      std::uint64_t t0, int m, int n, int d,
-                                      int k) {
-  const std::uint64_t t1 = metrics::now_ns();
-  if (met) metrics::record_call_at(t1, ep, status, t1 - t0, m, n, d, k);
-  if (rec) {
-    flightrec::record(flightrec::Kind::kCallEnd, static_cast<int>(ep),
-                      status, t1 - t0, m, n, d, k);
-  }
-  return t1;
+/// This thread's text of the last non-kOk outcome run_entry() returned: the
+/// mapped exception's what(), or "gsknn: <entry> stopped: <status>" for a
+/// status the body returned. Read right after a non-kOk return, it describes
+/// that call (the outermost bracket of a nested call writes last). A fixed
+/// buffer, so keeping the text never allocates or throws.
+inline constexpr std::size_t kEntryErrorSize = 256;
+inline char* entry_error() {
+  thread_local char text[kEntryErrorSize] = {};
+  return text;
 }
 
-/// The clock readings behind one bracketed call that returned normally, for
-/// callers that derive a further sample from the same measured interval.
-/// Left zero when both sinks are disarmed (no clock is read then).
+/// The clock readings behind one bracketed call, for callers that derive a
+/// further sample from the same measured interval. Left zero when both
+/// sinks are disarmed (no clock is read then).
 struct EntryTiming {
   std::uint64_t end_ns = 0;      ///< now_ns() at the end of the call
   std::uint64_t elapsed_ns = 0;  ///< end_ns minus the start reading
 };
 
-/// Run a throwing entry-point body under metrics. StatusError/bad_alloc are
-/// recorded with their mapped status and rethrown; any other exception
-/// records kInternal (the same mapping the C boundary applies).
+/// Run one entry-point body, `Status body()`, under the bracket described
+/// above; never throws. `m, n, d, k` is the call's shape for both sinks.
+/// When `timing` is given it receives the measured interval.
 template <typename Fn>
-void record_entry(metrics::EntryPoint ep, int m, int n, int d, int k,
-                  Fn&& fn) {
+Status run_entry(metrics::EntryPoint ep, int m, int n, int d, int k,
+                 Fn&& body, EntryTiming* timing = nullptr) noexcept {
   const bool met = metrics::enabled();
   const bool rec = flightrec::enabled();
-  if (!met && !rec) {
-    std::forward<Fn>(fn)();
-    return;
-  }
-  const std::uint64_t t0 = metrics::now_ns();
-  if (rec) {
-    flightrec::record(flightrec::Kind::kCallBegin, static_cast<int>(ep), 0,
-                      0, m, n, d, k);
-  }
-  try {
-    std::forward<Fn>(fn)();
-  } catch (const StatusError& e) {
-    record_entry_end(met, rec, ep, static_cast<int>(e.status()), t0, m, n, d,
-                     k);
-    throw;
-  } catch (const std::bad_alloc&) {
-    record_entry_end(met, rec, ep,
-                     static_cast<int>(Status::kResourceExhausted), t0, m, n,
-                     d, k);
-    throw;
-  } catch (...) {
-    record_entry_end(met, rec, ep, static_cast<int>(Status::kInternal), t0,
-                     m, n, d, k);
-    throw;
-  }
-  record_entry_end(met, rec, ep, static_cast<int>(Status::kOk), t0, m, n, d,
-                   k);
-}
-
-/// Status-returning form: records the returned Status; a body that throws
-/// anyway (validation paths) is recorded and the exception propagated for
-/// the caller's catch-to-Status mapping. When `timing` is given, a body
-/// that returns fills it with the measured interval.
-template <typename Fn>
-Status record_entry_status(metrics::EntryPoint ep, int m, int n, int d,
-                           int k, Fn&& fn, EntryTiming* timing = nullptr) {
-  const bool met = metrics::enabled();
-  const bool rec = flightrec::enabled();
-  if (!met && !rec) return std::forward<Fn>(fn)();
-  const std::uint64_t t0 = metrics::now_ns();
+  const std::uint64_t t0 = (met || rec) ? metrics::now_ns() : 0;
   if (rec) {
     flightrec::record(flightrec::Kind::kCallBegin, static_cast<int>(ep), 0,
                       0, m, n, d, k);
   }
   Status s = Status::kInternal;
   try {
-    s = std::forward<Fn>(fn)();
+    s = std::forward<Fn>(body)();
+    if (s != Status::kOk) {
+      std::snprintf(entry_error(), kEntryErrorSize, "gsknn: %s stopped: %s",
+                    metrics::entry_point_name(ep), status_name(s));
+    }
   } catch (const StatusError& e) {
-    record_entry_end(met, rec, ep, static_cast<int>(e.status()), t0, m, n, d,
-                     k);
-    throw;
-  } catch (const std::bad_alloc&) {
-    record_entry_end(met, rec, ep,
-                     static_cast<int>(Status::kResourceExhausted), t0, m, n,
-                     d, k);
-    throw;
+    s = e.status();
+    std::snprintf(entry_error(), kEntryErrorSize, "%s", e.what());
+  } catch (const std::bad_alloc& e) {
+    s = Status::kResourceExhausted;
+    std::snprintf(entry_error(), kEntryErrorSize, "gsknn: %s: %s",
+                  metrics::entry_point_name(ep), e.what());
+  } catch (const std::exception& e) {
+    s = Status::kInternal;
+    std::snprintf(entry_error(), kEntryErrorSize, "gsknn: %s: %s",
+                  metrics::entry_point_name(ep), e.what());
   } catch (...) {
-    record_entry_end(met, rec, ep, static_cast<int>(Status::kInternal), t0,
-                     m, n, d, k);
-    throw;
+    s = Status::kInternal;
+    std::snprintf(entry_error(), kEntryErrorSize,
+                  "gsknn: %s: unknown exception",
+                  metrics::entry_point_name(ep));
   }
-  const std::uint64_t t1 =
-      record_entry_end(met, rec, ep, static_cast<int>(s), t0, m, n, d, k);
-  if (timing != nullptr) *timing = EntryTiming{t1, t1 - t0};
+  if (met || rec) {
+    const std::uint64_t t1 = metrics::now_ns();
+    if (met) {
+      metrics::record_call_at(t1, ep, static_cast<int>(s), t1 - t0, m, n, d,
+                              k);
+    }
+    if (rec) {
+      flightrec::record(flightrec::Kind::kCallEnd, static_cast<int>(ep),
+                        static_cast<int>(s), t1 - t0, m, n, d, k);
+    }
+    if (timing != nullptr) *timing = EntryTiming{t1, t1 - t0};
+  }
   return s;
+}
+
+/// The throwing forms' one line: raise a non-kOk Status as a StatusError
+/// carrying the text run_entry() kept for it.
+inline void throw_if_error(Status s) {
+  if (s != Status::kOk) throw StatusError(s, entry_error());
 }
 
 }  // namespace gsknn::core

@@ -19,11 +19,11 @@
 #include <cstddef>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <string>
 
 #include "gsknn/common/arch.hpp"
 #include "gsknn/common/cancel.hpp"
+#include "gsknn/common/status.hpp"
 #include "gsknn/common/telemetry.hpp"
 #include "gsknn/data/point_table.hpp"
 #include "gsknn/select/neighbor_table.hpp"
@@ -33,47 +33,6 @@ namespace gsknn {
 namespace telemetry {
 class TraceSink;  // gsknn/common/trace.hpp
 }
-
-/// Outcome of argument validation on every kernel entry point (see
-/// docs/CONTRACT.md for the full table and the C-API mapping in
-/// include/gsknn/capi.h). The C++ drivers report violations by throwing
-/// StatusError; the C API catches it at the boundary and returns the
-/// corresponding negative gsknn_status code.
-enum class Status {
-  kOk = 0,
-  kInvalidArgument,  ///< null/size mismatches, duplicate result rows
-  kBadIndex,         ///< qidx/ridx/result_rows entry out of range
-  kBadConfig,        ///< invalid KnnConfig (ℓp exponent, threads, blocking)
-  kNonFinite,        ///< non-finite coordinates (opt-in KnnConfig::validate)
-  kUnsupported,      ///< entry point does not support the requested mode
-  kInternal,         ///< unexpected failure behind the C boundary
-  // Resource-governance outcomes (docs/ROBUSTNESS.md). Unlike the argument
-  // errors above, the latter two are *partial-result* statuses: the result
-  // table holds valid heaps, with the rows that missed candidates flagged
-  // via NeighborTable::row_complete().
-  kResourceExhausted,  ///< workspace cap unreachable or allocation failed;
-                       ///< the result table is untouched
-  kDeadlineExceeded,   ///< KnnConfig::deadline passed at a block boundary
-  kCancelled,          ///< KnnConfig::cancel token fired at a block boundary
-  kStale,              ///< PackedRefs epoch mismatch: the reference set was
-                       ///< updated after the caller captured its epoch; the
-                       ///< result table is untouched (gsknn/core/packed_refs.hpp)
-};
-
-/// Stable lowercase name of a status ("ok", "invalid_argument", ...).
-const char* status_name(Status s);
-
-/// Exception carrying a Status. Derives from std::invalid_argument so code
-/// written against the pre-Status throwing contract keeps catching it.
-class StatusError : public std::invalid_argument {
- public:
-  StatusError(Status s, const std::string& what)
-      : std::invalid_argument(what), status_(s) {}
-  Status status() const { return status_; }
-
- private:
-  Status status_;
-};
 
 /// Distance norms supported by the fused micro-kernels (§2.4). For kL2Sq
 /// the reported distances are *squared* Euclidean; for kLp they are the
@@ -171,11 +130,15 @@ void knn_kernel(const PointTableF& X, std::span<const int> qidx,
                 const KnnConfig& cfg = {},
                 std::span<const int> result_rows = {});
 
-/// Status-returning kernel: identical semantics to knn_kernel, but runtime-
-/// pressure outcomes (kCancelled, kDeadlineExceeded, kResourceExhausted) and
-/// argument errors come back as a Status instead of a throw — the natural
-/// form for servers that treat cancellation as a normal result. The void
-/// overloads above throw StatusError for every non-kOk outcome.
+/// Status-returning kernel: identical semantics to knn_kernel, but every
+/// outcome comes back as a Status and nothing is thrown — runtime pressure
+/// (kCancelled, kDeadlineExceeded, kResourceExhausted), argument errors and
+/// any unexpected exception (kInternal; an allocation failure is
+/// kResourceExhausted). The natural form for servers that treat
+/// cancellation as a normal result. Every entry point is written once in
+/// this form; its throwing twin (the void overloads above) raises
+/// StatusError for every non-kOk outcome, carrying the failure's message
+/// (the validation text for an argument error).
 Status knn_kernel_status(const PointTable& X, std::span<const int> qidx,
                          std::span<const int> ridx, NeighborTable& result,
                          const KnnConfig& cfg = {},
@@ -185,33 +148,16 @@ Status knn_kernel_status(const PointTableF& X, std::span<const int> qidx,
                          const KnnConfig& cfg = {},
                          std::span<const int> result_rows = {});
 
-/// Phase breakdown of the GEMM baseline (Table 5's Tcoll/Tgemm/Tsq2d/Theap).
-/// Thin legacy shim over the unified telemetry: the baseline times itself
-/// through telemetry phase spans (kCollect/kMicro/kSq2d/kSelect) and this
-/// view holds the call's phase seconds, as its profile reports them.
-struct BaselineBreakdown {
-  double t_collect = 0.0;  ///< gathering Q, R (and norms) from X
-  double t_gemm = 0.0;     ///< the −2·QᵀR GEMM call
-  double t_sq2d = 0.0;     ///< adding ‖q‖² + ‖r‖² to C
-  double t_heap = 0.0;     ///< neighbor selection over C rows
-  /// Whether the source profile carried exact work counters (GSKNN_PROFILE
-  /// build). The phase *times* above are always real — they are runtime-
-  /// gated, not compile-gated — but a consumer joining this view with
-  /// counter-derived stats (pushes, rejects, bytes) must check this flag:
-  /// without it a counter-free build reads as "zero heap pushes" instead of
-  /// "not measured".
-  bool counters_enabled = false;
-  double total() const { return t_collect + t_gemm + t_sq2d + t_heap; }
-};
-
 /// Algorithm 2.1: collect Q/R, C = −2·QᵀR via blas::dgemm, add norms, then
-/// per-row STL-heap selection. Supports kL2Sq only (the GEMM expansion does
-/// not exist for other norms — the limitation §1 calls out).
+/// per-row STL-heap selection. Supports kL2Sq and kCosine only (the GEMM
+/// expansion does not exist for other norms — the limitation §1 calls out).
+/// The Table-5 phase times (Tcoll/Tgemm/Tsq2d/Theap) land in cfg.profile as
+/// phases kCollect/kMicro/kSq2d/kSelect. Both baselines raise StatusError
+/// for every non-kOk outcome, like the throwing kernel forms.
 void knn_gemm_baseline(const PointTable& X, std::span<const int> qidx,
                        std::span<const int> ridx, NeighborTable& result,
                        const KnnConfig& cfg = {},
-                       std::span<const int> result_rows = {},
-                       BaselineBreakdown* breakdown = nullptr);
+                       std::span<const int> result_rows = {});
 
 /// FLANN/ANN-style baseline: one pass over references per query, scalar
 /// distance loop, heap update. Any norm. The "much slower" class of
@@ -236,11 +182,12 @@ struct KnnTask {
 void knn_batch(const PointTable& X, std::span<const KnnTask> tasks, int k,
                const KnnConfig& cfg = {});
 
-/// Status-returning batch: under cancellation/deadline, in-flight tasks
-/// finish, not-yet-started tasks are skipped with their result rows flagged
-/// incomplete, and the first pressure status is returned. Tasks sharing one
-/// NeighborTable must target disjoint result rows — overlapping rows fail
-/// validation with kInvalidArgument (a silent data race otherwise).
+/// Status-returning batch (never throws, like knn_kernel_status): under
+/// cancellation/deadline, in-flight tasks finish, not-yet-started tasks are
+/// skipped with their result rows flagged incomplete, and the first
+/// pressure status is returned. Tasks sharing one NeighborTable must
+/// target disjoint result rows — overlapping rows fail validation with
+/// kInvalidArgument (a silent data race otherwise).
 Status knn_batch_status(const PointTable& X, std::span<const KnnTask> tasks,
                         int k, const KnnConfig& cfg = {});
 
@@ -255,9 +202,10 @@ void knn_kernel_parallel_refs(const PointTable& X, std::span<const int> qidx,
                               NeighborTable& result, const KnnConfig& cfg = {},
                               std::span<const int> result_rows = {});
 
-/// Status-returning parallel_refs: on cancellation/deadline/exhaustion the
-/// private-table merge is skipped entirely, so the caller's result is
-/// untouched and the status tells the whole story.
+/// Status-returning parallel_refs (never throws, like knn_kernel_status):
+/// on cancellation/deadline/exhaustion the private-table merge is skipped
+/// entirely, so the caller's result is untouched and the status tells the
+/// whole story.
 Status knn_kernel_parallel_refs_status(const PointTable& X,
                                        std::span<const int> qidx,
                                        std::span<const int> ridx,

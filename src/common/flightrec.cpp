@@ -89,8 +89,13 @@ void maybe_trigger(int status) {
   char reason[64];
   std::snprintf(reason, sizeof(reason), "status_trigger:%s",
                 metrics::status_label(status));
-  if (hook != nullptr && hook(path, reason)) return;
-  if (path != nullptr) dump_to_file(path, reason);
+  try {
+    if (hook != nullptr && hook(path, reason)) return;
+    if (path != nullptr) dump_to_file(path, reason);
+  } catch (...) {
+    // A dump that cannot be rendered (out of memory) is skipped: recording
+    // a call's outcome must never become a failure of its own.
+  }
 }
 
 // ---- packing helpers -------------------------------------------------------

@@ -23,15 +23,6 @@ const char* const kEntryPointNames[kEntryPointCount] = {
     "serve_interactive", "serve_bulk",
 };
 
-// Mirrors gsknn::status_name() (src/core/validate.cpp); the parity is
-// pinned by tests/common/test_metrics.cpp.
-const char* const kStatusLabels[kStatusCount] = {
-    "ok",          "invalid_argument",   "bad_index",
-    "bad_config",  "non_finite",         "unsupported",
-    "internal",    "resource_exhausted", "deadline_exceeded",
-    "cancelled",   "stale",
-};
-
 const char* const kCounterNames[kCounterCount] = {
     "workspace_retiled_calls", "workspace_retile_steps", "variant_demotions",
     "trace_spans_dropped",     "pmu_multiplexed_reads",  "pack_hits",
@@ -211,8 +202,7 @@ const char* entry_point_name(EntryPoint ep) {
 }
 
 const char* status_label(int status) {
-  return (status >= 0 && status < kStatusCount) ? kStatusLabels[status]
-                                                : "unknown";
+  return status_name(static_cast<Status>(status));
 }
 
 const char* counter_name(Counter c) {

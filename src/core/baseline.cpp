@@ -12,7 +12,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 #include "gsknn/blas/gemm.hpp"
 #include "gsknn/common/aligned.hpp"
@@ -27,11 +26,10 @@ namespace gsknn {
 
 namespace {
 
-void gemm_baseline_impl(const PointTable& X, std::span<const int> qidx,
-                        std::span<const int> ridx, NeighborTable& result,
-                        const KnnConfig& cfg,
-                        std::span<const int> result_rows,
-                        BaselineBreakdown* breakdown) {
+Status gemm_baseline_impl(const PointTable& X, std::span<const int> qidx,
+                          std::span<const int> ridx, NeighborTable& result,
+                          const KnnConfig& cfg,
+                          std::span<const int> result_rows) {
   const int m = static_cast<int>(qidx.size());
   const int n = static_cast<int>(ridx.size());
   const int d = X.dim();
@@ -47,7 +45,7 @@ void gemm_baseline_impl(const PointTable& X, std::span<const int> qidx,
     throw StatusError(Status::kUnsupported,
                       "gemm baseline requires a binary-arity table");
   }
-  if (m == 0 || n == 0) return;
+  if (m == 0 || n == 0) return Status::kOk;
   const bool cosine = (cfg.norm == Norm::kCosine);
   const auto heap_row = [&](int i) {
     return result_rows.empty() ? i : result_rows[static_cast<std::size_t>(i)];
@@ -56,14 +54,9 @@ void gemm_baseline_impl(const PointTable& X, std::span<const int> qidx,
   // The four Table-5 phases are spans of one recorder: collect and the
   // GEMM on this thread, the finish and selection passes on each worker
   // (written as parallel + for-nowait so each worker's span ends when its
-  // chunk does — load imbalance shows up on the timeline). A breakdown-only
-  // call still times its phases, into a local sink.
+  // chunk does — load imbalance shows up on the timeline).
   const int threads = resolve_threads(cfg.threads);
-  telemetry::KernelProfile local;
-  telemetry::Recorder rec(
-      cfg.profile != nullptr ? cfg.profile
-                             : (breakdown != nullptr ? &local : nullptr),
-      threads, cfg.trace);
+  telemetry::Recorder rec(cfg.profile, threads, cfg.trace);
 
   // Phase 1 — collect: gather Q (d×m), R (d×n) and the norms from X.
   telemetry::PhaseSpan span = rec.span(0, telemetry::Phase::kCollect, m, n);
@@ -157,13 +150,6 @@ void gemm_baseline_impl(const PointTable& X, std::span<const int> qidx,
     select.close();
   }
 
-  if (breakdown != nullptr) {
-    breakdown->t_collect = rec.phase_seconds(telemetry::Phase::kCollect);
-    breakdown->t_gemm = rec.phase_seconds(telemetry::Phase::kMicro);
-    breakdown->t_sq2d = rec.phase_seconds(telemetry::Phase::kSq2d);
-    breakdown->t_heap = rec.phase_seconds(telemetry::Phase::kSelect);
-    breakdown->counters_enabled = false;  // the baseline counts no work
-  }
   const SimdLevel level = cpu_features().best_level();
   core::finish_profile(rec, {.algorithm = "gemm_baseline",
                              .shape = {m, n, d, k},
@@ -171,20 +157,20 @@ void gemm_baseline_impl(const PointTable& X, std::span<const int> qidx,
                              .level = level,
                              .blocking = default_blocking(level),
                              .method = model::Method::kGemmBaseline});
+  return Status::kOk;
 }
 
 }  // namespace
 
 void knn_gemm_baseline(const PointTable& X, std::span<const int> qidx,
                        std::span<const int> ridx, NeighborTable& result,
-                       const KnnConfig& cfg, std::span<const int> result_rows,
-                       BaselineBreakdown* breakdown) {
-  core::record_entry(metrics::EntryPoint::kGemmBaseline,
-                     static_cast<int>(qidx.size()),
-                     static_cast<int>(ridx.size()), X.dim(), result.k(), [&] {
-                       gemm_baseline_impl(X, qidx, ridx, result, cfg,
-                                          result_rows, breakdown);
-                     });
+                       const KnnConfig& cfg,
+                       std::span<const int> result_rows) {
+  core::throw_if_error(core::run_entry(
+      metrics::EntryPoint::kGemmBaseline, static_cast<int>(qidx.size()),
+      static_cast<int>(ridx.size()), X.dim(), result.k(), [&] {
+        return gemm_baseline_impl(X, qidx, ridx, result, cfg, result_rows);
+      }));
 }
 
 namespace {
@@ -260,7 +246,7 @@ void knn_single_loop_baseline(const PointTable& X, std::span<const int> qidx,
                               std::span<const int> ridx,
                               NeighborTable& result, const KnnConfig& cfg,
                               std::span<const int> result_rows) {
-  core::record_entry(
+  core::throw_if_error(core::run_entry(
       metrics::EntryPoint::kSingleLoop, static_cast<int>(qidx.size()),
       static_cast<int>(ridx.size()), X.dim(), result.k(), [&] {
         check_knn_args(X, qidx, ridx, result, cfg, result_rows);
@@ -286,7 +272,8 @@ void knn_single_loop_baseline(const PointTable& X, std::span<const int> qidx,
                                             result_rows);
             break;
         }
-      });
+        return Status::kOk;
+      }));
 }
 
 }  // namespace gsknn

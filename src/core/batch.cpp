@@ -13,7 +13,6 @@
 // up front (it would be a silent data race between workers).
 #include <atomic>
 #include <climits>
-#include <new>
 #include <unordered_map>
 #include <vector>
 
@@ -225,32 +224,18 @@ void batch_totals(std::span<const KnnTask> tasks, int& m_total,
 
 }  // namespace
 
-void knn_batch(const PointTable& X, std::span<const KnnTask> tasks, int k,
-               const KnnConfig& cfg) {
-  int m_total = 0, n_total = 0;
-  batch_totals(tasks, m_total, n_total);
-  const Status s = core::record_entry_status(
-      metrics::EntryPoint::kBatch, m_total, n_total, X.dim(), k,
-      [&] { return knn_batch_impl(X, tasks, k, cfg); });
-  if (s != Status::kOk) {
-    throw StatusError(s, std::string("gsknn: batch stopped: ") +
-                             status_name(s));
-  }
-}
-
 Status knn_batch_status(const PointTable& X, std::span<const KnnTask> tasks,
                         int k, const KnnConfig& cfg) {
   int m_total = 0, n_total = 0;
   batch_totals(tasks, m_total, n_total);
-  try {
-    return core::record_entry_status(
-        metrics::EntryPoint::kBatch, m_total, n_total, X.dim(), k,
-        [&] { return knn_batch_impl(X, tasks, k, cfg); });
-  } catch (const StatusError& e) {
-    return e.status();
-  } catch (const std::bad_alloc&) {
-    return Status::kResourceExhausted;
-  }
+  return core::run_entry(metrics::EntryPoint::kBatch, m_total, n_total,
+                         X.dim(), k,
+                         [&] { return knn_batch_impl(X, tasks, k, cfg); });
+}
+
+void knn_batch(const PointTable& X, std::span<const KnnTask> tasks, int k,
+               const KnnConfig& cfg) {
+  core::throw_if_error(knn_batch_status(X, tasks, k, cfg));
 }
 
 }  // namespace gsknn

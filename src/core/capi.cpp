@@ -14,6 +14,7 @@
 #include "gsknn/common/pmu.hpp"
 #include "gsknn/common/trace.hpp"
 #include "gsknn/core/diag.hpp"
+#include "gsknn/core/entry_metrics.hpp"
 #include "gsknn/core/knn.hpp"
 #include "gsknn/core/packed_refs.hpp"
 #include "gsknn/data/io.hpp"
@@ -26,33 +27,13 @@ thread_local std::string tl_error = "ok";
 
 void set_error(const char* what) { tl_error = what; }
 
-/// Map the C++ Status enum onto the C status codes (kOk → GSKNN_OK, ...).
-int status_code(gsknn::Status s) {
-  switch (s) {
-    case gsknn::Status::kOk:
-      return GSKNN_OK;
-    case gsknn::Status::kInvalidArgument:
-      return GSKNN_ERR_INVALID_ARGUMENT;
-    case gsknn::Status::kBadIndex:
-      return GSKNN_ERR_BAD_INDEX;
-    case gsknn::Status::kBadConfig:
-      return GSKNN_ERR_BAD_CONFIG;
-    case gsknn::Status::kNonFinite:
-      return GSKNN_ERR_NONFINITE;
-    case gsknn::Status::kUnsupported:
-      return GSKNN_ERR_UNSUPPORTED;
-    case gsknn::Status::kInternal:
-      return GSKNN_ERR_INTERNAL;
-    case gsknn::Status::kResourceExhausted:
-      return GSKNN_ERR_RESOURCE_EXHAUSTED;
-    case gsknn::Status::kDeadlineExceeded:
-      return GSKNN_ERR_DEADLINE_EXCEEDED;
-    case gsknn::Status::kCancelled:
-      return GSKNN_ERR_CANCELLED;
-    case gsknn::Status::kStale:
-      return GSKNN_ERR_STALE;
-  }
-  return GSKNN_ERR_INTERNAL;
+using gsknn::capi::status_code;
+
+/// Hand a search's Status back as its C code, keeping the text the entry
+/// bracket recorded for a failure in gsknn_last_error().
+int search_result(gsknn::Status s) {
+  if (s != gsknn::Status::kOk) set_error(gsknn::core::entry_error());
+  return status_code(s);
 }
 
 /// Translate the C norm/variant/lp/threads quadruple into a KnnConfig.
@@ -196,51 +177,20 @@ int gsknn_search_traced(const gsknn_table* table, const int* qidx, int mq,
     set_error("gsknn_search: null argument or negative count");
     return GSKNN_ERR_INVALID_ARGUMENT;
   }
-  try {
-    gsknn::KnnConfig cfg;
-    const int rc = parse_search_config(norm, variant, lp, threads, cfg);
-    if (rc != GSKNN_OK) return rc;
-    cfg.profile = profile != nullptr ? &profile->profile : nullptr;
-    cfg.trace = trace != nullptr ? &trace->sink : nullptr;
-    gsknn::knn_kernel(table->table, {qidx, static_cast<std::size_t>(mq)},
-                      {ridx, static_cast<std::size_t>(nq)}, result->table,
-                      cfg);
-    return GSKNN_OK;
-  } catch (const gsknn::StatusError& e) {
-    set_error(e.what());
-    return status_code(e.status());
-  } catch (const std::exception& e) {
-    set_error(e.what());
-    return GSKNN_ERR_INTERNAL;
-  }
+  gsknn::KnnConfig cfg;
+  const int rc = parse_search_config(norm, variant, lp, threads, cfg);
+  if (rc != GSKNN_OK) return rc;
+  cfg.profile = profile != nullptr ? &profile->profile : nullptr;
+  cfg.trace = trace != nullptr ? &trace->sink : nullptr;
+  return search_result(gsknn::knn_kernel_status(
+      table->table, {qidx, static_cast<std::size_t>(mq)},
+      {ridx, static_cast<std::size_t>(nq)}, result->table, cfg));
 }
 
 const char* gsknn_status_name(int status) {
-  switch (status) {
-    case GSKNN_OK:
-      return "ok";
-    case GSKNN_ERR_INVALID_ARGUMENT:
-      return "invalid_argument";
-    case GSKNN_ERR_BAD_INDEX:
-      return "bad_index";
-    case GSKNN_ERR_BAD_CONFIG:
-      return "bad_config";
-    case GSKNN_ERR_NONFINITE:
-      return "non_finite";
-    case GSKNN_ERR_UNSUPPORTED:
-      return "unsupported";
-    case GSKNN_ERR_INTERNAL:
-      return "internal";
-    case GSKNN_ERR_RESOURCE_EXHAUSTED:
-      return "resource_exhausted";
-    case GSKNN_ERR_DEADLINE_EXCEEDED:
-      return "deadline_exceeded";
-    case GSKNN_ERR_CANCELLED:
-      return "cancelled";
-    case GSKNN_ERR_STALE:
-      return "stale";
-  }
-  return "unknown";
+  // Codes are the negated Status values; anything else is not a code.
+  if (status > 0 || status <= -gsknn::kStatusCount) return "unknown";
+  return gsknn::status_name(static_cast<gsknn::Status>(-status));
 }
 
 int gsknn_search_profiled(const gsknn_table* table, const int* qidx, int mq,
@@ -375,28 +325,15 @@ int gsknn_search_deadline_ms(const gsknn_table* table, const int* qidx,
     set_error("gsknn_search_deadline_ms: null argument or negative count");
     return GSKNN_ERR_INVALID_ARGUMENT;
   }
-  try {
-    gsknn::KnnConfig cfg;
-    const int rc = parse_search_config(norm, variant, lp, threads, cfg);
-    if (rc != GSKNN_OK) return rc;
-    if (deadline_ms > 0) cfg.deadline = gsknn::deadline_after_ms(deadline_ms);
-    if (token != nullptr) cfg.cancel = &token->token;
-    cfg.max_workspace_bytes = max_workspace_bytes;
-    const gsknn::Status s = gsknn::knn_kernel_status(
-        table->table, {qidx, static_cast<std::size_t>(mq)},
-        {ridx, static_cast<std::size_t>(nq)}, result->table, cfg);
-    if (s != gsknn::Status::kOk) {
-      set_error(gsknn::status_name(s));
-      return status_code(s);
-    }
-    return GSKNN_OK;
-  } catch (const gsknn::StatusError& e) {
-    set_error(e.what());
-    return status_code(e.status());
-  } catch (const std::exception& e) {
-    set_error(e.what());
-    return GSKNN_ERR_INTERNAL;
-  }
+  gsknn::KnnConfig cfg;
+  const int rc = parse_search_config(norm, variant, lp, threads, cfg);
+  if (rc != GSKNN_OK) return rc;
+  if (deadline_ms > 0) cfg.deadline = gsknn::deadline_after_ms(deadline_ms);
+  if (token != nullptr) cfg.cancel = &token->token;
+  cfg.max_workspace_bytes = max_workspace_bytes;
+  return search_result(gsknn::knn_kernel_status(
+      table->table, {qidx, static_cast<std::size_t>(mq)},
+      {ridx, static_cast<std::size_t>(nq)}, result->table, cfg));
 }
 
 gsknn_packed_refs* gsknn_packed_refs_create(const gsknn_table* table,
@@ -507,25 +444,12 @@ int gsknn_packed_search(gsknn_packed_refs* refs, const int* qidx, int mq,
     set_error("gsknn_packed_search: null argument or negative count");
     return GSKNN_ERR_INVALID_ARGUMENT;
   }
-  try {
-    gsknn::KnnConfig cfg;
-    const int rc = parse_search_config(norm, variant, lp, threads, cfg);
-    if (rc != GSKNN_OK) return rc;
-    const gsknn::Status s = gsknn::knn_kernel_status(
-        refs->refs, {qidx, static_cast<std::size_t>(mq)}, result->table, cfg,
-        {}, expected_epoch);
-    if (s != gsknn::Status::kOk) {
-      set_error(gsknn::status_name(s));
-      return status_code(s);
-    }
-    return GSKNN_OK;
-  } catch (const gsknn::StatusError& e) {
-    set_error(e.what());
-    return status_code(e.status());
-  } catch (const std::exception& e) {
-    set_error(e.what());
-    return GSKNN_ERR_INTERNAL;
-  }
+  gsknn::KnnConfig cfg;
+  const int rc = parse_search_config(norm, variant, lp, threads, cfg);
+  if (rc != GSKNN_OK) return rc;
+  return search_result(gsknn::knn_kernel_status(
+      refs->refs, {qidx, static_cast<std::size_t>(mq)}, result->table, cfg,
+      {}, expected_epoch));
 }
 
 int gsknn_pmu_available(void) {

@@ -30,8 +30,6 @@
 #include <cstdlib>
 #include <limits>
 #include <new>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "gsknn/common/fault.hpp"
@@ -807,22 +805,20 @@ constexpr metrics::EntryPoint kernel_entry_point() {
                         : metrics::EntryPoint::kKernelF32;
 }
 
-/// Cold public-entry bracket: the (status, latency, shape) sample of
-/// record_entry_status plus, for clean runs, one model-drift sample from the
-/// same measured interval, comparing it against the §2.6 prediction for the
-/// shape the call resolved to (Fig. 4 as a continuously monitored
-/// calibration error).
+/// Cold kernel entry: the run_entry bracket plus, for clean runs, one
+/// model-drift sample from the same measured interval, comparing it against
+/// the §2.6 prediction for the shape the call resolved to (Fig. 4 as a
+/// continuously monitored calibration error).
 template <typename T>
-Status kernel_with_metrics(const PointTableT<T>& X, std::span<const int> qidx,
-                           std::span<const int> ridx,
-                           NeighborTableT<T>& result, const KnnConfig& cfg,
-                           std::span<const int> result_rows) {
+Status kernel_entry(const PointTableT<T>& X, std::span<const int> qidx,
+                    std::span<const int> ridx, NeighborTableT<T>& result,
+                    const KnnConfig& cfg, std::span<const int> result_rows) {
   const int m = static_cast<int>(qidx.size());
   const int n = static_cast<int>(ridx.size());
   const int d = X.dim();
   const int k = result.k();
   EntryTiming timing;
-  const Status s = record_entry_status(
+  const Status s = run_entry(
       kernel_entry_point<T>(), m, n, d, k,
       [&] {
         return knn_kernel_impl<T>(X, qidx, ridx, result, cfg, result_rows);
@@ -841,44 +837,21 @@ Status kernel_with_metrics(const PointTableT<T>& X, std::span<const int> qidx,
   return s;
 }
 
-/// Warm public-entry bracket: the same (status, latency, shape) sample under
-/// the kernel entry-point axis — warm and cold traffic share one rate, which
-/// is what a server dashboard wants. No model-drift sample: the §2.6 model
-/// prices the pack phase the warm path skips, so a warm call would read as
-/// spurious model optimism.
+/// Warm kernel entry: the same bracket under the kernel entry-point axis —
+/// warm and cold traffic share one rate, which is what a server dashboard
+/// wants. No model-drift sample: the §2.6 model prices the pack phase the
+/// warm path skips, so a warm call would read as spurious model optimism.
 template <typename T>
-Status kernel_with_metrics(PackedRefsT<T>& refs, std::span<const int> qidx,
-                           NeighborTableT<T>& result, const KnnConfig& cfg,
-                           std::span<const int> result_rows,
-                           std::uint64_t expected_epoch) {
-  return record_entry_status(
+Status kernel_entry(PackedRefsT<T>& refs, std::span<const int> qidx,
+                    NeighborTableT<T>& result, const KnnConfig& cfg,
+                    std::span<const int> result_rows,
+                    std::uint64_t expected_epoch) {
+  return run_entry(
       kernel_entry_point<T>(), static_cast<int>(qidx.size()), refs.size(),
       refs.built() ? refs.table()->dim() : 0, result.k(), [&] {
         return packed_kernel_impl<T>(refs, qidx, result, cfg, result_rows,
                                      expected_epoch);
       });
-}
-
-/// Throwing public form: a kernel that stopped early raises its Status.
-template <typename... Args>
-void kernel_or_throw(const char* what, Args&... args) {
-  const Status s = kernel_with_metrics(args...);
-  if (s != Status::kOk) {
-    throw StatusError(s, std::string(what) + status_name(s));
-  }
-}
-
-/// Status-returning public form: the exceptions an entry can raise map onto
-/// the Status they carry.
-template <typename... Args>
-Status kernel_or_status(Args&... args) {
-  try {
-    return kernel_with_metrics(args...);
-  } catch (const StatusError& e) {
-    return e.status();
-  } catch (const std::bad_alloc&) {
-    return Status::kResourceExhausted;
-  }
 }
 
 }  // namespace
@@ -899,64 +872,64 @@ Variant resolve_variant(int /*m*/, int /*n*/, int /*d*/, int k,
   return k < core::kBatchSelectMinK ? Variant::kVar1 : Variant::kVar5;
 }
 
-void knn_kernel(const PointTable& X, std::span<const int> qidx,
-                std::span<const int> ridx, NeighborTable& result,
-                const KnnConfig& cfg, std::span<const int> result_rows) {
-  core::kernel_or_throw("gsknn: kernel stopped: ", X, qidx, ridx, result, cfg,
-                        result_rows);
-}
-
-void knn_kernel(const PointTableF& X, std::span<const int> qidx,
-                std::span<const int> ridx, NeighborTableF& result,
-                const KnnConfig& cfg, std::span<const int> result_rows) {
-  core::kernel_or_throw("gsknn: kernel stopped: ", X, qidx, ridx, result, cfg,
-                        result_rows);
-}
-
 Status knn_kernel_status(const PointTable& X, std::span<const int> qidx,
                          std::span<const int> ridx, NeighborTable& result,
                          const KnnConfig& cfg,
                          std::span<const int> result_rows) {
-  return core::kernel_or_status(X, qidx, ridx, result, cfg, result_rows);
+  return core::kernel_entry(X, qidx, ridx, result, cfg, result_rows);
 }
 
 Status knn_kernel_status(const PointTableF& X, std::span<const int> qidx,
                          std::span<const int> ridx, NeighborTableF& result,
                          const KnnConfig& cfg,
                          std::span<const int> result_rows) {
-  return core::kernel_or_status(X, qidx, ridx, result, cfg, result_rows);
-}
-
-void knn_kernel(PackedRefs& refs, std::span<const int> qidx,
-                NeighborTable& result, const KnnConfig& cfg,
-                std::span<const int> result_rows,
-                std::uint64_t expected_epoch) {
-  core::kernel_or_throw("gsknn: packed kernel stopped: ", refs, qidx, result,
-                        cfg, result_rows, expected_epoch);
-}
-
-void knn_kernel(PackedRefsF& refs, std::span<const int> qidx,
-                NeighborTableF& result, const KnnConfig& cfg,
-                std::span<const int> result_rows,
-                std::uint64_t expected_epoch) {
-  core::kernel_or_throw("gsknn: packed kernel stopped: ", refs, qidx, result,
-                        cfg, result_rows, expected_epoch);
+  return core::kernel_entry(X, qidx, ridx, result, cfg, result_rows);
 }
 
 Status knn_kernel_status(PackedRefs& refs, std::span<const int> qidx,
                          NeighborTable& result, const KnnConfig& cfg,
                          std::span<const int> result_rows,
                          std::uint64_t expected_epoch) {
-  return core::kernel_or_status(refs, qidx, result, cfg, result_rows,
-                                expected_epoch);
+  return core::kernel_entry(refs, qidx, result, cfg, result_rows,
+                            expected_epoch);
 }
 
 Status knn_kernel_status(PackedRefsF& refs, std::span<const int> qidx,
                          NeighborTableF& result, const KnnConfig& cfg,
                          std::span<const int> result_rows,
                          std::uint64_t expected_epoch) {
-  return core::kernel_or_status(refs, qidx, result, cfg, result_rows,
-                                expected_epoch);
+  return core::kernel_entry(refs, qidx, result, cfg, result_rows,
+                            expected_epoch);
+}
+
+void knn_kernel(const PointTable& X, std::span<const int> qidx,
+                std::span<const int> ridx, NeighborTable& result,
+                const KnnConfig& cfg, std::span<const int> result_rows) {
+  core::throw_if_error(
+      knn_kernel_status(X, qidx, ridx, result, cfg, result_rows));
+}
+
+void knn_kernel(const PointTableF& X, std::span<const int> qidx,
+                std::span<const int> ridx, NeighborTableF& result,
+                const KnnConfig& cfg, std::span<const int> result_rows) {
+  core::throw_if_error(
+      knn_kernel_status(X, qidx, ridx, result, cfg, result_rows));
+}
+
+void knn_kernel(PackedRefs& refs, std::span<const int> qidx,
+                NeighborTable& result, const KnnConfig& cfg,
+                std::span<const int> result_rows,
+                std::uint64_t expected_epoch) {
+  core::throw_if_error(knn_kernel_status(refs, qidx, result, cfg, result_rows,
+                                         expected_epoch));
+}
+
+void knn_kernel(PackedRefsF& refs, std::span<const int> qidx,
+                NeighborTableF& result, const KnnConfig& cfg,
+                std::span<const int> result_rows,
+                std::uint64_t expected_epoch) {
+  core::throw_if_error(knn_kernel_status(refs, qidx, result, cfg, result_rows,
+                                         expected_epoch));
 }
 
 }  // namespace gsknn

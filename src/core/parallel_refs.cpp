@@ -13,7 +13,6 @@
 // untouched), workers inherit the call's deadline/cancel token, and when any
 // worker stops early the merge is skipped entirely — a partial merge would
 // blend complete and incomplete slices into rows no flag could describe.
-#include <new>
 #include <vector>
 
 #include "gsknn/common/metrics.hpp"
@@ -49,7 +48,8 @@ Status parallel_refs_impl(const PointTableT<double>& X,
   // must only act within a slice here — across slices the same id cannot
   // appear twice unless it appeared twice in ridx, which the merge below
   // handles through the caller's table. Allocated here, not in the region:
-  // a std::bad_alloc past this point could not escape the parallel region.
+  // a std::bad_alloc here reaches the entry bracket (kResourceExhausted,
+  // result untouched); past this point it could not escape the region.
   KnnConfig worker_cfg = cfg;
   worker_cfg.threads = 1;
   // Arguments were validated above; don't repeat the opt-in O((m+n)·d)
@@ -57,15 +57,11 @@ Status parallel_refs_impl(const PointTableT<double>& X,
   worker_cfg.validate = false;
   std::vector<NeighborTable> priv;
   const int chunk = (n + threads - 1) / threads;
-  try {
-    priv.resize(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      if (t * chunk >= n) break;  // empty slice: table stays 0-row
-      priv[static_cast<std::size_t>(t)].resize(m, k, result.arity());
-      if (cfg.dedup) priv[static_cast<std::size_t>(t)].enable_dedup_index();
-    }
-  } catch (const std::bad_alloc&) {
-    return Status::kResourceExhausted;
+  priv.resize(static_cast<std::size_t>(threads));
+  for (int t = 0; t < threads; ++t) {
+    if (t * chunk >= n) break;  // empty slice: table stays 0-row
+    priv[static_cast<std::size_t>(t)].resize(m, k, result.arity());
+    if (cfg.dedup) priv[static_cast<std::size_t>(t)].enable_dedup_index();
   }
 
   // Telemetry: concurrent workers must not share one sink, so each records
@@ -158,39 +154,26 @@ Status parallel_refs_impl(const PointTableT<double>& X,
 
 }  // namespace
 
-void knn_kernel_parallel_refs(const PointTableT<double>& X,
-                              std::span<const int> qidx,
-                              std::span<const int> ridx,
-                              NeighborTable& result, const KnnConfig& cfg,
-                              std::span<const int> result_rows) {
-  const Status s = core::record_entry_status(
-      metrics::EntryPoint::kParallelRefs, static_cast<int>(qidx.size()),
-      static_cast<int>(ridx.size()), X.dim(), result.k(),
-      [&] { return parallel_refs_impl(X, qidx, ridx, result, cfg,
-                                      result_rows); });
-  if (s != Status::kOk) {
-    throw StatusError(s, std::string("gsknn: parallel_refs stopped: ") +
-                             status_name(s));
-  }
-}
-
 Status knn_kernel_parallel_refs_status(const PointTableT<double>& X,
                                        std::span<const int> qidx,
                                        std::span<const int> ridx,
                                        NeighborTable& result,
                                        const KnnConfig& cfg,
                                        std::span<const int> result_rows) {
-  try {
-    return core::record_entry_status(
-        metrics::EntryPoint::kParallelRefs, static_cast<int>(qidx.size()),
-        static_cast<int>(ridx.size()), X.dim(), result.k(),
-        [&] { return parallel_refs_impl(X, qidx, ridx, result, cfg,
-                                        result_rows); });
-  } catch (const StatusError& e) {
-    return e.status();
-  } catch (const std::bad_alloc&) {
-    return Status::kResourceExhausted;
-  }
+  return core::run_entry(
+      metrics::EntryPoint::kParallelRefs, static_cast<int>(qidx.size()),
+      static_cast<int>(ridx.size()), X.dim(), result.k(), [&] {
+        return parallel_refs_impl(X, qidx, ridx, result, cfg, result_rows);
+      });
+}
+
+void knn_kernel_parallel_refs(const PointTableT<double>& X,
+                              std::span<const int> qidx,
+                              std::span<const int> ridx,
+                              NeighborTable& result, const KnnConfig& cfg,
+                              std::span<const int> result_rows) {
+  core::throw_if_error(knn_kernel_parallel_refs_status(X, qidx, ridx, result,
+                                                       cfg, result_rows));
 }
 
 }  // namespace gsknn

@@ -13,34 +13,6 @@
 
 namespace gsknn {
 
-const char* status_name(Status s) {
-  switch (s) {
-    case Status::kOk:
-      return "ok";
-    case Status::kInvalidArgument:
-      return "invalid_argument";
-    case Status::kBadIndex:
-      return "bad_index";
-    case Status::kBadConfig:
-      return "bad_config";
-    case Status::kNonFinite:
-      return "non_finite";
-    case Status::kUnsupported:
-      return "unsupported";
-    case Status::kInternal:
-      return "internal";
-    case Status::kResourceExhausted:
-      return "resource_exhausted";
-    case Status::kDeadlineExceeded:
-      return "deadline_exceeded";
-    case Status::kCancelled:
-      return "cancelled";
-    case Status::kStale:
-      return "stale";
-  }
-  return "unknown";
-}
-
 namespace {
 
 Status fail(Status s, std::string* msg, const std::string& text) {

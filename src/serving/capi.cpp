@@ -1,7 +1,7 @@
 // C bindings for the serving runtime (gsknn_server_* in gsknn/capi.h).
 // Exceptions are caught at the boundary like the core C API; the thread-
-// local last-error string lives in src/core/capi.cpp, so this TU keeps its
-// own terse mapping and leans on status codes alone.
+// local last-error string lives in src/core/capi.cpp, so this TU leans on
+// status codes alone (the one Status -> code map, capi_handles.hpp).
 #include <cstdint>
 #include <exception>
 #include <new>
@@ -14,33 +14,7 @@
 
 namespace {
 
-int status_code(gsknn::Status s) {
-  switch (s) {
-    case gsknn::Status::kOk:
-      return GSKNN_OK;
-    case gsknn::Status::kInvalidArgument:
-      return GSKNN_ERR_INVALID_ARGUMENT;
-    case gsknn::Status::kBadIndex:
-      return GSKNN_ERR_BAD_INDEX;
-    case gsknn::Status::kBadConfig:
-      return GSKNN_ERR_BAD_CONFIG;
-    case gsknn::Status::kNonFinite:
-      return GSKNN_ERR_NONFINITE;
-    case gsknn::Status::kUnsupported:
-      return GSKNN_ERR_UNSUPPORTED;
-    case gsknn::Status::kInternal:
-      return GSKNN_ERR_INTERNAL;
-    case gsknn::Status::kResourceExhausted:
-      return GSKNN_ERR_RESOURCE_EXHAUSTED;
-    case gsknn::Status::kDeadlineExceeded:
-      return GSKNN_ERR_DEADLINE_EXCEEDED;
-    case gsknn::Status::kCancelled:
-      return GSKNN_ERR_CANCELLED;
-    case gsknn::Status::kStale:
-      return GSKNN_ERR_STALE;
-  }
-  return GSKNN_ERR_INTERNAL;
-}
+using gsknn::capi::status_code;
 
 bool parse_norm(int norm, gsknn::Norm& out) {
   switch (norm) {

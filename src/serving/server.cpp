@@ -526,11 +526,7 @@ struct Server::Impl {
       // kEpochAny resolves to the call's entry epoch: the whole group
       // computes over one reference generation, racing mutators surface as
       // kStale on the rows left unfinished.
-      try {
-        s = knn_kernel_status(r, qids, table, cfg, {}, kEpochAny);
-      } catch (const std::exception&) {
-        s = Status::kInternal;
-      }
+      s = knn_kernel_status(r, qids, table, cfg, {}, kEpochAny);
     }
     const std::uint64_t end_ns = metrics::now_ns();
 

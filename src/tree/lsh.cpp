@@ -5,9 +5,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "gsknn/common/metrics.hpp"
 #include "gsknn/common/rng.hpp"
 #include "gsknn/common/timer.hpp"
+#include "gsknn/core/entry_metrics.hpp"
 
 namespace gsknn::tree {
 
@@ -119,21 +119,15 @@ AllNnResult lsh_impl(const PointTable& X, int k, const LshConfig& cfg) {
 
 AllNnResult lsh_all_nearest_neighbors(const PointTable& X, int k,
                                       const LshConfig& cfg) {
-  // Same inline bracket as the rkd solver: the Status rides in the result.
-  if (!metrics::enabled()) return lsh_impl(X, k, cfg);
-  const std::uint64_t t0 = metrics::now_ns();
-  try {
-    AllNnResult out = lsh_impl(X, k, cfg);
-    metrics::record_call(metrics::EntryPoint::kLsh,
-                         static_cast<int>(out.status), metrics::now_ns() - t0,
-                         X.size(), X.size(), X.dim(), k);
-    return out;
-  } catch (const StatusError& e) {
-    metrics::record_call(metrics::EntryPoint::kLsh,
-                         static_cast<int>(e.status()), metrics::now_ns() - t0,
-                         X.size(), X.size(), X.dim(), k);
-    throw;
-  }
+  // Same status boundary as the rkd solver: the Status rides in the result.
+  AllNnResult out;
+  const Status s = core::run_entry(
+      metrics::EntryPoint::kLsh, X.size(), X.size(), X.dim(), k, [&] {
+        out = lsh_impl(X, k, cfg);
+        return out.status;
+      });
+  if (s != out.status) core::throw_if_error(s);
+  return out;
 }
 
 }  // namespace gsknn::tree

@@ -7,9 +7,9 @@
 #include <numeric>
 #include <unordered_set>
 
-#include "gsknn/common/metrics.hpp"
 #include "gsknn/common/rng.hpp"
 #include "gsknn/common/timer.hpp"
+#include "gsknn/core/entry_metrics.hpp"
 #include "gsknn/core/packed_refs.hpp"
 
 namespace gsknn::tree {
@@ -213,23 +213,16 @@ AllNnResult all_nn_impl(const PointTable& X, int k, const RkdConfig& cfg) {
 
 AllNnResult all_nearest_neighbors(const PointTable& X, int k,
                                   const RkdConfig& cfg) {
-  // The solver reports governance statuses in the result rather than by
-  // throwing (config errors aside), so the metrics bracket is inline here
-  // instead of going through core::record_entry.
-  if (!metrics::enabled()) return all_nn_impl(X, k, cfg);
-  const std::uint64_t t0 = metrics::now_ns();
-  try {
-    AllNnResult out = all_nn_impl(X, k, cfg);
-    metrics::record_call(metrics::EntryPoint::kRkdForest,
-                         static_cast<int>(out.status), metrics::now_ns() - t0,
-                         X.size(), X.size(), X.dim(), k);
-    return out;
-  } catch (const StatusError& e) {
-    metrics::record_call(metrics::EntryPoint::kRkdForest,
-                         static_cast<int>(e.status()), metrics::now_ns() - t0,
-                         X.size(), X.size(), X.dim(), k);
-    throw;
-  }
+  AllNnResult out;
+  const Status s = core::run_entry(
+      metrics::EntryPoint::kRkdForest, X.size(), X.size(), X.dim(), k, [&] {
+        out = all_nn_impl(X, k, cfg);
+        return out.status;
+      });
+  // A governance stop rides in out.status; only a failure the body threw
+  // (a config error) differs from it and is raised.
+  if (s != out.status) core::throw_if_error(s);
+  return out;
 }
 
 double recall_at_k(const PointTable& X, const NeighborTable& approx, int k,

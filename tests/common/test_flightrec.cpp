@@ -2,8 +2,10 @@
 // trip preserves every field; overflow keeps the newest kRingCapacity events
 // and accounts the rest in dropped(); disarmed record() is a no-op; the
 // one-shot non-OK trigger latches and rearms; the JSON-lines dump matches
-// the schema tools/check_diag.py validates; and a 40-thread writer storm
-// stays consistent (run under tsan via `ctest -L observability`).
+// the schema tools/check_diag.py validates; a 40-thread writer storm
+// stays consistent (run under tsan via `ctest -L observability`); and the
+// tree solvers record their call_begin/call_end pair like every other entry
+// point, whether or not the metrics registry is armed.
 #include "gsknn/common/flightrec.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +17,11 @@
 #include <thread>
 #include <vector>
 
+#include "gsknn/common/cancel.hpp"
 #include "gsknn/common/metrics.hpp"
+#include "gsknn/data/generators.hpp"
+#include "gsknn/tree/lsh.hpp"
+#include "gsknn/tree/rkd_forest.hpp"
 
 namespace fr = gsknn::flightrec;
 
@@ -219,6 +225,80 @@ TEST_F(FlightRecTest, WriterStormWithConcurrentDrains) {
       EXPECT_GT(events[i].seq, events[i - 1].seq);
     }
   }
+}
+
+/// Events of one kind recorded under entry point `ep`.
+int count_events(const std::vector<fr::Event>& events, fr::Kind kind,
+                 gsknn::metrics::EntryPoint ep) {
+  return static_cast<int>(
+      std::count_if(events.begin(), events.end(), [&](const fr::Event& e) {
+        return e.kind == kind && e.entry == static_cast<int>(ep);
+      }));
+}
+
+// The flight recorder is gated on its own switch only: with the metrics
+// registry disarmed, each tree-solver call still leaves exactly one
+// call_begin/call_end pair under its own entry point.
+TEST_F(FlightRecTest, TreeSolversRecordOnePairWithMetricsDisarmed) {
+  namespace m = gsknn::metrics;
+  const bool metrics_was_enabled = m::enabled();
+  m::set_enabled(false);
+  const gsknn::PointTable X = gsknn::make_uniform(8, 300, 0xF17);
+
+  gsknn::tree::RkdConfig rkd;
+  rkd.leaf_size = 64;
+  rkd.num_trees = 2;
+  rkd.kernel.threads = 1;
+  EXPECT_EQ(gsknn::tree::all_nearest_neighbors(X, 4, rkd).status,
+            gsknn::Status::kOk);
+  std::vector<fr::Event> events = fr::drain();
+  EXPECT_EQ(count_events(events, fr::Kind::kCallBegin,
+                         m::EntryPoint::kRkdForest),
+            1);
+  EXPECT_EQ(
+      count_events(events, fr::Kind::kCallEnd, m::EntryPoint::kRkdForest),
+      1);
+
+  fr::clear();
+  gsknn::tree::LshConfig lsh;
+  lsh.tables = 2;
+  lsh.max_group = 64;
+  lsh.kernel.threads = 1;
+  EXPECT_EQ(gsknn::tree::lsh_all_nearest_neighbors(X, 4, lsh).status,
+            gsknn::Status::kOk);
+  events = fr::drain();
+  EXPECT_EQ(count_events(events, fr::Kind::kCallBegin, m::EntryPoint::kLsh),
+            1);
+  EXPECT_EQ(count_events(events, fr::Kind::kCallEnd, m::EntryPoint::kLsh), 1);
+
+  m::set_enabled(metrics_was_enabled);
+}
+
+// A solve whose cancel token fired before the call reports kCancelled in
+// its result, and the recorder's last word on it is the solver's own
+// call_end carrying that status (not just the leaf kernel's).
+TEST_F(FlightRecTest, CancelledTreeSolveEndsWithCancelledCallEnd) {
+  const gsknn::PointTable X = gsknn::make_uniform(8, 300, 0xF18);
+  gsknn::CancelToken token;
+  token.cancel();
+  gsknn::tree::RkdConfig rkd;
+  rkd.leaf_size = 64;
+  rkd.num_trees = 2;
+  rkd.kernel.threads = 1;
+  rkd.kernel.cancel = &token;
+  EXPECT_EQ(gsknn::tree::all_nearest_neighbors(X, 4, rkd).status,
+            gsknn::Status::kCancelled);
+
+  const std::vector<fr::Event> events = fr::drain();
+  const auto last_end =
+      std::find_if(events.rbegin(), events.rend(), [](const fr::Event& e) {
+        return e.kind == fr::Kind::kCallEnd;
+      });
+  ASSERT_NE(last_end, events.rend());
+  EXPECT_EQ(last_end->entry,
+            static_cast<int>(gsknn::metrics::EntryPoint::kRkdForest));
+  EXPECT_EQ(last_end->status, static_cast<int>(gsknn::Status::kCancelled));
+  fr::rearm_trigger();  // the non-OK completion may have latched it
 }
 
 }  // namespace

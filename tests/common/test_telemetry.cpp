@@ -1,6 +1,6 @@
 // Telemetry subsystem: exact work-counter invariants across every selection
 // variant, profile aggregation semantics, JSON/table rendering, and the
-// unified baseline breakdown.
+// GEMM baseline's Table-5 phases.
 //
 // This test links against gsknn_core_prof — the core compiled with
 // GSKNN_PROFILE=1 — so the hot-loop counters are live here even though the
@@ -265,18 +265,18 @@ TEST(Telemetry, BaselineUnifiedBreakdown) {
   KnnConfig cfg;
   cfg.threads = 1;
   cfg.profile = &prof;
-  BaselineBreakdown bd;
   NeighborTable t(m, k);
-  knn_gemm_baseline(X, q, r, t, cfg, {}, &bd);
+  knn_gemm_baseline(X, q, r, t, cfg);
 
   EXPECT_STREQ(prof.algorithm, "gemm_baseline");
   EXPECT_EQ(prof.invocations, 1u);
-  // The legacy view and the profile are the same measurement.
-  EXPECT_DOUBLE_EQ(bd.t_collect, prof.phase(Phase::kCollect));
-  EXPECT_DOUBLE_EQ(bd.t_gemm, prof.phase(Phase::kMicro));
-  EXPECT_DOUBLE_EQ(bd.t_sq2d, prof.phase(Phase::kSq2d));
-  EXPECT_DOUBLE_EQ(bd.t_heap, prof.phase(Phase::kSelect));
-  EXPECT_GT(bd.total(), 0.0);
+  // The four Table-5 phases are the profile's collect/micro/sq2d/select.
+  EXPECT_GT(prof.phase(Phase::kCollect) + prof.phase(Phase::kMicro) +
+                prof.phase(Phase::kSq2d) + prof.phase(Phase::kSelect),
+            0.0);
+  EXPECT_DOUBLE_EQ(prof.phase_total(),
+                   prof.phase(Phase::kCollect) + prof.phase(Phase::kMicro) +
+                       prof.phase(Phase::kSq2d) + prof.phase(Phase::kSelect));
   EXPECT_LE(prof.phase_total(), prof.wall_seconds * 1.0001 + 1e-6);
 }
 

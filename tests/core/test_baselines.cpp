@@ -92,13 +92,18 @@ TEST(BaselineBreakdownTiming, PhasesArePopulated) {
   const int m = 40, n = 60, d = 16, k = 4;
   const PointTable X = make_uniform(d, m + n, 77);
   NeighborTable t(m, k);
-  BaselineBreakdown bd;
-  knn_gemm_baseline(X, iota_ids(m), iota_ids(n, m), t, {}, {}, &bd);
-  EXPECT_GE(bd.t_collect, 0.0);
-  EXPECT_GE(bd.t_gemm, 0.0);
-  EXPECT_GE(bd.t_sq2d, 0.0);
-  EXPECT_GE(bd.t_heap, 0.0);
-  EXPECT_GT(bd.total(), 0.0);
+  telemetry::KernelProfile prof;
+  KnnConfig cfg;
+  cfg.profile = &prof;
+  knn_gemm_baseline(X, iota_ids(m), iota_ids(n, m), t, cfg);
+  using telemetry::Phase;
+  EXPECT_GE(prof.phase(Phase::kCollect), 0.0);
+  EXPECT_GE(prof.phase(Phase::kMicro), 0.0);
+  EXPECT_GE(prof.phase(Phase::kSq2d), 0.0);
+  EXPECT_GE(prof.phase(Phase::kSelect), 0.0);
+  EXPECT_GT(prof.phase(Phase::kCollect) + prof.phase(Phase::kMicro) +
+                prof.phase(Phase::kSq2d) + prof.phase(Phase::kSelect),
+            0.0);
 }
 
 TEST(BaselineDedup, GemmBaselineSkipsDuplicateIds) {

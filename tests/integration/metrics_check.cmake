@@ -51,6 +51,15 @@ run(${PYTHON} ${CHECK_METRICS} --json ${WORK_DIR}/mb.json
     --require-entry batch --require-entry kernel_f64)
 message(STATUS "${last_output}")
 
+# Tree-solver leg: the rkd forest records its own rkd_forest sample through
+# the entry bracket, and every leaf kernel records a kernel_f64 sample
+# beneath it (the same layered counting as batch).
+run(${GSKNN_CLI} allnn --data ${WORK_DIR}/data.gsknn --k 8 --trees 2
+    --leaf 256 --out ${WORK_DIR}/ann.bin --metrics=${WORK_DIR}/ma.json)
+run(${PYTHON} ${CHECK_METRICS} --json ${WORK_DIR}/ma.json
+    --require-entry rkd_forest --require-entry kernel_f64)
+message(STATUS "${last_output}")
+
 # Pack-cache leg: --repeat 2 reruns the search against the same PackedRefs
 # handle, so the second pass is all warm traffic — the pack_hits counter
 # must be nonzero in the export (axis completeness for the cache counters).

@@ -1,7 +1,8 @@
 // Shared helpers for the gtest suite and the differential fuzzers
-// (tools/fuzz_diff, tools/fuzz_fault): the scalar oracle implementing the
-// written kernel contract (docs/CONTRACT.md) and small comparison utilities
-// used to validate every production path.
+// (tools/fuzz_diff, tools/fuzz_fault, tools/fuzz_chaos): the scalar oracle
+// implementing the written kernel contract (docs/CONTRACT.md), the served-
+// ticket shadow-generation oracle and small comparison utilities used to
+// validate every production path.
 #pragma once
 
 #include <algorithm>
@@ -127,6 +128,42 @@ inline bool row_matches(const std::vector<std::pair<double, int>>& expect,
   // verified above).
   (void)ids_of;
   return true;
+}
+
+/// Outcome of matching a served ticket against the shadow generations.
+enum class ShadowMatch { kMatched, kNoMatch, kOracleFailed };
+
+/// The served-ticket oracle: a kOk ticket for (`query`, k = ids.size()) ran
+/// against some reference generation at or after `first` (requeues only
+/// move forward), so its sorted row (`ids`, `dists`) must be bitwise equal
+/// to a cold exact kernel over one of generations[first..]. Generations
+/// with fewer than k references are skipped. kOracleFailed when a cold
+/// kernel call itself fails.
+inline ShadowMatch match_shadow_generation(
+    const PointTable& X, int query, std::span<const int> ids,
+    std::span<const double> dists,
+    const std::vector<std::vector<int>>& generations, std::size_t first) {
+  const int k = static_cast<int>(ids.size());
+  for (std::size_t g = first; g < generations.size(); ++g) {
+    const std::vector<int>& gen = generations[g];
+    if (static_cast<int>(gen.size()) < k) continue;
+    NeighborTable cold(1, k);
+    const int qone[1] = {query};
+    if (knn_kernel_status(X, std::span<const int>(qone, 1), gen, cold,
+                          KnnConfig{}) != Status::kOk) {
+      return ShadowMatch::kOracleFailed;
+    }
+    const auto row = cold.sorted_row(0);
+    bool matched = static_cast<int>(row.size()) == k;
+    for (int j = 0; matched && j < k; ++j) {
+      matched = dists[static_cast<std::size_t>(j)] ==
+                    row[static_cast<std::size_t>(j)].first &&
+                ids[static_cast<std::size_t>(j)] ==
+                    row[static_cast<std::size_t>(j)].second;
+    }
+    if (matched) return ShadowMatch::kMatched;
+  }
+  return ShadowMatch::kNoMatch;
 }
 
 }  // namespace gsknn::test

@@ -44,6 +44,7 @@
 #include "gsknn/core/knn.hpp"
 #include "gsknn/data/point_table.hpp"
 #include "gsknn/serving/server.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -295,29 +296,14 @@ bool chaos_oracle_trial(const ChaosTrial& t, gsknn::Xoshiro256& rng) {
     // Bitwise identity against the clean shadow generations, chaos or not.
     // The cold oracle runs with the hooks disarmed — it is the reference.
     gsknn::fault::reset();
-    bool matched = false;
-    for (std::size_t g = p.gen_at_submit; g < generations.size() && !matched;
-         ++g) {
-      const std::vector<int>& gen = generations[g];
-      if (static_cast<int>(gen.size()) < p.k) continue;
-      NeighborTable cold(1, p.k);
-      const int qone[1] = {p.query};
-      if (knn_kernel_status(X, std::span<const int>(qone, 1), gen, cold,
-                            KnnConfig{}) != Status::kOk) {
-        std::fprintf(stderr, "chaos: cold oracle failed\n");
-        return false;
-      }
-      const auto row = cold.sorted_row(0);
-      matched = static_cast<int>(row.size()) == p.k;
-      for (int j = 0; matched && j < p.k; ++j) {
-        matched = rd[static_cast<std::size_t>(j)] ==
-                      row[static_cast<std::size_t>(j)].first &&
-                  rid[static_cast<std::size_t>(j)] ==
-                      row[static_cast<std::size_t>(j)].second;
-      }
+    const auto match = gsknn::test::match_shadow_generation(
+        X, p.query, rid, rd, generations, p.gen_at_submit);
+    if (match == gsknn::test::ShadowMatch::kOracleFailed) {
+      std::fprintf(stderr, "chaos: cold oracle failed\n");
+      return false;
     }
     gsknn::fault::configure(t.fc);
-    if (!matched) {
+    if (match == gsknn::test::ShadowMatch::kNoMatch) {
       std::fprintf(stderr,
                    "chaos: ticket %llu (query %d k %d) matches no clean "
                    "generation [%zu..%zu] — chaos corrupted a kOk result\n",

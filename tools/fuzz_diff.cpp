@@ -595,30 +595,13 @@ bool check_serving(gsknn::Xoshiro256& rng) {
                    static_cast<unsigned long long>(p.id), got, p.k);
       return false;
     }
-    // The ticket ran against some generation >= the one live at submit
-    // (requeues only move forward). Try them in order; one must match.
-    bool matched = false;
-    for (std::size_t g = p.gen_at_submit; g < generations.size() && !matched;
-         ++g) {
-      const std::vector<int>& gen = generations[g];
-      if (static_cast<int>(gen.size()) < p.k) continue;
-      NeighborTable cold(1, p.k);
-      const int qone[1] = {p.query};
-      if (knn_kernel_status(X, std::span<const int>(qone, 1), gen, cold,
-                            KnnConfig{}) != Status::kOk) {
-        std::fprintf(stderr, "serving: cold oracle failed\n");
-        return false;
-      }
-      const auto row = cold.sorted_row(0);
-      matched = static_cast<int>(row.size()) == p.k;
-      for (int j = 0; matched && j < p.k; ++j) {
-        matched = rd[static_cast<std::size_t>(j)] ==
-                      row[static_cast<std::size_t>(j)].first &&
-                  rid[static_cast<std::size_t>(j)] ==
-                      row[static_cast<std::size_t>(j)].second;
-      }
+    const auto match = gsknn::test::match_shadow_generation(
+        X, p.query, rid, rd, generations, p.gen_at_submit);
+    if (match == gsknn::test::ShadowMatch::kOracleFailed) {
+      std::fprintf(stderr, "serving: cold oracle failed\n");
+      return false;
     }
-    if (!matched) {
+    if (match == gsknn::test::ShadowMatch::kNoMatch) {
       std::fprintf(stderr,
                    "serving: ticket %llu (query %d k %d) matches no clean "
                    "generation [%zu..%zu] — mixed-epoch result\n",
