@@ -48,8 +48,9 @@ void BM_PackQueriesScattered(benchmark::State& state) {
 BENCHMARK(BM_PackQueriesScattered)->Arg(16)->Arg(64)->Arg(256);
 
 // The same gathers through the runtime dispatcher, which selects the SIMD
-// transpose-pack kernels (pack_avx2.cpp / pack_avx512.cpp) when the machine
-// has them — the scalar templates above are the packing baseline.
+// transpose pack (src/core/pack_simd.hpp, instantiated per level in
+// micro_avx*.cpp) when the machine has it for the width, and the scalar
+// template otherwise — the scalar templates above are the packing baseline.
 template <int S>
 void BM_PackScatteredRt(benchmark::State& state) {
   const int d = static_cast<int>(state.range(0));
@@ -88,6 +89,7 @@ void BM_PackScatteredRtF32(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<long>(state.iterations()) * count * d *
                           static_cast<long>(sizeof(float)));
 }
+BENCHMARK(BM_PackScatteredRtF32<4>)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_PackScatteredRtF32<8>)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_PackScatteredRtF32<16>)->Arg(16)->Arg(64)->Arg(256);
 
@@ -98,7 +100,7 @@ void BM_PackNorms(benchmark::State& state) {
   std::iota(idx.begin(), idx.end(), 0);
   AlignedBuffer<double> dst(static_cast<std::size_t>(count) + 8);
   for (auto _ : state) {
-    core::pack_norms<8>(X, idx.data(), 0, count, dst.data());
+    core::pack_norms(8, X, idx.data(), 0, count, dst.data());
     benchmark::DoNotOptimize(dst.data());
   }
 }

@@ -194,7 +194,7 @@ struct ArenaRefPanels {
                bool needs_norms, std::uint64_t& bytes) {
     pack_points_rt(tnr, chosen, *X, ridx, jc, nb, pc, db, rc);
     if (any_bad) poison_packed(rc, rbad, jc, nb, tnr, db);
-    if (last && needs_norms) pack_norms_rt(tnr, *X, ridx, jc, nb, r2c);
+    if (last && needs_norms) pack_norms(tnr, *X, ridx, jc, nb, r2c);
     bytes = static_cast<std::uint64_t>(nbpad) * db * sizeof(T);
     if (last && needs_norms) {
       bytes += static_cast<std::uint64_t>(nbpad) * sizeof(T);
@@ -561,7 +561,7 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
         const T* q2c = nullptr;
         if (last && needs_norms) {
           T* const q2 = ws.alloc<T>(static_cast<std::size_t>(mbpad));
-          pack_norms_rt(tmr, X, qidx.data(), ic, mb, q2);
+          pack_norms(tmr, X, qidx.data(), ic, mb, q2);
           q2c = q2;
         }
         span.next(telemetry::Phase::kMicro, ic, jc);

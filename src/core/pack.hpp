@@ -14,11 +14,11 @@
 // Two implementations share that contract:
 //   * the scalar template below — the reference, and the fallback for
 //     partial tail groups and sliver widths without a vector kernel;
-//   * SIMD transpose kernels (pack_avx2.cpp / pack_avx512.cpp) that load a
-//     register block of source rows, transpose in registers, and store
-//     full slivers — turning the strided element-at-a-time scatter into
-//     contiguous vector stores, with a software prefetch of the next
-//     group's gathered rows.
+//   * the SIMD transpose pack (pack_simd.hpp), instantiated per level in
+//     micro_avx*.cpp, which loads a register block of source rows,
+//     transposes it in registers and stores full slivers — turning the
+//     strided element-at-a-time scatter into contiguous vector stores, with
+//     a software prefetch of the next group's gathered rows.
 // pack_points_rt dispatches on (sliver width, SimdLevel); the driver passes
 // the level the micro-kernel actually resolved to, so a blocking fallback
 // to a narrower kernel also selects the matching pack path.
@@ -37,10 +37,14 @@
 namespace gsknn::core {
 
 /// Pack `count` points idx[i0 .. i0+count) over depth [p0, p0+db) into
-/// S-slivers at dst (ceil(count/S)·db·S doubles).
+/// S-slivers at dst (ceil(count/S)·db·S doubles). Always inline: the SIMD
+/// packs call it for their tail group, and an out-of-line copy built with
+/// their ISA flags could be the one the linker keeps for the scalar path.
 template <int S, typename T>
-void pack_points(const PointTableT<T>& X, const int* GSKNN_RESTRICT idx,
-                 int i0, int count, int p0, int db, T* GSKNN_RESTRICT dst) {
+GSKNN_ALWAYS_INLINE void pack_points(const PointTableT<T>& X,
+                                     const int* GSKNN_RESTRICT idx, int i0,
+                                     int count, int p0, int db,
+                                     T* GSKNN_RESTRICT dst) {
   const int d = X.dim();
   const T* GSKNN_RESTRICT x = X.data();
   for (int g = 0; g < count; g += S) {
@@ -58,9 +62,9 @@ void pack_points(const PointTableT<T>& X, const int* GSKNN_RESTRICT idx,
 }
 
 /// Pack the squared norms of `count` points into dst
-/// (round_up(count, S) doubles), zero-padding the tail.
-template <int S, typename T>
-void pack_norms(const PointTableT<T>& X, const int* GSKNN_RESTRICT idx,
+/// (round_up(count, S) values for sliver width S), zero-padding the tail.
+template <typename T>
+void pack_norms(int S, const PointTableT<T>& X, const int* GSKNN_RESTRICT idx,
                 int i0, int count, T* GSKNN_RESTRICT dst) {
   const T* GSKNN_RESTRICT x2 = X.norms2();
   int i = 0;
@@ -70,90 +74,47 @@ void pack_norms(const PointTableT<T>& X, const int* GSKNN_RESTRICT idx,
   for (; i < padded; ++i) dst[i] = T(0);
 }
 
+/// A vector pack: pack_points<S>'s contract for one sliver width.
+template <typename T>
+using PackFnT = void (*)(const PointTableT<T>& X, const int* idx, int i0,
+                         int count, int p0, int db, T* dst);
+
+// The vector packs each level has (pack_table in micro_avx2.cpp and
+// micro_avx512.cpp): nullptr for a sliver width the level does not pack.
 #if defined(GSKNN_BUILD_AVX2)
-/// AVX2 transpose-pack kernels (full groups vectorized, tail group scalar).
-void pack_points_avx2_s4(const PointTableT<double>& X, const int* idx, int i0,
-                         int count, int p0, int db, double* dst);
-void pack_points_avx2_s8(const PointTableT<double>& X, const int* idx, int i0,
-                         int count, int p0, int db, double* dst);
-void pack_points_avx2_s8f(const PointTableT<float>& X, const int* idx, int i0,
-                          int count, int p0, int db, float* dst);
+template <typename T>
+PackFnT<T> pack_avx2(int S);
 #endif
-
 #if defined(GSKNN_BUILD_AVX512)
-/// AVX-512 transpose-pack kernels for the 16-wide slivers.
-void pack_points_avx512_s16(const PointTableT<double>& X, const int* idx,
-                            int i0, int count, int p0, int db, double* dst);
-void pack_points_avx512_s16f(const PointTableT<float>& X, const int* idx,
-                             int i0, int count, int p0, int db, float* dst);
+template <typename T>
+PackFnT<T> pack_avx512(int S);
 #endif
 
-/// Runtime dispatch on (sliver width, SIMD level). `level` must be the
-/// level of the micro-kernel the driver resolved (not the machine maximum),
-/// so pack layout decisions and tile geometry always agree.
-inline void pack_points_rt(int S, SimdLevel level, const PointTableT<double>& X,
-                           const int* idx, int i0, int count, int p0, int db,
-                           double* dst) {
+/// Runtime dispatch on (sliver width, SIMD level): the highest level at or
+/// below `level` with a vector pack for S, else the scalar reference.
+/// `level` must be the level of the micro-kernel the driver resolved (not
+/// the machine maximum), so pack layout decisions and tile geometry always
+/// agree.
+template <typename T>
+void pack_points_rt(int S, SimdLevel level, const PointTableT<T>& X,
+                    const int* idx, int i0, int count, int p0, int db,
+                    T* dst) {
+  PackFnT<T> fn = nullptr;
+#if defined(GSKNN_BUILD_AVX512)
+  if (level >= SimdLevel::kAvx512) fn = pack_avx512<T>(S);
+#endif
+#if defined(GSKNN_BUILD_AVX2)
+  if (fn == nullptr && level >= SimdLevel::kAvx2) fn = pack_avx2<T>(S);
+#endif
   (void)level;
+  if (fn != nullptr) return fn(X, idx, i0, count, p0, db, dst);
   switch (S) {
     case 4:
-#if defined(GSKNN_BUILD_AVX2)
-      if (level >= SimdLevel::kAvx2) {
-        pack_points_avx2_s4(X, idx, i0, count, p0, db, dst);
-        return;
-      }
-#endif
-      pack_points<4>(X, idx, i0, count, p0, db, dst);
-      return;
+      return pack_points<4>(X, idx, i0, count, p0, db, dst);
     case 8:
-#if defined(GSKNN_BUILD_AVX2)
-      if (level >= SimdLevel::kAvx2) {
-        pack_points_avx2_s8(X, idx, i0, count, p0, db, dst);
-        return;
-      }
-#endif
-      pack_points<8>(X, idx, i0, count, p0, db, dst);
-      return;
+      return pack_points<8>(X, idx, i0, count, p0, db, dst);
     case 16:
-#if defined(GSKNN_BUILD_AVX512)
-      if (level >= SimdLevel::kAvx512) {
-        pack_points_avx512_s16(X, idx, i0, count, p0, db, dst);
-        return;
-      }
-#endif
-      pack_points<16>(X, idx, i0, count, p0, db, dst);
-      return;
-    default:
-      assert(false && "unsupported sliver width");
-  }
-}
-
-inline void pack_points_rt(int S, SimdLevel level, const PointTableT<float>& X,
-                           const int* idx, int i0, int count, int p0, int db,
-                           float* dst) {
-  (void)level;
-  switch (S) {
-    case 4:
-      pack_points<4>(X, idx, i0, count, p0, db, dst);
-      return;
-    case 8:
-#if defined(GSKNN_BUILD_AVX2)
-      if (level >= SimdLevel::kAvx2) {
-        pack_points_avx2_s8f(X, idx, i0, count, p0, db, dst);
-        return;
-      }
-#endif
-      pack_points<8>(X, idx, i0, count, p0, db, dst);
-      return;
-    case 16:
-#if defined(GSKNN_BUILD_AVX512)
-      if (level >= SimdLevel::kAvx512) {
-        pack_points_avx512_s16f(X, idx, i0, count, p0, db, dst);
-        return;
-      }
-#endif
-      pack_points<16>(X, idx, i0, count, p0, db, dst);
-      return;
+      return pack_points<16>(X, idx, i0, count, p0, db, dst);
     default:
       assert(false && "unsupported sliver width");
   }
@@ -206,24 +167,6 @@ void poison_packed(T* panel, const unsigned char* bad, int i0, int count,
       if (!bad[static_cast<std::size_t>(i0 + g + l)]) continue;
       for (int p = 0; p < db; ++p) blk[static_cast<long>(p) * tile + l] = qnan;
     }
-  }
-}
-
-template <typename T>
-inline void pack_norms_rt(int S, const PointTableT<T>& X, const int* idx,
-                          int i0, int count, T* dst) {
-  switch (S) {
-    case 4:
-      pack_norms<4>(X, idx, i0, count, dst);
-      return;
-    case 8:
-      pack_norms<8>(X, idx, i0, count, dst);
-      return;
-    case 16:
-      pack_norms<16>(X, idx, i0, count, dst);
-      return;
-    default:
-      assert(false && "unsupported sliver width");
   }
 }
 

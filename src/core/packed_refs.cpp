@@ -5,7 +5,7 @@
 // have produced for the same geometry, concatenated depth-major — each depth
 // slab starts at panel + nbpad·pc because every preceding full slab holds
 // nbpad·dc values. pack_block_locked therefore reuses the driver's own
-// pack_points_rt / poison_packed / pack_norms_rt helpers verbatim; there is
+// pack_points_rt / poison_packed / pack_norms helpers verbatim; there is
 // no second packing code path to drift.
 #include "gsknn/core/packed_refs.hpp"
 
@@ -358,8 +358,8 @@ Status PackedRefsT<T>::pack_block_locked(int b) {
     }
   }
   if (needs_norms_ && nbpad > 0) {
-    core::pack_norms_rt(tnr_, *X_, ids_->data(), j0, nb,
-                        blk.data->norms.data());
+    core::pack_norms(tnr_, *X_, ids_->data(), j0, nb,
+                     blk.data->norms.data());
   }
   blk.bytes = block_bytes(nb);
   blk.resident = true;

@@ -67,7 +67,7 @@ double time_memory(Method method, const ProblemShape& s,
   //   packing R side: τb(nd + 2n)         — coords + norms + index list
   //   packing Q side: τb(dm + 2m)·⌈n/nc⌉  — repacked once per jc block
   //   Cc spill:       τb(⌈d/dc⌉ − 1)·mn   — rank-dc accumulator reloads
-  // The transpose-pack kernels (pack_avx2/pack_avx512) replace the strided
+  // The transpose pack (src/core/pack_simd.hpp) replaces the strided
   // element-at-a-time scatter with register transposes and contiguous vector
   // stores, so the packing passes run below the streaming τb the paper
   // calibrated against the scalar gather: the CLI --profile pack phase on
