@@ -1,18 +1,25 @@
 // Shared helpers for the gtest suite and the differential fuzzers
 // (tools/fuzz_diff, tools/fuzz_fault, tools/fuzz_chaos): the scalar oracle
 // implementing the written kernel contract (docs/CONTRACT.md), the served-
-// ticket shadow-generation oracle and small comparison utilities used to
-// validate every production path.
+// ticket shadow-generation oracle, small comparison utilities used to
+// validate every production path, and the fuzzers' bounded-time loop.
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <exception>
 #include <limits>
 #include <span>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "gsknn/common/rng.hpp"
 #include "gsknn/core/knn.hpp"
 #include "gsknn/data/point_table.hpp"
 
@@ -164,6 +171,54 @@ inline ShadowMatch match_shadow_generation(
     if (matched) return ShadowMatch::kMatched;
   }
   return ShadowMatch::kNoMatch;
+}
+
+/// One bounded-time fuzz run: its wall-clock budget and trial-stream seed
+/// (defaults, overridden by --seconds=S and --seed=N) and, once fuzz_loop
+/// returns, the number of trials that ran.
+struct FuzzRun {
+  double seconds;
+  std::uint64_t seed;
+  long trials = 0;
+};
+
+/// The driver loop of the bounded-time fuzzers. Parses --seconds=S and
+/// --seed=N into `run` (anything else: usage on stderr, exit code 2), then
+/// calls trial(rng, index) for index 0, 1, … on one Xoshiro256 stream
+/// seeded with run.seed until run.seconds of wall clock have passed. A
+/// trial that returns false or throws (the exception text goes to stderr)
+/// ends the run: repro() prints what reproduces it and the exit code is 1.
+/// Returns 0 once the budget is spent; the caller prints its summary.
+template <class Trial, class Repro>
+int fuzz_loop(int argc, char** argv, const char* name, FuzzRun& run,
+              Trial&& trial, Repro&& repro) {
+  for (int a = 1; a < argc; ++a) {
+    if (std::strncmp(argv[a], "--seconds=", 10) == 0) {
+      run.seconds = std::atof(argv[a] + 10);
+    } else if (std::strncmp(argv[a], "--seed=", 7) == 0) {
+      run.seed = std::strtoull(argv[a] + 7, nullptr, 0);
+    } else {
+      std::fprintf(stderr, "usage: %s [--seconds=S] [--seed=N]\n", name);
+      return 2;
+    }
+  }
+  Xoshiro256 rng(run.seed);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (run.trials = 0;; ++run.trials) {
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - t0;
+    if (elapsed.count() >= run.seconds) return 0;
+    bool ok = false;
+    try {
+      ok = trial(rng, run.trials);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "unexpected exception: %s\n", e.what());
+    }
+    if (!ok) {
+      repro();
+      return 1;
+    }
+  }
 }
 
 }  // namespace gsknn::test

@@ -31,8 +31,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -442,69 +440,51 @@ bool chaos_storm_trial(const ChaosTrial& t, gsknn::Xoshiro256& rng) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  double seconds = 20.0;
-  std::uint64_t seed = 0xC4A05ull;
-  for (int a = 1; a < argc; ++a) {
-    if (std::strncmp(argv[a], "--seconds=", 10) == 0) {
-      seconds = std::atof(argv[a] + 10);
-    } else if (std::strncmp(argv[a], "--seed=", 7) == 0) {
-      seed = std::strtoull(argv[a] + 7, nullptr, 0);
-    } else {
-      std::fprintf(stderr, "usage: fuzz_chaos [--seconds=S] [--seed=N]\n");
-      return 2;
-    }
-  }
+  gsknn::test::FuzzRun run{20.0, 0xC4A05ull};
+  long storms = 0;
+  ChaosTrial t;
 
-  gsknn::Xoshiro256 rng(seed);
-  const auto t0 = std::chrono::steady_clock::now();
-  long trials = 0, storms = 0;
+  const int rc = gsknn::test::fuzz_loop(
+      argc, argv, "fuzz_chaos", run,
+      [&](gsknn::Xoshiro256& rng, long trials) {
+        t = ChaosTrial{};
+        t.seed = run.seed;
+        t.index = trials;
+        t.storm = (trials % 4 == 3);
+        t.workers = 1 + static_cast<int>(rng.below(3));
+        t.max_fused = 1 + static_cast<int>(rng.below(8));
+        // Independent knobs, each sometimes off — the all-off corner keeps
+        // the chaos harness honest against the plain round-7 contract.
+        if (rng.below(2) != 0u) {
+          t.fc.cancel_every = 2 + static_cast<std::int64_t>(rng.below(7));
+        }
+        if (rng.below(3) == 0u) {
+          t.fc.alloc_every = 50 + static_cast<std::int64_t>(rng.below(350));
+        }
+        if (rng.below(2) != 0u) {
+          t.fc.slow_us = static_cast<std::int64_t>(rng.below(200));
+        }
+        if (rng.below(2) != 0u) {
+          t.fc.serve_slow_us = static_cast<std::int64_t>(rng.below(2000));
+        }
 
-  while (true) {
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (elapsed >= seconds) break;
-
-    ChaosTrial t;
-    t.seed = seed;
-    t.index = trials;
-    t.storm = (trials % 4 == 3);
-    t.workers = 1 + static_cast<int>(rng.below(3));
-    t.max_fused = 1 + static_cast<int>(rng.below(8));
-    // Independent knobs, each sometimes off — the all-off corner keeps the
-    // chaos harness honest against the plain round-7 contract.
-    if (rng.below(2) != 0u) {
-      t.fc.cancel_every = 2 + static_cast<std::int64_t>(rng.below(7));
-    }
-    if (rng.below(3) == 0u) {
-      t.fc.alloc_every = 50 + static_cast<std::int64_t>(rng.below(350));
-    }
-    if (rng.below(2) != 0u) {
-      t.fc.slow_us = static_cast<std::int64_t>(rng.below(200));
-    }
-    if (rng.below(2) != 0u) {
-      t.fc.serve_slow_us = static_cast<std::int64_t>(rng.below(2000));
-    }
-
-    gsknn::flightrec::clear();
-    bool ok = false;
-    try {
-      ok = t.storm ? chaos_storm_trial(t, rng) : chaos_oracle_trial(t, rng);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "unexpected exception: %s\n", e.what());
-      ok = false;
-    }
-    gsknn::fault::reset();
-    if (!ok) {
-      print_repro(t);
-      return 1;
-    }
-    storms += t.storm ? 1 : 0;
-    ++trials;
-  }
+        gsknn::flightrec::clear();
+        storms += t.storm ? 1 : 0;
+        bool ok = false;
+        try {
+          ok = t.storm ? chaos_storm_trial(t, rng) : chaos_oracle_trial(t, rng);
+        } catch (...) {
+          gsknn::fault::reset();
+          throw;
+        }
+        gsknn::fault::reset();
+        return ok;
+      },
+      [&] { print_repro(t); });
+  if (rc != 0) return rc;
 
   std::printf("fuzz_chaos: %ld trials OK in %.1fs (%ld storm) (seed=0x%llx)\n",
-              trials, seconds, storms,
-              static_cast<unsigned long long>(seed));
+              run.trials, run.seconds, storms,
+              static_cast<unsigned long long>(run.seed));
   return 0;
 }

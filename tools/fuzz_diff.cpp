@@ -32,11 +32,8 @@
 // Runs for --seconds wall time (default 20) from --seed; on failure prints
 // the trial's full repro parameters and exits nonzero.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -755,116 +752,90 @@ bool run_trial(const Trial& t, gsknn::Xoshiro256& rng) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  double seconds = 20.0;
-  std::uint64_t seed = 0x5EEDFACEull;
-  for (int a = 1; a < argc; ++a) {
-    if (std::strncmp(argv[a], "--seconds=", 10) == 0) {
-      seconds = std::atof(argv[a] + 10);
-    } else if (std::strncmp(argv[a], "--seed=", 7) == 0) {
-      seed = std::strtoull(argv[a] + 7, nullptr, 0);
-    } else {
-      std::fprintf(stderr,
-                   "usage: fuzz_diff [--seconds=S] [--seed=N]\n");
-      return 2;
-    }
-  }
-
-  gsknn::Xoshiro256 rng(seed);
-  const auto t0 = std::chrono::steady_clock::now();
-  long trials = 0;
+  gsknn::test::FuzzRun run{20.0, 0x5EEDFACEull};
   long mode_counts[static_cast<int>(Mode::kModeCount)] = {};
   long large_k_trials = 0;
+  Trial t;
 
-  while (true) {
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (elapsed >= seconds) break;
-
-    Trial t;
-    t.seed = seed;
-    t.index = trials;
-    t.mode = static_cast<Mode>(
-        rng.below(static_cast<std::uint64_t>(Mode::kModeCount)));
-    const Norm norms[] = {Norm::kL2Sq, Norm::kL1, Norm::kLInf, Norm::kLp,
-                          Norm::kCosine};
-    t.norm = norms[rng.below(5)];
-    t.p = (rng.below(2) != 0u) ? 2.5 : 1.3;
-    // One trial in eight is large-k: only there do Var#5/#6 merge rows in
-    // batches and kAuto resolve to Var#5. Half of those draw n in 256..640
-    // and k in 256..n+6 (k > n included); the other half n in 1024..1536
-    // and k in 256..n/4, long enough rows for the sampled bound on the k-th
-    // distance to narrow the batch.
-    const bool large_k = (trials % 8 == 7);
-    const bool long_rows = large_k && (trials % 16 == 15);
-    t.m = static_cast<int>(rng.below(36));           // 0..35 (empty included)
-    t.d = static_cast<int>(rng.below(34));           // 0..33 (d == 0 included)
-    if (long_rows) {
-      t.n = 1024 + static_cast<int>(rng.below(513));
-      t.k = 256 + static_cast<int>(
-                      rng.below(static_cast<std::uint64_t>(t.n / 4 - 255)));
-    } else if (large_k) {
-      t.n = 256 + static_cast<int>(rng.below(385));
-      t.k = 256 + static_cast<int>(
-                      rng.below(static_cast<std::uint64_t>(t.n - 249)));
-    } else {
-      t.n = static_cast<int>(rng.below(70));         // 0..69
-      t.k = 1 + static_cast<int>(rng.below(
-                    static_cast<std::uint64_t>(t.n + 6)));  // k > n included
-    }
-    if (large_k) ++large_k_trials;
-    t.dedup = (rng.below(2) != 0u);
-    const double scales[] = {1e-3, 1.0, 1e3, 1e6};
-    t.scale = scales[rng.below(4)];
-    if (t.norm == Norm::kLp) t.scale = std::min(t.scale, 1e3);
-
-    ++mode_counts[static_cast<int>(t.mode)];
-    try {
-      if (!run_trial(t, rng)) {
-        print_repro(t);
-        return 1;
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "unexpected exception: %s\n", e.what());
-      print_repro(t);
-      return 1;
-    }
-
-    // The serving round spins up worker threads, so it interleaves at a
-    // coarser cadence than the in-process rounds.
-    if (trials % 16 == 0) {
-      try {
-        if (!check_serving(rng)) {
-          std::fprintf(stderr,
-                       "fuzz_diff FAILURE in serving round (--seed=%llu "
-                       "trial %ld)\n",
-                       static_cast<unsigned long long>(seed), trials);
-          return 1;
+  const int rc = gsknn::test::fuzz_loop(
+      argc, argv, "fuzz_diff", run,
+      [&](gsknn::Xoshiro256& rng, long trials) {
+        t = Trial{};
+        t.seed = run.seed;
+        t.index = trials;
+        t.mode = static_cast<Mode>(
+            rng.below(static_cast<std::uint64_t>(Mode::kModeCount)));
+        const Norm norms[] = {Norm::kL2Sq, Norm::kL1, Norm::kLInf, Norm::kLp,
+                              Norm::kCosine};
+        t.norm = norms[rng.below(5)];
+        t.p = (rng.below(2) != 0u) ? 2.5 : 1.3;
+        // One trial in eight is large-k: only there do Var#5/#6 merge rows
+        // in batches and kAuto resolve to Var#5. Half of those draw n in
+        // 256..640 and k in 256..n+6 (k > n included); the other half n in
+        // 1024..1536 and k in 256..n/4, long enough rows for the sampled
+        // bound on the k-th distance to narrow the batch.
+        const bool large_k = (trials % 8 == 7);
+        const bool long_rows = large_k && (trials % 16 == 15);
+        t.m = static_cast<int>(rng.below(36));  // 0..35 (empty included)
+        t.d = static_cast<int>(rng.below(34));  // 0..33 (d == 0 included)
+        if (long_rows) {
+          t.n = 1024 + static_cast<int>(rng.below(513));
+          t.k = 256 + static_cast<int>(rng.below(
+                          static_cast<std::uint64_t>(t.n / 4 - 255)));
+        } else if (large_k) {
+          t.n = 256 + static_cast<int>(rng.below(385));
+          t.k = 256 + static_cast<int>(rng.below(
+                          static_cast<std::uint64_t>(t.n - 249)));
+        } else {
+          t.n = static_cast<int>(rng.below(70));  // 0..69
+          t.k = 1 + static_cast<int>(rng.below(
+                        static_cast<std::uint64_t>(t.n + 6)));  // k > n too
         }
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "serving round exception: %s (trial %ld)\n",
-                     e.what(), trials);
-        return 1;
-      }
-    }
+        if (large_k) ++large_k_trials;
+        t.dedup = (rng.below(2) != 0u);
+        const double scales[] = {1e-3, 1.0, 1e3, 1e6};
+        t.scale = scales[rng.below(4)];
+        if (t.norm == Norm::kLp) t.scale = std::min(t.scale, 1e3);
 
-    // Error-path probes interleave with the differential trials.
-    if (trials % 64 == 0) {
-      PointTable probe(4, 8);
-      for (int i = 0; i < 8; ++i) {
-        for (int r = 0; r < 4; ++r) probe.col(i)[r] = rng.uniform(-1.0, 1.0);
-      }
-      probe.compute_norms();
-      if (!probe_malformed(probe)) {
-        std::fprintf(stderr, "fuzz_diff FAILURE in malformed-input probes\n");
-        return 1;
-      }
-    }
-    ++trials;
-  }
+        ++mode_counts[static_cast<int>(t.mode)];
+        if (!run_trial(t, rng)) return false;
 
-  std::printf("fuzz_diff: %ld trials OK in %.1fs (seed=0x%llx)\n", trials,
-              seconds, static_cast<unsigned long long>(seed));
+        // The serving round spins up worker threads, so it interleaves at a
+        // coarser cadence than the in-process rounds.
+        if (trials % 16 == 0) {
+          try {
+            if (!check_serving(rng)) {
+              std::fprintf(stderr, "fuzz_diff FAILURE in serving round\n");
+              return false;
+            }
+          } catch (const std::exception& e) {
+            std::fprintf(stderr, "serving round exception: %s\n", e.what());
+            return false;
+          }
+        }
+
+        // Error-path probes interleave with the differential trials.
+        if (trials % 64 == 0) {
+          PointTable probe(4, 8);
+          for (int i = 0; i < 8; ++i) {
+            for (int r = 0; r < 4; ++r) {
+              probe.col(i)[r] = rng.uniform(-1.0, 1.0);
+            }
+          }
+          probe.compute_norms();
+          if (!probe_malformed(probe)) {
+            std::fprintf(stderr,
+                         "fuzz_diff FAILURE in malformed-input probes\n");
+            return false;
+          }
+        }
+        return true;
+      },
+      [&] { print_repro(t); });
+  if (rc != 0) return rc;
+
+  std::printf("fuzz_diff: %ld trials OK in %.1fs (seed=0x%llx)\n", run.trials,
+              run.seconds, static_cast<unsigned long long>(run.seed));
   std::printf("  large-k  %ld\n", large_k_trials);
   for (int i = 0; i < static_cast<int>(Mode::kModeCount); ++i) {
     std::printf("  %-8s %ld\n", mode_name(static_cast<Mode>(i)),

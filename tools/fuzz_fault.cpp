@@ -32,11 +32,8 @@
 // Runs for --seconds wall time (default 10) from --seed; on failure prints
 // the trial's full repro parameters and exits nonzero.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -425,65 +422,46 @@ bool run_trial(Trial& t, gsknn::Xoshiro256& rng) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  double seconds = 10.0;
-  std::uint64_t seed = 0xFA17FA17ull;
-  for (int a = 1; a < argc; ++a) {
-    if (std::strncmp(argv[a], "--seconds=", 10) == 0) {
-      seconds = std::atof(argv[a] + 10);
-    } else if (std::strncmp(argv[a], "--seed=", 7) == 0) {
-      seed = std::strtoull(argv[a] + 7, nullptr, 0);
-    } else {
-      std::fprintf(stderr, "usage: fuzz_fault [--seconds=S] [--seed=N]\n");
-      return 2;
-    }
-  }
-
-  gsknn::Xoshiro256 rng(seed);
-  const auto t0 = std::chrono::steady_clock::now();
-  long trials = 0;
+  gsknn::test::FuzzRun run{10.0, 0xFA17FA17ull};
   long mode_counts[static_cast<int>(Mode::kModeCount)] = {};
+  Trial t;
 
-  while (true) {
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (elapsed >= seconds) break;
+  const int rc = gsknn::test::fuzz_loop(
+      argc, argv, "fuzz_fault", run,
+      [&](gsknn::Xoshiro256& rng, long trials) {
+        t = Trial{};
+        t.seed = run.seed;
+        t.index = trials;
+        t.mode = static_cast<Mode>(
+            rng.below(static_cast<std::uint64_t>(Mode::kModeCount)));
+        const Norm norms[] = {Norm::kL2Sq, Norm::kL1, Norm::kLInf,
+                              Norm::kCosine};
+        t.norm = norms[rng.below(4)];
+        const Variant variants[] = {Variant::kAuto, Variant::kVar1,
+                                    Variant::kVar5, Variant::kVar6};
+        t.variant = variants[rng.below(4)];
+        t.m = 1 + static_cast<int>(rng.below(48));
+        t.n = 1 + static_cast<int>(rng.below(160));
+        t.d = 1 + static_cast<int>(rng.below(40));
+        t.k = 1 + static_cast<int>(rng.below(12));
+        t.threads = 1 + static_cast<int>(rng.below(2)) * 2;  // 1 or 3
+        t.dedup = (rng.below(2) != 0u);
+        if (t.mode == Mode::kBatch) t.variant = Variant::kAuto;
 
-    Trial t;
-    t.seed = seed;
-    t.index = trials;
-    t.mode = static_cast<Mode>(
-        rng.below(static_cast<std::uint64_t>(Mode::kModeCount)));
-    const Norm norms[] = {Norm::kL2Sq, Norm::kL1, Norm::kLInf, Norm::kCosine};
-    t.norm = norms[rng.below(4)];
-    const Variant variants[] = {Variant::kAuto, Variant::kVar1,
-                                Variant::kVar5, Variant::kVar6};
-    t.variant = variants[rng.below(4)];
-    t.m = 1 + static_cast<int>(rng.below(48));
-    t.n = 1 + static_cast<int>(rng.below(160));
-    t.d = 1 + static_cast<int>(rng.below(40));
-    t.k = 1 + static_cast<int>(rng.below(12));
-    t.threads = 1 + static_cast<int>(rng.below(2)) * 2;  // 1 or 3
-    t.dedup = (rng.below(2) != 0u);
-    if (t.mode == Mode::kBatch) t.variant = Variant::kAuto;
+        ++mode_counts[static_cast<int>(t.mode)];
+        try {
+          return run_trial(t, rng);
+        } catch (...) {
+          gsknn::fault::reset();
+          throw;
+        }
+      },
+      [&] { print_repro(t); });
+  if (rc != 0) return rc;
 
-    ++mode_counts[static_cast<int>(t.mode)];
-    try {
-      if (!run_trial(t, rng)) {
-        print_repro(t);
-        return 1;
-      }
-    } catch (const std::exception& e) {
-      gsknn::fault::reset();
-      std::fprintf(stderr, "unexpected exception: %s\n", e.what());
-      print_repro(t);
-      return 1;
-    }
-    ++trials;
-  }
-
-  std::printf("fuzz_fault: %ld trials OK in %.1fs (seed=0x%llx)\n", trials,
-              seconds, static_cast<unsigned long long>(seed));
+  std::printf("fuzz_fault: %ld trials OK in %.1fs (seed=0x%llx)\n",
+              run.trials, run.seconds,
+              static_cast<unsigned long long>(run.seed));
   for (int i = 0; i < static_cast<int>(Mode::kModeCount); ++i) {
     std::printf("  %-8s %ld\n", mode_name(static_cast<Mode>(i)),
                 mode_counts[i]);
