@@ -3,8 +3,10 @@
 // scheduling) on a skewed batch of leaf-sized problems, plus the scheduler's
 // predicted makespan against naive round-robin.
 //
-// Note: on a single-core host both schemes serialize; the printed scheduler
-// quality metrics (model-estimated makespans) remain meaningful.
+// Both schemes use the OpenMP default thread count, so OMP_NUM_THREADS=1,
+// 2, 4 runs them at each count (EXPERIMENTS.md §2.5 has 4-vCPU numbers).
+// The scheduler quality metrics (model-estimated makespans) do not depend
+// on the host.
 #include <cstdio>
 
 #include "bench_util.hpp"

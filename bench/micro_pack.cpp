@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "gsknn/common/aligned.hpp"
@@ -51,47 +52,59 @@ BENCHMARK(BM_PackQueriesScattered)->Arg(16)->Arg(64)->Arg(256);
 // transpose pack (src/core/pack_simd.hpp, instantiated per level in
 // micro_avx*.cpp) when the machine has it for the width, and the scalar
 // template otherwise — the scalar templates above are the packing baseline.
-template <int S>
-void BM_PackScatteredRt(benchmark::State& state) {
+// From a 65536-point table (random rows, some repeated) every gather reads
+// DRAM and the figures move ±10–20% run to run. From a 512-point table
+// (kTable = 512: every row once, in random order) the table stays in L2
+// after the first pass, so the loop itself is timed.
+template <typename T, int S, int kTable>
+void pack_scattered_rt(benchmark::State& state) {
   const int d = static_cast<int>(state.range(0));
   const int count = 512;
-  const PointTable X = make_uniform(d, 65536, 2);
+  const PointTableT<T> X = [&] {
+    if constexpr (sizeof(T) == 8) return make_uniform(d, kTable, 2);
+    else return to_float(make_uniform(d, kTable, 2));
+  }();
   std::vector<int> idx(static_cast<std::size_t>(count));
   Xoshiro256 rng(7);
-  for (auto& i : idx) i = static_cast<int>(rng.below(65536));
-  AlignedBuffer<double> dst(static_cast<std::size_t>(count + S) * d);
+  if constexpr (kTable == 512) {
+    std::iota(idx.begin(), idx.end(), 0);
+    for (int i = count - 1; i > 0; --i) {
+      std::swap(idx[static_cast<std::size_t>(i)],
+                idx[static_cast<std::size_t>(rng.below(i + 1))]);
+    }
+  } else {
+    for (auto& i : idx) i = static_cast<int>(rng.below(kTable));
+  }
+  AlignedBuffer<T> dst(static_cast<std::size_t>(count + S) * d);
   const SimdLevel level = cpu_features().best_level();
   for (auto _ : state) {
     core::pack_points_rt(S, level, X, idx.data(), 0, count, 0, d, dst.data());
     benchmark::DoNotOptimize(dst.data());
   }
   state.SetBytesProcessed(static_cast<long>(state.iterations()) * count * d *
-                          static_cast<long>(sizeof(double)));
+                          static_cast<long>(sizeof(T)));
+}
+
+template <int S, int kTable = 65536>
+void BM_PackScatteredRt(benchmark::State& state) {
+  pack_scattered_rt<double, S, kTable>(state);
+}
+template <int S, int kTable = 65536>
+void BM_PackScatteredRtF32(benchmark::State& state) {
+  pack_scattered_rt<float, S, kTable>(state);
 }
 BENCHMARK(BM_PackScatteredRt<4>)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_PackScatteredRt<8>)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_PackScatteredRt<16>)->Arg(16)->Arg(64)->Arg(256);
-
-template <int S>
-void BM_PackScatteredRtF32(benchmark::State& state) {
-  const int d = static_cast<int>(state.range(0));
-  const int count = 512;
-  const PointTableF X = to_float(make_uniform(d, 65536, 2));
-  std::vector<int> idx(static_cast<std::size_t>(count));
-  Xoshiro256 rng(7);
-  for (auto& i : idx) i = static_cast<int>(rng.below(65536));
-  AlignedBuffer<float> dst(static_cast<std::size_t>(count + S) * d);
-  const SimdLevel level = cpu_features().best_level();
-  for (auto _ : state) {
-    core::pack_points_rt(S, level, X, idx.data(), 0, count, 0, d, dst.data());
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetBytesProcessed(static_cast<long>(state.iterations()) * count * d *
-                          static_cast<long>(sizeof(float)));
-}
 BENCHMARK(BM_PackScatteredRtF32<4>)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_PackScatteredRtF32<8>)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_PackScatteredRtF32<16>)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK_TEMPLATE(BM_PackScatteredRt, 4, 512)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK_TEMPLATE(BM_PackScatteredRt, 8, 512)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK_TEMPLATE(BM_PackScatteredRt, 16, 512)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK_TEMPLATE(BM_PackScatteredRtF32, 4, 512)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK_TEMPLATE(BM_PackScatteredRtF32, 8, 512)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK_TEMPLATE(BM_PackScatteredRtF32, 16, 512)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_PackNorms(benchmark::State& state) {
   const int count = static_cast<int>(state.range(0));

@@ -8,6 +8,14 @@
 #include <omp.h>
 #endif
 
+/// One OpenMP directive, e.g. GSKNN_OMP(omp barrier); nothing when OpenMP is
+/// off, so every construct then runs on the calling thread alone.
+#if defined(GSKNN_HAVE_OPENMP)
+#define GSKNN_OMP(directive) _Pragma(#directive)
+#else
+#define GSKNN_OMP(directive)
+#endif
+
 namespace gsknn {
 
 /// Number of threads a parallel region would use for a request of `threads`

@@ -75,9 +75,7 @@ void gemm_impl(Trans transa, Trans transb, int m, int n, int k, T alpha,
       pack_b_rt(tnr, transb, B, ldb, pc, jc, kb, nb, bpanel.data());
       const T beta_eff = (pc == 0) ? beta : T(1);
 
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
+      GSKNN_OMP(omp parallel for schedule(static))
       for (int ic = 0; ic < m; ic += mc) {             // 4th loop
         const int mb = std::min(mc, m - ic);
         const int mb_pad = static_cast<int>(round_up(static_cast<std::size_t>(mb), tmr));

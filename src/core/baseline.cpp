@@ -52,9 +52,9 @@ Status gemm_baseline_impl(const PointTable& X, std::span<const int> qidx,
   };
 
   // The four Table-5 phases are spans of one recorder: collect and the
-  // GEMM on this thread, the finish and selection passes on each worker
-  // (written as parallel + for-nowait so each worker's span ends when its
-  // chunk does — load imbalance shows up on the timeline).
+  // GEMM on this thread, the finish and selection passes on each worker of
+  // one parallel region (for-nowait loops, so each worker's span ends when
+  // its chunk does — load imbalance shows up on the timeline).
   const int threads = resolve_threads(cfg.threads);
   telemetry::Recorder rec(cfg.profile, threads, cfg.trace);
 
@@ -86,16 +86,12 @@ Status gemm_baseline_impl(const PointTable& X, std::span<const int> qidx,
   span.close();
 
   // Phase 3 — finish the distances: ℓ2 adds ‖q_i‖² + ‖r_j‖²; cosine
-  // normalizes by the norms.
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp parallel num_threads(threads)
-#endif
+  // normalizes by the norms. Phase 4 runs in the same parallel region.
+  GSKNN_OMP(omp parallel num_threads(threads))
   {
-    telemetry::PhaseSpan sq2d =
-        rec.span(thread_id(), telemetry::Phase::kSq2d, m, n);
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp for schedule(static) nowait
-#endif
+    const int tid = thread_id();
+    telemetry::PhaseSpan sq2d = rec.span(tid, telemetry::Phase::kSq2d, m, n);
+    GSKNN_OMP(omp for schedule(static) nowait)
     for (int i = 0; i < m; ++i) {
       double* ci = c.data() + static_cast<long>(i) * n;
       const double qi = q2[static_cast<std::size_t>(i)];
@@ -117,19 +113,13 @@ Status gemm_baseline_impl(const PointTable& X, std::span<const int> qidx,
       }
     }
     sq2d.close();
-  }
+    GSKNN_OMP(omp barrier)  // every distance finished before selection
 
-  // Phase 4 — selection: STL max-heap per query row.
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp parallel num_threads(threads)
-#endif
-  {
+    // Phase 4 — selection: STL max-heap per query row.
     SelectScratch scratch;
     telemetry::PhaseSpan select =
-        rec.span(thread_id(), telemetry::Phase::kSelect, m, n);
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp for schedule(static) nowait
-#endif
+        rec.span(tid, telemetry::Phase::kSelect, m, n);
+    GSKNN_OMP(omp for schedule(static) nowait)
     for (int i = 0; i < m; ++i) {
       const int row = heap_row(i);
       const double* ci = c.data() + static_cast<long>(i) * n;
@@ -222,9 +212,8 @@ void single_loop_impl(const PointTable& X, std::span<const int> qidx,
   const int m = static_cast<int>(qidx.size());
   const int n = static_cast<int>(ridx.size());
   const int d = X.dim();
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp parallel for schedule(static) num_threads(resolve_threads(cfg.threads))
-#endif
+  GSKNN_OMP(omp parallel for schedule(static)
+                num_threads(resolve_threads(cfg.threads)))
   for (int i = 0; i < m; ++i) {
     const int row = result_rows.empty() ? i : result_rows[static_cast<std::size_t>(i)];
     const double* qp = X.col(qidx[static_cast<std::size_t>(i)]);

@@ -140,9 +140,7 @@ Status knn_batch_impl(const PointTable& X, std::span<const KnnTask> tasks,
   task_cfg.threads = 1;
   // Tasks were validated above; skip re-validation inside the workers.
   task_cfg.validate = false;
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp parallel num_threads(p)
-#endif
+  GSKNN_OMP(omp parallel num_threads(p))
   {
     const int tid = thread_id();
     // The LPT schedule targeted p workers, but the delivered team can be

@@ -175,7 +175,7 @@ Status plan_kernel_packed(const PackedRefsT<T>& refs, int m, int n, int d,
 
 /// Cold-path reference panels: pack each (jc, pc) slab into the shared
 /// arena on demand — the pre-split driver's pack phase, verbatim. `rc`/`r2c`
-/// are carved by the compute preamble.
+/// are carved by knn_kernel_compute.
 template <typename T>
 struct ArenaRefPanels {
   static constexpr bool kCached = false;
@@ -292,40 +292,14 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
 
   // Reserve every byte the call will touch before any result row can be
   // written: a genuine allocation failure (or an injected one;
-  // gsknn/common/fault.hpp) surfaces here as kResourceExhausted with the
-  // result untouched. nothing allocates inside the loop nest.
+  // gsknn/common/fault.hpp) surfaces as kResourceExhausted with the result
+  // untouched. Nothing allocates inside the loop nest. Each team thread
+  // reserves its own arena at the top of the parallel region below.
   std::atomic<int> stop{0};  // 0 = running; else the Status ending the call
   try {
     shared_arena().reserve(plan.shared_bytes);
   } catch (const std::bad_alloc&) {
     return Status::kResourceExhausted;
-  }
-#if defined(GSKNN_HAVE_OPENMP)
-  if (threads > 1) {
-    // libgomp serves subsequent same-size regions from the same thread
-    // pool, so reserving the per-thread arenas in this preamble region
-    // covers the 4th-loop teams below (the body re-checks as insurance —
-    // pool reuse is an implementation behavior, not a guarantee).
-#pragma omp parallel num_threads(threads)
-    {
-      try {
-        thread_arena().reserve(plan.per_thread_bytes);
-      } catch (const std::bad_alloc&) {
-        stop.store(static_cast<int>(Status::kResourceExhausted),
-                   std::memory_order_relaxed);
-      }
-    }
-    if (stop.load(std::memory_order_relaxed) != 0) {
-      return Status::kResourceExhausted;
-    }
-  } else
-#endif
-  {
-    try {
-      thread_arena().reserve(plan.per_thread_bytes);
-    } catch (const std::bad_alloc&) {
-      return Status::kResourceExhausted;
-    }
   }
 
   // Telemetry: every phase is one telemetry::PhaseSpan, which reads only
@@ -372,9 +346,8 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
   // the 4th-loop body, so an mc-block's rows are complete iff the block's
   // last-depth body ran for every jc panel; block_pass counts those. Each
   // entry is written by the one thread owning that ic iteration and read
-  // only after the region's barrier — no atomics needed. Var#5/6 select in
-  // dedicated regions that are skipped wholesale on a stop, so completion
-  // there is all-or-nothing.
+  // only after the 4th loop's barrier — no atomics needed. Var#5/6 row scans
+  // are skipped wholesale on a stop, so completion there is all-or-nothing.
   const int num_jc_blocks = static_cast<int>(ceil_div(n, nc));
   std::vector<int> block_pass(
       static_cast<std::size_t>(ceil_div(m, mc)), 0);
@@ -422,244 +395,261 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
     cbuf = sws.alloc<T>(static_cast<std::size_t>(celems));
   }
 
-  // Var#5/6 selection: one parallel row scan over the query-major distance
-  // buffer, `len` candidates per row carrying ids[0..len) — Var#5 runs it
-  // over each finished m × nc panel, Var#6 once over the full m × n matrix.
-  // Cancellation and deadlines are polled once before the region, never
-  // inside it; only a failed scratch reservation (below) stops it part-way.
-  // `span_col` tags the trace span.
-  const auto select_panel = [&](const int* ids, int len, int span_col) {
-    if (stop.load(std::memory_order_relaxed) != 0) return;
-    if (governed) {
-      poll_stop();
-      if (stop.load(std::memory_order_relaxed) != 0) return;
-    }
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp parallel num_threads(threads)
-#endif
-    {
-      const int tid = thread_id();
-      telemetry::ThreadCounters* tc = rec.slot(tid);
-      telemetry::PhaseSpan span =
-          rec.span(tid, telemetry::Phase::kSelect, -1, span_col);
-      // The batch scratch reuses this thread's arena, idle between 4th-loop
-      // regions. The preamble reserved it; a team thread that missed that
-      // reservation reserves here, as the 4th loop does, and if that fails
-      // leaves its rows alone and ends the call kResourceExhausted (every
-      // Var#5/6 row is then flagged incomplete).
-      const bool batch = batch_select_applies(k, cfg.dedup);
-      SelPair<T>* scratch = nullptr;
-      if (batch) {
-        WorkspaceArena& ws = thread_arena();
-        try {
-          if (ws.capacity() < plan.per_thread_bytes) {
-            ws.reserve(plan.per_thread_bytes);  // preamble insurance
-          }
-          ws.rewind();
-          scratch = ws.alloc<SelPair<T>>(static_cast<std::size_t>(len) + k);
-        } catch (const std::bad_alloc&) {
-          int expected = 0;
-          stop.compare_exchange_strong(
-              expected, static_cast<int>(Status::kResourceExhausted),
-              std::memory_order_relaxed);
-        }
-      }
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp for schedule(static) nowait
-#endif
-      for (int i = 0; i < m; ++i) {
-        if (batch && scratch == nullptr) continue;
-        const int row = heap_row(i);
-        row_select(cbuf + static_cast<long>(i) * ld, ids, len,
-                   result.row_dists(row), result.row_ids(row),
-                   result.row_idset(row), k, stride, arity, cfg.dedup,
-                   scratch, tc);
-      }
-      span.close();
-    }
+  // One parallel region runs the whole nest (§2.5). Each team thread
+  // reserves its own arena at the top. Thread 0 polls the stop and packs
+  // every Rc panel, so pack_r stays on its trace track. The team splits
+  // each 4th loop and each Var#5/6 row scan with `omp for`.
+  //
+  // Uniform exits: every exit from a loop that holds a barrier is decided
+  // by the plain shared `halt`. Thread 0 writes it before a barrier, every
+  // thread reads it just after that barrier, and nobody writes it again
+  // until every thread has passed the next one. Leaving on the live `stop`
+  // instead would let one thread quit while its peers wait at a barrier —
+  // a deadlock. Inside an `omp for` body, `stop` only skips blocks.
+  bool halt = false;
+  const T* rcp = nullptr;    // the current Rc panel, set by thread 0
+  const T* r2cur = nullptr;  // its norms, on the last depth block
+  std::atomic<bool> unreserved{false};
+  // Thread 0 only: whether the team stops here — a stop already set, or
+  // one this poll sets.
+  const auto decide = [&] {
+    if (governed && stop.load(std::memory_order_relaxed) == 0) poll_stop();
+    halt = stop.load(std::memory_order_relaxed) != 0;
   };
 
-  for (int jc = 0; jc < n; jc += nc) {  // ---- 6th loop ----
-    const int nb = (n - jc < nc) ? n - jc : nc;
-    const int nbpad = static_cast<int>(round_up(static_cast<std::size_t>(nb),
-                                                static_cast<std::size_t>(tnr)));
-    const int colbase = (variant == Variant::kVar6) ? jc : 0;
+  // Var#5/6 selection: one row scan over the query-major distance buffer,
+  // `len` candidates per row carrying ids[0..len) — Var#5 runs it over each
+  // finished m × nc panel, Var#6 once over the full m × n matrix. It is
+  // all or nothing: the stop is decided before the scan, never inside it.
+  // `span_col` tags the trace span. Returns false when the team stops.
+  const auto select_panel = [&](const int* ids, int len, int span_col) {
+    GSKNN_OMP(omp masked)
+    decide();
+    GSKNN_OMP(omp barrier)
+    if (halt) return false;
+    const int tid = thread_id();
+    telemetry::ThreadCounters* tc = rec.slot(tid);
+    telemetry::PhaseSpan span =
+        rec.span(tid, telemetry::Phase::kSelect, -1, span_col);
+    // The batch scratch reuses this thread's arena, idle between 4th loops.
+    SelPair<T>* scratch = nullptr;
+    if (batch_select_applies(k, cfg.dedup)) {
+      WorkspaceArena& ws = thread_arena();
+      ws.rewind();
+      scratch = ws.alloc<SelPair<T>>(static_cast<std::size_t>(len) + k);
+    }
+    GSKNN_OMP(omp for schedule(static) nowait)
+    for (int i = 0; i < m; ++i) {
+      const int row = heap_row(i);
+      row_select(cbuf + static_cast<long>(i) * ld, ids, len,
+                 result.row_dists(row), result.row_ids(row),
+                 result.row_idset(row), k, stride, arity, cfg.dedup, scratch,
+                 tc);
+    }
+    span.close();
+    GSKNN_OMP(omp barrier)  // before thread 0 writes `halt` again
+    return true;
+  };
 
-    for (int pc = 0; pc < d; pc += dc) {  // ---- 5th loop ----
-      if (stop.load(std::memory_order_relaxed) != 0) break;
-      if (governed) {
-        poll_stop();
-        if (stop.load(std::memory_order_relaxed) != 0) break;
-      }
-      const int db = (d - pc < dc) ? d - pc : dc;
-      const bool first = (pc == 0);
-      const bool last = (pc + db >= d);
+  GSKNN_OMP(omp parallel num_threads(threads))
+  {
+    try {
+      thread_arena().reserve(plan.per_thread_bytes);
+    } catch (const std::bad_alloc&) {
+      unreserved.store(true, std::memory_order_relaxed);
+      stop.store(static_cast<int>(Status::kResourceExhausted),
+                 std::memory_order_relaxed);
+    }
+    GSKNN_OMP(omp barrier)
+    bool running = true;  // this thread's copy of the last `halt`
+    for (int jc = 0; running && jc < n; jc += nc) {  // ---- 6th loop ----
+      const int nb = (n - jc < nc) ? n - jc : nc;
+      const int nbpad = static_cast<int>(round_up(
+          static_cast<std::size_t>(nb), static_cast<std::size_t>(tnr)));
+      const int colbase = (variant == Variant::kVar6) ? jc : 0;
 
-      // Pack phase, reference side: cold packs the slab into the arena and
-      // reports its bytes; warm leases the cached block — 0 bytes on a
-      // resident hit, which is exactly what kBytesPackedR then records.
-      // pack-Rc runs outside the parallel region, on the master thread.
-      telemetry::PhaseSpan pack_r =
-          rec.span(0, telemetry::Phase::kPackR, jc, pc);
-      std::uint64_t pack_bytes = 0;
-      const T* const rcp =
-          rpanels.get(jc, nb, nbpad, pc, db, last, needs_norms, pack_bytes);
-      if (rcp == nullptr) {
-        // Acquire failure (allocation under a cache miss): stop like any
-        // other resource failure, with the affected rows flagged below.
-        int expected = 0;
-        stop.compare_exchange_strong(expected,
-                                     static_cast<int>(rpanels.err),
-                                     std::memory_order_relaxed);
-        break;
-      }
-      const T* const r2cur = (last && needs_norms) ? rpanels.norms() : nullptr;
-      pack_r.close();
-      if constexpr (telemetry::kCountersEnabled) {
-        if (rec.active()) {
-          rec.slot(0)->add(telemetry::Counter::kBytesPackedR, pack_bytes);
-        }
-      }
+      for (int pc = 0; pc < d; pc += dc) {  // ---- 5th loop ----
+        const int db = (d - pc < dc) ? d - pc : dc;
+        const bool first = (pc == 0);
+        const bool last = (pc + db >= d);
 
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp parallel for schedule(static) num_threads(threads)
-#endif
-      for (int ic = 0; ic < m; ic += mc) {  // ---- 4th loop ----
-        // Block-boundary cancellation point: a stop set while this body is
-        // in flight lets it finish its whole block (per-row heap updates
-        // are atomic w.r.t. their rows, so no torn rows either way).
-        if (stop.load(std::memory_order_relaxed) != 0) continue;
-        if (governed) {
-          poll_stop();
-          if (stop.load(std::memory_order_relaxed) != 0) continue;
-        }
-        // Exceptions must not escape the parallel region (that would
-        // terminate the process). The only allocation reachable from here
-        // is RowIdSet::grow under cfg.dedup — plus the insurance reserve
-        // below — so the catch is a backstop, not a code path.
-        try {
-        const int mb = (m - ic < mc) ? m - ic : mc;
-        const int mbpad = static_cast<int>(round_up(
-            static_cast<std::size_t>(mb), static_cast<std::size_t>(tmr)));
-        const int tid = thread_id();
-        telemetry::ThreadCounters* tc = rec.slot(tid);
-        [[maybe_unused]] std::uint64_t tiles_local = 0, cand_local = 0;
-        // One span over the block: pack-Qc, then the micro-kernel from the
-        // same reading to the end of the 3rd loop.
-        telemetry::PhaseSpan span =
-            rec.span(tid, telemetry::Phase::kPackQ, ic, pc);
-        WorkspaceArena& ws = thread_arena();
-        if (ws.capacity() < plan.per_thread_bytes) {
-          ws.reserve(plan.per_thread_bytes);  // preamble insurance (above)
-        }
-        ws.rewind();
-        T* const qc = ws.alloc<T>(static_cast<std::size_t>(mbpad) * db);
-        pack_points_rt(tmr, chosen, X, qidx.data(), ic, mb, pc, db, qc);
-        if (any_bad_q) {
-          poison_packed(qc, qbad.data(), ic, mb, tmr, db);
-        }
-        const T* q2c = nullptr;
-        if (last && needs_norms) {
-          T* const q2 = ws.alloc<T>(static_cast<std::size_t>(mbpad));
-          pack_norms(tmr, X, qidx.data(), ic, mb, q2);
-          q2c = q2;
-        }
-        span.next(telemetry::Phase::kMicro, ic, jc);
-        if constexpr (telemetry::kCountersEnabled) {
-          if (tc != nullptr) {
-            std::uint64_t bytes =
-                static_cast<std::uint64_t>(mbpad) * db * sizeof(T);
-            if (last && needs_norms) bytes += static_cast<std::uint64_t>(mbpad) * sizeof(T);
-            tc->add(telemetry::Counter::kBytesPackedQ, bytes);
-          }
-        }
-
-        for (int jr = 0; jr < nb; jr += tnr) {  // ---- 3rd loop ----
-          const int cols = (nb - jr < tnr) ? nb - jr : tnr;
-          const T* rs = rcp + static_cast<long>(jr) * db;
-          const T* r2s = (last && needs_norms) ? r2cur + jr : nullptr;
-
-          for (int ir = 0; ir < mb; ir += tmr) {  // ---- 2nd loop ----
-            const int rows = (mb - ir < tmr) ? mb - ir : tmr;
-            const T* qs = qc + static_cast<long>(ir) * db;
-            const T* q2s = (last && needs_norms) ? q2c + ir : nullptr;
-
-            T* ctile = nullptr;
-            if (needs_cbuf) {
-              ctile = c_colmajor
-                          ? cbuf + (ic + ir) +
-                                static_cast<long>(colbase + jr) * ld
-                          : cbuf + static_cast<long>(ic + ir) * ld +
-                                colbase + jr;
-            }
-            const T* cin = (!first && needs_cbuf) ? ctile : nullptr;
-            T* cout = ctile;
-            SelectCtxT<T> ctx;
-            const SelectCtxT<T>* sel = nullptr;
-            if (variant == Variant::kVar1 && last) {
-              cout = nullptr;  // Var#1 discards the tile after selection
-              for (int i = 0; i < tmr; ++i) {
-                if (i < rows) {
-                  const int row = heap_row(ic + ir + i);
-                  ctx.hd[i] = result.row_dists(row);
-                  ctx.hi[i] = result.row_ids(row);
-                  ctx.hset[i] = result.row_idset(row);
-                } else {
-                  ctx.hd[i] = const_cast<T*>(neg_inf_row<T>());
-                  ctx.hi[i] = kDummyIds;
-                  ctx.hset[i] = nullptr;
+        // Pack phase, reference side: cold packs the slab into the arena
+        // and reports its bytes; warm leases the cached block — 0 bytes on
+        // a resident hit, which is exactly what kBytesPackedR then records.
+        GSKNN_OMP(omp masked)
+        {
+          decide();
+          if (!halt) {
+            telemetry::PhaseSpan pack_r =
+                rec.span(0, telemetry::Phase::kPackR, jc, pc);
+            std::uint64_t pack_bytes = 0;
+            rcp = rpanels.get(jc, nb, nbpad, pc, db, last, needs_norms,
+                              pack_bytes);
+            if (rcp == nullptr) {
+              // Acquire failure (allocation under a cache miss): stop like
+              // any other resource failure, the affected rows flagged below.
+              int expected = 0;
+              stop.compare_exchange_strong(expected,
+                                           static_cast<int>(rpanels.err),
+                                           std::memory_order_relaxed);
+              halt = true;
+            } else {
+              r2cur = (last && needs_norms) ? rpanels.norms() : nullptr;
+              pack_r.close();
+              if constexpr (telemetry::kCountersEnabled) {
+                if (rec.active()) {
+                  rec.slot(0)->add(telemetry::Counter::kBytesPackedR,
+                                   pack_bytes);
                 }
               }
-              ctx.cand_ids = rid + jc + jr;
-              ctx.k = k;
-              ctx.row_stride = stride;
-              ctx.arity = arity;
-              ctx.dedup = cfg.dedup;
-              ctx.tc = tc;
-              sel = &ctx;
-              if constexpr (telemetry::kCountersEnabled) {
-                // Pre-count every live tile candidate as a root-reject;
-                // sel_insert reclassifies the accepted ones into pushes.
-                cand_local += static_cast<std::uint64_t>(rows) * cols;
-              }
             }
-
-            micro(db, qs, rs, cin, ld, cout, ld, c_colmajor, q2s, r2s, last,
-                  rows, cols, sel, cfg.p);
-            if constexpr (telemetry::kCountersEnabled) ++tiles_local;
-          }  // 2nd loop
-        }  // 3rd loop
-
-        // The whole 3rd loop is micro-kernel time (for Var#1 that includes
-        // the fused selection).
-        span.close();
-        if constexpr (telemetry::kCountersEnabled) {
-          if (tc != nullptr) {
-            tc->add(telemetry::Counter::kTiles, tiles_local);
-            tc->add(telemetry::Counter::kCandidates, cand_local);
-            tc->add(telemetry::Counter::kRootRejects, cand_local);
           }
         }
-        if (last) ++block_pass[static_cast<std::size_t>(ic / mc)];
-        } catch (const std::bad_alloc&) {
-          int expected = 0;
-          stop.compare_exchange_strong(
-              expected, static_cast<int>(Status::kResourceExhausted),
-              std::memory_order_relaxed);
-        } catch (...) {
-          int expected = 0;
-          stop.compare_exchange_strong(expected,
-                                       static_cast<int>(Status::kInternal),
-                                       std::memory_order_relaxed);
-        }
-      }  // 4th loop
-    }  // 5th loop
+        GSKNN_OMP(omp barrier)
+        running = !halt;
+        if (!running) break;
 
-    if (variant == Variant::kVar5) select_panel(rid + jc, nb, jc);
-    if (stop.load(std::memory_order_relaxed) != 0) break;
-  }  // 6th loop
+        GSKNN_OMP(omp for schedule(static))
+        for (int ic = 0; ic < m; ic += mc) {  // ---- 4th loop ----
+          // Block-boundary cancellation point: a stop set while this body
+          // is in flight lets it finish its whole block (per-row heap
+          // updates are atomic w.r.t. their rows, so no torn rows).
+          if (stop.load(std::memory_order_relaxed) != 0) continue;
+          if (governed) {
+            poll_stop();
+            if (stop.load(std::memory_order_relaxed) != 0) continue;
+          }
+          // Exceptions must not escape the parallel region (that would
+          // terminate the process). The only allocation reachable from
+          // here is RowIdSet::grow under cfg.dedup, so the catch is a
+          // backstop, not a code path.
+          try {
+          const int mb = (m - ic < mc) ? m - ic : mc;
+          const int mbpad = static_cast<int>(round_up(
+              static_cast<std::size_t>(mb), static_cast<std::size_t>(tmr)));
+          const int tid = thread_id();
+          telemetry::ThreadCounters* tc = rec.slot(tid);
+          [[maybe_unused]] std::uint64_t tiles_local = 0, cand_local = 0;
+          // One span over the block: pack-Qc, then the micro-kernel from
+          // the same reading to the end of the 3rd loop.
+          telemetry::PhaseSpan span =
+              rec.span(tid, telemetry::Phase::kPackQ, ic, pc);
+          WorkspaceArena& ws = thread_arena();
+          ws.rewind();
+          T* const qc = ws.alloc<T>(static_cast<std::size_t>(mbpad) * db);
+          pack_points_rt(tmr, chosen, X, qidx.data(), ic, mb, pc, db, qc);
+          if (any_bad_q) {
+            poison_packed(qc, qbad.data(), ic, mb, tmr, db);
+          }
+          const T* q2c = nullptr;
+          if (last && needs_norms) {
+            T* const q2 = ws.alloc<T>(static_cast<std::size_t>(mbpad));
+            pack_norms(tmr, X, qidx.data(), ic, mb, q2);
+            q2c = q2;
+          }
+          span.next(telemetry::Phase::kMicro, ic, jc);
+          if constexpr (telemetry::kCountersEnabled) {
+            if (tc != nullptr) {
+              std::uint64_t bytes =
+                  static_cast<std::uint64_t>(mbpad) * db * sizeof(T);
+              if (last && needs_norms) {
+                bytes += static_cast<std::uint64_t>(mbpad) * sizeof(T);
+              }
+              tc->add(telemetry::Counter::kBytesPackedQ, bytes);
+            }
+          }
 
-  if (variant == Variant::kVar6) select_panel(rid, n, -1);
+          for (int jr = 0; jr < nb; jr += tnr) {  // ---- 3rd loop ----
+            const int cols = (nb - jr < tnr) ? nb - jr : tnr;
+            const T* rs = rcp + static_cast<long>(jr) * db;
+            const T* r2s = (last && needs_norms) ? r2cur + jr : nullptr;
+
+            for (int ir = 0; ir < mb; ir += tmr) {  // ---- 2nd loop ----
+              const int rows = (mb - ir < tmr) ? mb - ir : tmr;
+              const T* qs = qc + static_cast<long>(ir) * db;
+              const T* q2s = (last && needs_norms) ? q2c + ir : nullptr;
+
+              T* ctile = nullptr;
+              if (needs_cbuf) {
+                ctile = c_colmajor
+                            ? cbuf + (ic + ir) +
+                                  static_cast<long>(colbase + jr) * ld
+                            : cbuf + static_cast<long>(ic + ir) * ld +
+                                  colbase + jr;
+              }
+              const T* cin = (!first && needs_cbuf) ? ctile : nullptr;
+              T* cout = ctile;
+              SelectCtxT<T> ctx;
+              const SelectCtxT<T>* sel = nullptr;
+              if (variant == Variant::kVar1 && last) {
+                cout = nullptr;  // Var#1 discards the tile after selection
+                for (int i = 0; i < tmr; ++i) {
+                  if (i < rows) {
+                    const int row = heap_row(ic + ir + i);
+                    ctx.hd[i] = result.row_dists(row);
+                    ctx.hi[i] = result.row_ids(row);
+                    ctx.hset[i] = result.row_idset(row);
+                  } else {
+                    ctx.hd[i] = const_cast<T*>(neg_inf_row<T>());
+                    ctx.hi[i] = kDummyIds;
+                    ctx.hset[i] = nullptr;
+                  }
+                }
+                ctx.cand_ids = rid + jc + jr;
+                ctx.k = k;
+                ctx.row_stride = stride;
+                ctx.arity = arity;
+                ctx.dedup = cfg.dedup;
+                ctx.tc = tc;
+                sel = &ctx;
+                if constexpr (telemetry::kCountersEnabled) {
+                  // Pre-count every live tile candidate as a root-reject;
+                  // sel_insert reclassifies the accepted ones into pushes.
+                  cand_local += static_cast<std::uint64_t>(rows) * cols;
+                }
+              }
+
+              micro(db, qs, rs, cin, ld, cout, ld, c_colmajor, q2s, r2s, last,
+                    rows, cols, sel, cfg.p);
+              if constexpr (telemetry::kCountersEnabled) ++tiles_local;
+            }  // 2nd loop
+          }  // 3rd loop
+
+          // The whole 3rd loop is micro-kernel time (for Var#1 that
+          // includes the fused selection).
+          span.close();
+          if constexpr (telemetry::kCountersEnabled) {
+            if (tc != nullptr) {
+              tc->add(telemetry::Counter::kTiles, tiles_local);
+              tc->add(telemetry::Counter::kCandidates, cand_local);
+              tc->add(telemetry::Counter::kRootRejects, cand_local);
+            }
+          }
+          if (last) ++block_pass[static_cast<std::size_t>(ic / mc)];
+          } catch (const std::bad_alloc&) {
+            int expected = 0;
+            stop.compare_exchange_strong(
+                expected, static_cast<int>(Status::kResourceExhausted),
+                std::memory_order_relaxed);
+          } catch (...) {
+            int expected = 0;
+            stop.compare_exchange_strong(expected,
+                                         static_cast<int>(Status::kInternal),
+                                         std::memory_order_relaxed);
+          }
+        }  // 4th loop
+      }  // 5th loop
+
+      if (variant == Variant::kVar5 && running) {
+        running = select_panel(rid + jc, nb, jc);
+      }
+    }  // 6th loop
+    if (variant == Variant::kVar6 && running) select_panel(rid, n, -1);
+  }
+  // A thread short of arena stopped the team before any row was touched.
+  if (unreserved.load(std::memory_order_relaxed)) {
+    return Status::kResourceExhausted;
+  }
 
   const Status outcome =
       static_cast<Status>(stop.load(std::memory_order_acquire));

@@ -75,14 +75,17 @@ Status parallel_refs_impl(const PointTableT<double>& X,
       prof ? static_cast<std::size_t>(threads) : 0);
   std::vector<Status> wstat(static_cast<std::size_t>(threads), Status::kOk);
 
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp parallel num_threads(threads)
-#endif
+  // One parallel region: the workers, a barrier, then the merge. After the
+  // barrier every thread reads the same `wstat`, so the team agrees on
+  // whether to merge at all.
+  GSKNN_OMP(omp parallel num_threads(threads))
   {
-    const int t = thread_id();
-    const int lo = t * chunk;
-    const int hi = (lo + chunk < n) ? lo + chunk : n;
-    if (lo < hi) {
+    // The team can be smaller than `threads` (nested in an outer region
+    // with nesting capped): each thread then works several slices.
+    for (int t = thread_id(); t < threads; t += team_size()) {
+      const int lo = t * chunk;
+      const int hi = (lo + chunk < n) ? lo + chunk : n;
+      if (lo >= hi) continue;
       NeighborTable& mine = priv[static_cast<std::size_t>(t)];
       KnnConfig my_cfg = worker_cfg;
       my_cfg.profile = prof ? &wprof[static_cast<std::size_t>(t)] : nullptr;
@@ -95,44 +98,42 @@ Status parallel_refs_impl(const PointTableT<double>& X,
                        static_cast<std::size_t>(hi - lo)),
           mine, my_cfg);
     }
-  }
-
-  for (const Status s : wstat) {
-    if (s != Status::kOk) return s;  // merge skipped; result untouched
-  }
-
-  // Parallel merge: each query row is owned by one iteration, so inserting
-  // every private candidate into the caller's row is race-free. Written as
-  // parallel + for-nowait so each worker's merge span covers its own chunk.
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp parallel num_threads(threads)
-#endif
-  {
-    telemetry::PhaseSpan span = rec.span(thread_id(), telemetry::Phase::kMerge);
-#if defined(GSKNN_HAVE_OPENMP)
-#pragma omp for schedule(static) nowait
-#endif
-    for (int i = 0; i < m; ++i) {
-      const int row =
-          result_rows.empty() ? i : result_rows[static_cast<std::size_t>(i)];
-      for (const auto& table : priv) {
-        if (table.rows() == 0) continue;
-        const double* d = table.row_dists(i);
-        const int* ids = table.row_ids(i);
-        for (int s = 0; s < table.row_stride(); ++s) {
-          if (ids[s] == heap::kNoId) continue;
-          if (cfg.dedup) {
-            result.try_insert_unique(row, d[s], ids[s]);
-          } else {
-            result.try_insert(row, d[s], ids[s]);
+    GSKNN_OMP(omp barrier)
+    bool all_ok = true;
+    for (const Status s : wstat) all_ok = all_ok && s == Status::kOk;
+    // Parallel merge: each query row is owned by one iteration, so
+    // inserting every private candidate into the caller's row is
+    // race-free. A for-nowait, so each worker's merge span covers its own
+    // chunk.
+    if (all_ok) {
+      telemetry::PhaseSpan span =
+          rec.span(thread_id(), telemetry::Phase::kMerge);
+      GSKNN_OMP(omp for schedule(static) nowait)
+      for (int i = 0; i < m; ++i) {
+        const int row =
+            result_rows.empty() ? i : result_rows[static_cast<std::size_t>(i)];
+        for (const auto& table : priv) {
+          if (table.rows() == 0) continue;
+          const double* d = table.row_dists(i);
+          const int* ids = table.row_ids(i);
+          for (int s = 0; s < table.row_stride(); ++s) {
+            if (ids[s] == heap::kNoId) continue;
+            if (cfg.dedup) {
+              result.try_insert_unique(row, d[s], ids[s]);
+            } else {
+              result.try_insert(row, d[s], ids[s]);
+            }
           }
         }
+        // Every worker finished, so this row saw every candidate — re-arm
+        // any completion flag left by an earlier interrupted call.
+        result.mark_row_complete(row);
       }
-      // Every worker finished, so this row saw every candidate — re-arm any
-      // completion flag left by an earlier interrupted call on this table.
-      result.mark_row_complete(row);
+      span.close();
     }
-    span.close();
+  }
+  for (const Status s : wstat) {
+    if (s != Status::kOk) return s;  // merge skipped; result untouched
   }
 
   // The workers are parts of ONE logical kernel call: their profiles become

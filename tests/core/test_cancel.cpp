@@ -3,13 +3,17 @@
 // clean Status with finished rows intact and unfinished rows flagged.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <thread>
 #include <vector>
 
 #include "gsknn/common/cancel.hpp"
 #include "gsknn/common/fault.hpp"
+#include "gsknn/common/threads.hpp"
 #include "gsknn/core/knn.hpp"
+#include "gsknn/core/packed_refs.hpp"
 #include "gsknn/data/generators.hpp"
 #include "gsknn/tree/lsh.hpp"
 #include "gsknn/tree/rkd_forest.hpp"
@@ -331,6 +335,108 @@ TEST_F(CancelTest, CancelFromAnotherThreadStopsARunningKernel) {
   const Status s = knn_kernel_status(X, q, r, res, cfg);
   canceller.join();
   EXPECT_EQ(s, Status::kCancelled);
+}
+
+// Every stop point of a 4-thread call, one at a time: cancel_at = 1, 2, …
+// until a call finishes. Each earlier call must return kCancelled (a loop
+// exit taken by some team threads and not others would hang it instead)
+// and leave every row either complete and bitwise the clean row, or flagged
+// incomplete with a valid part of it (docs/ROBUSTNESS.md). With `untouched`
+// the call must leave the table as it was on a stop (parallel_refs).
+template <typename Call>
+void sweep_stop_points(const NeighborTable& clean, const std::vector<int>& r,
+                       bool all_or_nothing, bool untouched, Call call) {
+  for (std::int64_t at = 1;; ++at) {
+    ASSERT_LT(at, 100000) << "no call finished";
+    NeighborTable res(clean.rows(), clean.k());
+    fault::configure({.cancel_at = at});
+    const Status s = call(res);
+    fault::reset();
+    if (s == Status::kOk) {
+      ASSERT_GT(at, 1) << "the call never polled";
+      for (int i = 0; i < res.rows(); ++i) {
+        EXPECT_TRUE(res.row_complete(i)) << "row " << i;
+        EXPECT_EQ(res.sorted_row(i), clean.sorted_row(i)) << "row " << i;
+      }
+      return;
+    }
+    ASSERT_EQ(s, Status::kCancelled) << "cancel_at " << at;
+    for (int i = 0; i < res.rows(); ++i) {
+      const auto got = res.sorted_row(i);
+      const auto want = clean.sorted_row(i);
+      if (untouched) {
+        EXPECT_TRUE(got.empty()) << "cancel_at " << at << " row " << i;
+        continue;
+      }
+      if (res.row_complete(i)) {
+        EXPECT_FALSE(all_or_nothing) << "cancel_at " << at << " row " << i;
+        EXPECT_EQ(got, want) << "cancel_at " << at << " row " << i;
+        continue;
+      }
+      // A subset of the candidates: its j-th best is no better than the
+      // clean row's, with the same bits for the same candidate.
+      ASSERT_LE(got.size(), want.size()) << "cancel_at " << at;
+      for (std::size_t j = 0; j < got.size(); ++j) {
+        EXPECT_TRUE(std::isfinite(got[j].first)) << "cancel_at " << at;
+        EXPECT_GE(got[j].first, want[j].first) << "cancel_at " << at;
+        EXPECT_NE(std::find(r.begin(), r.end(), got[j].second), r.end());
+      }
+    }
+  }
+}
+
+class StopSweep : public CancelTest {
+ protected:
+  static constexpr int kM = 72, kK = 5, kThreads = 4;
+  // 5 ic blocks and 2 pc blocks; 2 jc blocks over 64 references, and 2 per
+  // parallel_refs worker over 160.
+  StopSweep() : X_(make_uniform(32, kM + 160, 0xD1)) {
+    bp_.mr = 8;  // 8×4: a double kernel at every dispatch level
+    bp_.nr = 4;
+    bp_.mc = 16;
+    bp_.nc = 32;
+    bp_.dc = 16;
+    cfg_.threads = kThreads;
+    cfg_.blocking = bp_;
+  }
+  NeighborTable clean(const KnnConfig& cfg, const std::vector<int>& r) const {
+    NeighborTable t(kM, kK);
+    EXPECT_EQ(knn_kernel_status(X_, q_, r, t, cfg), Status::kOk);
+    return t;
+  }
+  const PointTable X_;
+  const std::vector<int> q_ = iota_ids(kM);
+  BlockingParams bp_;
+  KnnConfig cfg_;
+};
+
+TEST_F(StopSweep, ColdAndWarmKernelAtEveryStopPoint) {
+  const std::vector<int> r = iota_ids(64, kM);
+  PackedRefs refs;
+  ASSERT_EQ(refs.build(X_, r, {.blocking = bp_}), Status::kOk);
+  for (const Variant v : {Variant::kVar1, Variant::kVar5, Variant::kVar6}) {
+    SCOPED_TRACE(static_cast<int>(v));
+    KnnConfig cfg = cfg_;
+    cfg.variant = v;
+    const NeighborTable want = clean(cfg, r);
+    const bool all_or_nothing = v != Variant::kVar1;
+    sweep_stop_points(want, r, all_or_nothing, false, [&](NeighborTable& t) {
+      return knn_kernel_status(X_, q_, r, t, cfg);
+    });
+    sweep_stop_points(want, r, all_or_nothing, false, [&](NeighborTable& t) {
+      return knn_kernel_status(refs, q_, t, cfg);
+    });
+  }
+}
+
+TEST_F(StopSweep, ParallelRefsAtEveryStopPoint) {
+  const std::vector<int> r = iota_ids(160, kM);
+  const NeighborTable want = clean(cfg_, r);
+  // Without OpenMP parallel_refs runs the plain kernel, which flags rows.
+  const bool split = resolve_threads(kThreads) == kThreads;
+  sweep_stop_points(want, r, false, split, [&](NeighborTable& t) {
+    return knn_kernel_parallel_refs_status(X_, q_, r, t, cfg_);
+  });
 }
 
 }  // namespace

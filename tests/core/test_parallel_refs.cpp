@@ -6,6 +6,10 @@
 #include <numeric>
 #include <vector>
 
+#if defined(_OPENMP)
+#include <omp.h>
+#endif
+
 #include "gsknn/core/knn.hpp"
 #include "gsknn/data/generators.hpp"
 #include "test_util.hpp"
@@ -131,6 +135,36 @@ TEST(ParallelRefs, TinyReferenceSetFallsBack) {
     ASSERT_EQ(t.sorted_row(i).size(), expect[static_cast<std::size_t>(i)].size());
   }
 }
+
+#if defined(_OPENMP)
+// Regression: the reference slices are cut for resolve_threads(cfg.threads)
+// workers, but a call inside an enclosing parallel region with nesting
+// capped gets a team of one. The absent workers' slices used to be skipped:
+// kOk, every row flagged complete, and each row missing most candidates.
+TEST(ParallelRefs, ShrunkenTeamStillSearchesEverySlice) {
+  const int m = 64, n = 400, k = 4;
+  const PointTable X = make_uniform(8, m + n, 0x9A16);
+  const auto q = iota_ids(m);
+  const auto r = iota_ids(n, m);
+  KnnConfig cfg;
+  cfg.threads = 4;
+  NeighborTable want(m, k), got(m, k);
+  knn_kernel(X, q, r, want, cfg);
+  const int saved_levels = omp_get_max_active_levels();
+  omp_set_max_active_levels(1);  // the nested region below gets a team of 1
+  Status s = Status::kInternal;
+#pragma omp parallel num_threads(2)
+  {
+#pragma omp single
+    { s = knn_kernel_parallel_refs_status(X, q, r, got, cfg); }
+  }
+  omp_set_max_active_levels(saved_levels);
+  ASSERT_EQ(s, Status::kOk);
+  for (int i = 0; i < m; ++i) {
+    EXPECT_EQ(got.sorted_row(i), want.sorted_row(i)) << "row " << i;
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace gsknn

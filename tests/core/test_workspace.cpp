@@ -13,6 +13,7 @@
 #include "../../src/blas/ukernel.hpp"
 #include "../../src/core/micro.hpp"
 #include "gsknn/common/telemetry.hpp"
+#include "gsknn/common/threads.hpp"
 #include "gsknn/core/knn.hpp"
 #include "gsknn/data/generators.hpp"
 
@@ -226,6 +227,9 @@ TEST(WorkspacePlan, UnreachableCapFailsWithResultUntouched) {
 }
 
 TEST(WorkspacePlan, MultiThreadedCapCountsPerThreadArenas) {
+  if (resolve_threads(3) < 3) {
+    GTEST_SKIP() << "no OpenMP: every call plans one thread";
+  }
   const int m = 256, n = 512, d = 48, k = 8;
   KnnConfig cfg;
   cfg.threads = 3;
