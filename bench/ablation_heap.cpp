@@ -1,7 +1,7 @@
 // Heap-arity ablation (§2.4): binary vs padded 4-ary rows inside the actual
-// Var#6 kernel across k. The paper reports the 4-heap 30–50% faster for the
-// k = 2048 selection phase; the crossover with the lower-instruction-count
-// binary heap sits somewhere below that.
+// finished-row (Var#5) kernel across k. The paper reports the 4-heap 30–50%
+// faster for the k = 2048 selection phase; the crossover with the
+// lower-instruction-count binary heap sits somewhere below that.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -12,7 +12,7 @@ using namespace gsknn;
 using namespace gsknn::bench;
 
 int main() {
-  print_header("Heap-arity ablation (§2.4) — Var#6 kernel seconds, binary vs 4-ary rows");
+  print_header("Heap-arity ablation (§2.4) — Var#5 kernel seconds, binary vs 4-ary rows");
   const int m = scaled(4096, 1024);
   const int n = m;
   const int d = 16;  // low d so selection, not the rank update, dominates
@@ -25,7 +25,7 @@ int main() {
 
   for (int k : {16, 64, 256, 1024, 2048}) {
     KnnConfig cfg;
-    cfg.variant = Variant::kVar6;
+    cfg.variant = Variant::kVar5;
     double secs[2];
     int ai = 0;
     for (HeapArity arity : {HeapArity::kBinary, HeapArity::kQuad}) {

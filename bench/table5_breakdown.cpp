@@ -6,8 +6,9 @@
 // Full scale matches the paper: m = n = 8192, d ∈ {16, 64, 256, 1024},
 // k ∈ {16, 128, 512, 2048}. GSKNN runs the library's kAuto policy, so the
 // cells time what ships: Var#1 below k = 256, Var#5 with the 4-ary heap and
-// the batched row selection from there (the paper's §3 rule switched to
-// Var#6 at k = 512).
+// the batched row selection from there. (The paper's §3 rule switched at
+// k = 512 to its Var#6, which is Var#5's selection over the full m × n
+// matrix; the library offers only the nc-bounded Var#5.)
 // The "gsknn warm" column is this repo's addition: the same call served
 // from a PackedRefs cache (plan/pack/compute split) — pack phase
 // eliminated, 0 packed reference bytes per query, bitwise-identical rows.

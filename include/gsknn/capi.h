@@ -62,14 +62,15 @@ enum {
 };
 
 /* Variants (mirror gsknn::Variant; 0 = automatic: 1 below k = 256, else 5).
- * The value is the loop after which selection runs. Any other value,
- * including the paper's dominated placements 2 and 3, fails with
- * GSKNN_ERR_BAD_CONFIG. */
+ * The value is the loop after which selection runs: 1 selects inside the
+ * micro-kernel, 5 after each finished m x nc panel. Any other value fails
+ * with GSKNN_ERR_BAD_CONFIG: the paper's dominated placements 2 and 3, and
+ * 6 (select after the full m x n matrix), whose selection 5 performs
+ * bitwise-identically in a buffer bounded by nc. */
 enum {
   GSKNN_VARIANT_AUTO = 0,
   GSKNN_VARIANT_1 = 1,
-  GSKNN_VARIANT_5 = 5,
-  GSKNN_VARIANT_6 = 6
+  GSKNN_VARIANT_5 = 5
 };
 
 /* ---- tables ---------------------------------------------------------- */
@@ -329,18 +330,20 @@ enum {
   GSKNN_METRIC_EP_COUNT = 8
 };
 
-/* Event-counter axis (mirror gsknn::metrics::Counter). */
+/* Event-counter axis (mirror gsknn::metrics::Counter). The codes from
+ * GSKNN_METRIC_CTR_PACK_HITS on moved down by one when the variant-demotion
+ * counter (formerly 4) was removed: a client built against an older header
+ * reads the wrong cell for each of them and must be rebuilt. */
 enum {
   GSKNN_METRIC_CTR_WORKSPACE_RETILED_CALLS = 0,
   GSKNN_METRIC_CTR_WORKSPACE_RETILE_STEPS = 1,
-  GSKNN_METRIC_CTR_VARIANT_DEMOTIONS = 2,
-  GSKNN_METRIC_CTR_TRACE_SPANS_DROPPED = 3,
-  GSKNN_METRIC_CTR_PMU_MULTIPLEXED_READS = 4,
-  GSKNN_METRIC_CTR_PACK_HITS = 5,       /* warm packed-refs block reuses */
-  GSKNN_METRIC_CTR_PACK_MISSES = 6,     /* packed-refs blocks packed cold */
-  GSKNN_METRIC_CTR_PACK_EVICTIONS = 7,  /* blocks evicted under the budget */
-  GSKNN_METRIC_CTR_CACHE_BYTES = 8,     /* bytes packed into caches, cumul. */
-  GSKNN_METRIC_CTR_COUNT = 9
+  GSKNN_METRIC_CTR_TRACE_SPANS_DROPPED = 2,
+  GSKNN_METRIC_CTR_PMU_MULTIPLEXED_READS = 3,
+  GSKNN_METRIC_CTR_PACK_HITS = 4,       /* warm packed-refs block reuses */
+  GSKNN_METRIC_CTR_PACK_MISSES = 5,     /* packed-refs blocks packed cold */
+  GSKNN_METRIC_CTR_PACK_EVICTIONS = 6,  /* blocks evicted under the budget */
+  GSKNN_METRIC_CTR_CACHE_BYTES = 7,     /* bytes packed into caches, cumul. */
+  GSKNN_METRIC_CTR_COUNT = 8
 };
 
 typedef struct gsknn_metrics gsknn_metrics; /* MetricsSnapshot handle */

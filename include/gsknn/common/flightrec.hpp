@@ -5,7 +5,7 @@
 // things that happened, in order" — the black box you drain after a burst
 // of kDeadlineExceeded or from a crash handler. Every public entry point
 // records a begin/end event pair (shape + status + latency); the governance
-// and cache layers record retiles, demotions, deadline hits, cancellations,
+// and cache layers record retiles, deadline hits, cancellations,
 // pack-cache evictions/updates, stale-epoch rejections and fault
 // injections.
 //
@@ -58,7 +58,6 @@ enum class Kind : int {
   kCallBegin = 0,  ///< entry point entered (entry, shape)
   kCallEnd,        ///< entry point returned (entry, status, latency ns)
   kRetile,         ///< workspace degradation ladder ran (value = steps)
-  kDemotion,       ///< Var#6 -> Var#5 demotion under a workspace cap
   kDeadline,       ///< KnnConfig::deadline expired mid-call
   kCancel,         ///< cancel token observed set mid-call
   kPackEvict,      ///< pack-cache block evicted (value = bytes freed)

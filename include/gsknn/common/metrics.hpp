@@ -130,14 +130,13 @@ const Slo& slo_from_env();
 
 // ---- scalar event counters -------------------------------------------------
 
-/// Process-wide monotonic event counters. The first three make workspace
+/// Process-wide monotonic event counters. The first two make workspace
 /// governance (docs/ROBUSTNESS.md) visible as rates; the last two make
 /// silently degraded *observability* itself observable: trace spans lost to
 /// ring overflow and PMU reads that needed multiplex extrapolation.
 enum class Counter : int {
   kWorkspaceRetiledCalls = 0,  ///< calls whose plan took >= 1 retile step
   kWorkspaceRetileSteps,       ///< degradation-ladder steps, summed
-  kVariantDemotions,           ///< Var#6 -> Var#5 demotions under a cap
   kTraceSpansDropped,          ///< trace spans lost (ring overflow or no
                                ///< thread slot), summed across all sinks
   kPmuMultiplexedReads,        ///< PMU snapshots scaled by enabled/running

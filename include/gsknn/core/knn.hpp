@@ -50,13 +50,15 @@ enum class Norm {
 /// Placement of the neighbor selection within the six-loop nest (§2.3).
 /// The value is the loop after which selection runs. Var#4 is excluded:
 /// after the 4th loop the d-dimension is still blocked, so distances are
-/// incomplete. Var#2 and Var#3 are the paper's dominated placements (§2.3):
-/// Var#6 matches or beats them everywhere, so they are not offered.
+/// incomplete. Var#2 and Var#3 are the paper's dominated placements (§2.3).
+/// The paper's Var#6 (select after the full m×n matrix) is not offered
+/// either: Var#5 runs the same finished-row selection, bitwise-identically,
+/// in a distance buffer bounded by nc instead of m×n — for n <= nc it is
+/// literally the same single merge per row.
 enum class Variant {
   kAuto = 0,  ///< kVar1 below k = 256, kVar5 from there (resolve_variant)
   kVar1 = 1,  ///< fused into the micro-kernel (best for small k)
-  kVar5 = 5,  ///< after each m×nc panel (bounded memory)
-  kVar6 = 6,  ///< after the full m×n distance matrix (best for large k)
+  kVar5 = 5,  ///< after each finished m×nc panel (best for large k)
 };
 
 struct KnnConfig {
@@ -91,10 +93,10 @@ struct KnnConfig {
   /// Workspace cap in bytes for this call's packed panels, distance buffers
   /// and per-thread arenas (docs/ROBUSTNESS.md). 0 = the GSKNN_MAX_WORKSPACE
   /// environment cap, or unlimited when that is unset too. A cap below the
-  /// natural footprint retiles nc/mc/dc downward (and demotes Var#6 to
-  /// Var#5) — results stay bitwise-identical, only slower; a cap below the
-  /// documented retile floor fails with Status::kResourceExhausted before
-  /// any result row is written.
+  /// natural footprint retiles nc/mc/dc downward — results stay
+  /// bitwise-identical, only slower; a cap below the documented retile
+  /// floor fails with Status::kResourceExhausted before any result row is
+  /// written.
   std::size_t max_workspace_bytes = 0;
   /// Absolute steady-clock deadline polled at block boundaries. Expiry
   /// yields Status::kDeadlineExceeded with incomplete rows flagged on the

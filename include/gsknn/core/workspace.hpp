@@ -8,11 +8,9 @@
 // that footprint exactly — byte-for-byte what the driver will carve from its
 // WorkspaceArenas — and, when a cap is set, walks the degradation ladder:
 //
-//   1. demote Var#6 to Var#5 (the full m×n distance matrix cannot shrink;
-//      Var#5 is the paper's bounded-memory variant, bitwise-identical);
-//   2. halve nc (floor: one register tile, nr);
-//   3. halve mc (floor: one register tile, mr);
-//   4. halve dc, only when it strictly shrinks the total (shrinking dc
+//   1. halve nc (floor: one register tile, nr);
+//   2. halve mc (floor: one register tile, mr);
+//   3. halve dc, only when it strictly shrinks the total (shrinking dc
 //      below d *adds* a carry buffer on the Var#1 path) — floor 32;
 //
 // re-checking the footprint after every step. Every step preserves bitwise
@@ -31,7 +29,6 @@ namespace gsknn {
 
 /// Resolved workspace decision for one kernel call.
 struct WorkspacePlan {
-  Variant variant = Variant::kVar1;  ///< after any Var#6 -> Var#5 demotion
   BlockingParams blocking;           ///< after balancing and retiling
   int threads = 1;
   std::size_t shared_bytes = 0;      ///< packed Rc + norms + distance buffer

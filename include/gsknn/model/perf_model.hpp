@@ -66,8 +66,8 @@ enum class Method {
 };
 
 /// The method that prices a resolved selection variant: Var#1 selects
-/// inside the micro-kernel; Var#5 and Var#6 select finished rows and are
-/// priced as Var#6.
+/// inside the micro-kernel; Var#5 selects finished rows and is priced as
+/// the paper's Var#6.
 Method method_for(Variant v);
 
 /// Floating-point time Tf: (2d + 3)·m·n flops (rank-d update + norm finish).

@@ -12,8 +12,8 @@
 //     Var#1 for small k;
 //   * 4-ary heap    — root padded by three unused slots so each group of
 //     four children is 32-byte aligned and shares a cache line; shallower
-//     (log4 k) at the cost of a max-of-4 scan per level; used by Var#6 for
-//     large k (paper Figure 1).
+//     (log4 k) at the cost of a max-of-4 scan per level; the paper's pick
+//     for Var#6 at large k (Figure 1), paired here with Var#5.
 //
 // All functions are header-inline: they are called from inside the fused
 // micro-kernel and must not cost a call.

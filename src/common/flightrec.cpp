@@ -20,8 +20,8 @@ namespace gsknn::flightrec {
 namespace {
 
 const char* const kKindNames[kKindCount] = {
-    "call_begin", "call_end",    "retile",       "demotion",     "deadline",
-    "cancel",     "pack_evict",  "pack_update",  "stale_reject", "fault",
+    "call_begin", "call_end",    "retile",       "deadline",     "cancel",
+    "pack_evict", "pack_update", "stale_reject", "fault",
     "serve_submit", "serve_fuse", "serve_shed",  "serve_watchdog",
     "serve_breaker",
 };

@@ -24,9 +24,9 @@ const char* const kEntryPointNames[kEntryPointCount] = {
 };
 
 const char* const kCounterNames[kCounterCount] = {
-    "workspace_retiled_calls", "workspace_retile_steps", "variant_demotions",
-    "trace_spans_dropped",     "pmu_multiplexed_reads",  "pack_hits",
-    "pack_misses",             "pack_evictions",         "cache_bytes",
+    "workspace_retiled_calls", "workspace_retile_steps", "trace_spans_dropped",
+    "pmu_multiplexed_reads",   "pack_hits",              "pack_misses",
+    "pack_evictions",          "cache_bytes",
     "serve_enqueued",          "serve_fused_calls",      "serve_fused_queries",
     "serve_cancelled",         "serve_expired",          "serve_shed_predictive",
     "serve_doomed_evicted",    "serve_watchdog_fires",   "serve_breaker_open",

@@ -70,9 +70,6 @@ int parse_search_config(int norm, int variant, double lp, int threads,
     case GSKNN_VARIANT_5:
       cfg.variant = gsknn::Variant::kVar5;
       break;
-    case GSKNN_VARIANT_6:
-      cfg.variant = gsknn::Variant::kVar6;
-      break;
     default:
       set_error("gsknn_search: unknown variant");
       return GSKNN_ERR_BAD_CONFIG;
@@ -570,6 +567,11 @@ uint64_t gsknn_metrics_latency_quantile_ns(const gsknn_metrics* m,
   return m->snap.latency_quantile_ns(
       static_cast<gsknn::metrics::EntryPoint>(entry_point), q);
 }
+
+// The C counter codes index MetricsSnapshot::counters directly, so a
+// Counter added or removed ahead of the mirrored prefix must renumber them.
+static_assert(GSKNN_METRIC_CTR_CACHE_BYTES ==
+              static_cast<int>(gsknn::metrics::Counter::kCacheBytes));
 
 uint64_t gsknn_metrics_counter(const gsknn_metrics* m, int counter) {
   if (m == nullptr || counter < 0 ||

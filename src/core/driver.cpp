@@ -10,8 +10,8 @@
 //
 // Variant = the loop after which neighbor selection runs. Var#1 selects in
 // the micro-kernel and, when d ≤ dc, never materializes distances at all;
-// Var#5 and Var#6 store finished distances into a query-major buffer and
-// select after each m × nc panel or after the full m × n matrix.
+// Var#5 stores finished distances into a query-major buffer and selects
+// after each m × nc panel.
 //
 // Resource governance (docs/ROBUSTNESS.md): every byte of workspace is
 // planned up front (gsknn/core/workspace.hpp) and carved from per-call
@@ -124,11 +124,6 @@ Status record_plan(const KernelPlanT<T>& kp) {
     flightrec::record(flightrec::Kind::kRetile, -1, 0,
                       static_cast<std::uint64_t>(kp.ws.retile_steps));
   }
-  if (kp.variant != kp.requested) {
-    metrics::add_counter(metrics::Counter::kVariantDemotions);
-    flightrec::record(flightrec::Kind::kDemotion, -1, 0,
-                      static_cast<std::uint64_t>(kp.variant));
-  }
   return Status::kOk;
 }
 
@@ -136,8 +131,8 @@ Status record_plan(const KernelPlanT<T>& kp) {
 /// the cache — the kernel must walk the cached blocks exactly as they were
 /// packed — so the plan selects the micro-kernel AT the cache's level for
 /// the query norm, adopts the cache's blocking, and runs the planner in
-/// packed_refs mode (Rc leaves the footprint; the ladder may only demote
-/// Var#6 and halve mc). A query the cache cannot serve byte-identically —
+/// packed_refs mode (Rc leaves the footprint; the ladder may only halve
+/// mc). A query the cache cannot serve byte-identically —
 /// incompatible layout class, or a norm whose kernel has a different sliver
 /// width (float ℓp resolves to the scalar 8×4 kernel; an AVX2 8×8 cache
 /// cannot feed it) — fails with kUnsupported, and the caller can fall back
@@ -346,33 +341,30 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
   // the 4th-loop body, so an mc-block's rows are complete iff the block's
   // last-depth body ran for every jc panel; block_pass counts those. Each
   // entry is written by the one thread owning that ic iteration and read
-  // only after the 4th loop's barrier — no atomics needed. Var#5/6 row scans
+  // only after the 4th loop's barrier — no atomics needed. Var#5 row scans
   // are skipped wholesale on a stop, so completion there is all-or-nothing.
   const int num_jc_blocks = static_cast<int>(ceil_div(n, nc));
   std::vector<int> block_pass(
       static_cast<std::size_t>(ceil_div(m, mc)), 0);
 
   // Shared-arena carving, byte-for-byte the plan's footprint. The distance
-  // buffer: Var#1 needs it only to carry rank-dc accumulation when d > dc;
-  // Var#5 holds the current nc-wide panel; Var#6 holds the full m × n
-  // matrix.
+  // buffer holds one padded m × nc panel: Var#1 needs it only to carry
+  // rank-dc accumulation when d > dc; Var#5 selects from it.
   const int db_max = (d < dc) ? d : dc;
   const int nbpad_max = static_cast<int>(round_up(
       static_cast<std::size_t>(n < nc ? n : nc), static_cast<std::size_t>(tnr)));
   const bool needs_cbuf = (variant != Variant::kVar1) || (d > dc);
-  const int width = (variant == Variant::kVar6) ? n : (n < nc ? n : nc);
-  const int wpad = static_cast<int>(round_up(static_cast<std::size_t>(width),
-                                             static_cast<std::size_t>(tnr)));
   const int mpad = static_cast<int>(round_up(static_cast<std::size_t>(m),
                                              static_cast<std::size_t>(tmr)));
   // Var#1's buffer is a pure rank-dc accumulator (only the micro-kernel ever
   // reads it back), so it uses column-major tiles with contiguous stores.
-  // Var#5/6 selection scans query rows, so it pays the transposed
+  // Var#5 selection scans query rows, so it pays the transposed
   // (query-major) layout. Either way the leading dimension gets one extra
   // cache line so power-of-two problem sizes don't alias all tile rows onto
   // a single cache set (pure conflict misses otherwise).
   const bool c_colmajor = (variant == Variant::kVar1);
-  const int ld = (c_colmajor ? mpad : wpad) + static_cast<int>(64 / sizeof(T));
+  const int ld =
+      (c_colmajor ? mpad : nbpad_max) + static_cast<int>(64 / sizeof(T));
   WorkspaceArena& sws = shared_arena();
   if constexpr (!RefPanels::kCached) {
     // Cold path: the Rc panel (+ reference norms) is carved per call; the
@@ -385,12 +377,11 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
   }
   T* cbuf = nullptr;
   if (needs_cbuf) {
-    // Var#6 materializes the full padded m × n panel: keep the size math in
-    // 64 bits and assert the byte count fits before carving it (the int
-    // block geometry alone cannot prove this).
+    // Keep the size math in 64 bits and assert the byte count fits before
+    // carving it (the int block geometry alone cannot prove this).
     const std::uint64_t celems =
         static_cast<std::uint64_t>(ld) *
-        static_cast<std::uint64_t>(c_colmajor ? wpad : mpad);
+        static_cast<std::uint64_t>(c_colmajor ? nbpad_max : mpad);
     assert(celems <= std::numeric_limits<std::size_t>::max() / sizeof(T));
     cbuf = sws.alloc<T>(static_cast<std::size_t>(celems));
   }
@@ -398,7 +389,7 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
   // One parallel region runs the whole nest (§2.5). Each team thread
   // reserves its own arena at the top. Thread 0 polls the stop and packs
   // every Rc panel, so pack_r stays on its trace track. The team splits
-  // each 4th loop and each Var#5/6 row scan with `omp for`.
+  // each 4th loop and each Var#5 row scan with `omp for`.
   //
   // Uniform exits: every exit from a loop that holds a barrier is decided
   // by the plain shared `halt`. Thread 0 writes it before a barrier, every
@@ -417,12 +408,11 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
     halt = stop.load(std::memory_order_relaxed) != 0;
   };
 
-  // Var#5/6 selection: one row scan over the query-major distance buffer,
-  // `len` candidates per row carrying ids[0..len) — Var#5 runs it over each
-  // finished m × nc panel, Var#6 once over the full m × n matrix. It is
-  // all or nothing: the stop is decided before the scan, never inside it.
-  // `span_col` tags the trace span. Returns false when the team stops.
-  const auto select_panel = [&](const int* ids, int len, int span_col) {
+  // Var#5 selection: one row scan over the query-major distance buffer
+  // after each finished m × nc panel, the `nb` candidates of panel `jc`
+  // per row. It is all or nothing: the stop is decided before the scan,
+  // never inside it. Returns false when the team stops.
+  const auto select_panel = [&](int jc, int nb) {
     GSKNN_OMP(omp masked)
     decide();
     GSKNN_OMP(omp barrier)
@@ -430,18 +420,18 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
     const int tid = thread_id();
     telemetry::ThreadCounters* tc = rec.slot(tid);
     telemetry::PhaseSpan span =
-        rec.span(tid, telemetry::Phase::kSelect, -1, span_col);
+        rec.span(tid, telemetry::Phase::kSelect, -1, jc);
     // The batch scratch reuses this thread's arena, idle between 4th loops.
     SelPair<T>* scratch = nullptr;
     if (batch_select_applies(k, cfg.dedup)) {
       WorkspaceArena& ws = thread_arena();
       ws.rewind();
-      scratch = ws.alloc<SelPair<T>>(static_cast<std::size_t>(len) + k);
+      scratch = ws.alloc<SelPair<T>>(static_cast<std::size_t>(nb) + k);
     }
     GSKNN_OMP(omp for schedule(static) nowait)
     for (int i = 0; i < m; ++i) {
       const int row = heap_row(i);
-      row_select(cbuf + static_cast<long>(i) * ld, ids, len,
+      row_select(cbuf + static_cast<long>(i) * ld, rid + jc, nb,
                  result.row_dists(row), result.row_ids(row),
                  result.row_idset(row), k, stride, arity, cfg.dedup, scratch,
                  tc);
@@ -466,7 +456,6 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
       const int nb = (n - jc < nc) ? n - jc : nc;
       const int nbpad = static_cast<int>(round_up(
           static_cast<std::size_t>(nb), static_cast<std::size_t>(tnr)));
-      const int colbase = (variant == Variant::kVar6) ? jc : 0;
 
       for (int pc = 0; pc < d; pc += dc) {  // ---- 5th loop ----
         const int db = (d - pc < dc) ? d - pc : dc;
@@ -572,10 +561,8 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
               T* ctile = nullptr;
               if (needs_cbuf) {
                 ctile = c_colmajor
-                            ? cbuf + (ic + ir) +
-                                  static_cast<long>(colbase + jr) * ld
-                            : cbuf + static_cast<long>(ic + ir) * ld +
-                                  colbase + jr;
+                            ? cbuf + (ic + ir) + static_cast<long>(jr) * ld
+                            : cbuf + static_cast<long>(ic + ir) * ld + jr;
               }
               const T* cin = (!first && needs_cbuf) ? ctile : nullptr;
               T* cout = ctile;
@@ -641,10 +628,9 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
       }  // 5th loop
 
       if (variant == Variant::kVar5 && running) {
-        running = select_panel(rid + jc, nb, jc);
+        running = select_panel(jc, nb);
       }
     }  // 6th loop
-    if (variant == Variant::kVar6 && running) select_panel(rid, n, -1);
   }
   // A thread short of arena stopped the team before any row was touched.
   if (unreserved.load(std::memory_order_relaxed)) {
@@ -660,7 +646,7 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
     for (int i = 0; i < m; ++i) result.mark_row_complete(heap_row(i));
   } else {
     // Flag the rows that missed candidates. Var#1: per mc-block, rows
-    // are complete iff every jc panel's last-depth body finished. Var#5/6:
+    // are complete iff every jc panel's last-depth body finished. Var#5:
     // a skipped selection region (or an unfinished accumulation) starves
     // every row uniformly.
     if (variant != Variant::kVar1) {
@@ -855,10 +841,9 @@ Variant resolve_variant(int /*m*/, int /*n*/, int /*d*/, int k,
   // rows admit a batched merge instead (row_select), which the Fig. 5
   // re-run measures ahead of fused Var#1 from k = 256 and behind it at
   // k <= 128 (EXPERIMENTS.md "Batched row selection"). The threshold is the
-  // batch's own, so kAuto and the batch switch on together. Var#5, not
-  // Var#6: it merges each finished m × nc panel, so its distance buffer is
-  // bounded by nc instead of growing with n, and for n <= nc it is the
-  // same single merge per row.
+  // batch's own, so kAuto and the batch switch on together. Var#5 is the
+  // paper's Var#6 selection with its distance buffer bounded by nc: for
+  // n <= nc it is the same single merge per row.
   return k < core::kBatchSelectMinK ? Variant::kVar1 : Variant::kVar5;
 }
 

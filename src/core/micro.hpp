@@ -80,7 +80,7 @@ GSKNN_ALWAYS_INLINE bool sel_accepts(T d, int id, const T* GSKNN_RESTRICT hd,
   return heap::pair_accepts(d, id, hd[0], hi[0]);
 }
 
-/// Root replacement dispatch: quad heap for Var#6-style rows, the sorted
+/// Root replacement dispatch: quad heap for 4-ary rows, the sorted
 /// small-k fast path for k ≤ kSmallSortedK binary rows (a sorted row is a
 /// valid binary heap, so the two binary strategies can interleave), binary
 /// sift otherwise.
@@ -342,8 +342,7 @@ void resolve_kernel_and_blocking(SimdLevel level, const KnnConfig& cfg,
 /// before a single byte moves.
 template <typename T>
 struct KernelPlanT {
-  Variant requested = Variant::kVar1;  ///< resolve_variant's pick
-  Variant variant = Variant::kVar1;    ///< after any workspace demotion
+  Variant variant = Variant::kVar1;  ///< resolve_variant's pick
   BlockingParams bp;       ///< balanced + retiled blocking
   MicroKernelT<T> mk;      ///< selected micro-kernel (fn, mr, nr)
   SimdLevel chosen = SimdLevel::kScalar;  ///< level the kernel dispatched to
@@ -354,10 +353,10 @@ struct KernelPlanT {
 
 /// The plan steps shared by the cold and warm paths once kp.mk, kp.bp and
 /// kp.chosen are fixed: balance mc over the thread team, resolve the
-/// variant and the cap, then run the workspace planner (which may demote
-/// Var#6 and retile under a cap — all bitwise-result-preserving,
-/// gsknn/core/workspace.hpp). Side-effect free: the driver records the
-/// governance counters the finished plan implies. Defined in workspace.cpp.
+/// variant and the cap, then run the workspace planner (which may retile
+/// under a cap — bitwise-result-preserving, gsknn/core/workspace.hpp).
+/// Side-effect free: the driver records the governance counters the
+/// finished plan implies. Defined in workspace.cpp.
 template <typename T>
 void plan_kernel_tail(int m, int n, int d, int k, const KnnConfig& cfg,
                       bool packed_refs, KernelPlanT<T>& kp);

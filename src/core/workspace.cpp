@@ -76,8 +76,8 @@ int balanced_mc(int m, int mc, int mr, int threads) {
 /// chunk_bytes rounding matches WorkspaceArena::alloc exactly.
 template <typename T>
 void compute_footprint(int m, int n, int d, int k, bool dedup,
-                       bool needs_norms, int tmr, int tnr, bool packed_refs,
-                       WorkspacePlan& plan) {
+                       Variant variant, bool needs_norms, int tmr, int tnr,
+                       bool packed_refs, WorkspacePlan& plan) {
   const BlockingParams& bp = plan.blocking;
   const auto cb = [](std::size_t count, std::size_t es) {
     return WorkspaceArena::chunk_bytes(count, es);
@@ -86,9 +86,9 @@ void compute_footprint(int m, int n, int d, int k, bool dedup,
 
   const std::size_t db_max =
       static_cast<std::size_t>(std::min(d, bp.dc));
-  const std::size_t nbpad_max = round_up(
-      static_cast<std::size_t>(std::min(n, bp.nc)),
-      static_cast<std::size_t>(tnr));
+  const std::size_t nb_max = static_cast<std::size_t>(std::min(n, bp.nc));
+  const std::size_t nbpad_max =
+      round_up(nb_max, static_cast<std::size_t>(tnr));
 
   // Shared: packed Rc panel (+ reference norms at the last depth block).
   // A warm packed-refs call reads both straight out of the cache's resident
@@ -100,25 +100,22 @@ void compute_footprint(int m, int n, int d, int k, bool dedup,
     if (needs_norms) shared += cb(nbpad_max, elem);
   }
 
-  // Shared: distance buffer. Var#1 needs it only to carry the rank-dc
-  // accumulation across depth blocks (d > dc); Var#5 holds the current
-  // nc-wide panel; Var#6 the full m × n matrix. Layout mirrors the driver:
-  // Var#1 column-major tiles, the rest query-major, both with one extra
-  // cache line on the leading dimension.
-  const int width = (plan.variant == Variant::kVar6) ? n : std::min(n, bp.nc);
-  const bool needs_cbuf = (plan.variant != Variant::kVar1) || (d > bp.dc);
+  // Shared: distance buffer, one padded m × nc panel. Var#1 needs it only
+  // to carry the rank-dc accumulation across depth blocks (d > dc); Var#5
+  // selects from it. Layout mirrors the driver: Var#1 column-major tiles,
+  // Var#5 query-major, both with one extra cache line on the leading
+  // dimension.
+  const bool needs_cbuf = (variant != Variant::kVar1) || (d > bp.dc);
   if (needs_cbuf) {
-    const std::size_t wpad = round_up(static_cast<std::size_t>(width),
-                                      static_cast<std::size_t>(tnr));
     const std::size_t mpad = round_up(static_cast<std::size_t>(m),
                                       static_cast<std::size_t>(tmr));
-    const bool c_colmajor = (plan.variant == Variant::kVar1);
-    const std::size_t ld = (c_colmajor ? mpad : wpad) + 64 / elem;
-    shared += cb(ld * (c_colmajor ? wpad : mpad), elem);
+    const bool c_colmajor = (variant == Variant::kVar1);
+    const std::size_t ld = (c_colmajor ? mpad : nbpad_max) + 64 / elem;
+    shared += cb(ld * (c_colmajor ? nbpad_max : mpad), elem);
   }
 
   // Per thread: packed Qc panel (+ query norms) for the largest mc-block.
-  // Var#5/#6's batched row selection carves its scratch (one row's
+  // Var#5's batched row selection carves its scratch (one row's
   // candidates plus its k entries) from the same arena after the 4th loop
   // has finished with it, so a thread needs the larger of the two.
   const std::size_t mbpad_max = round_up(
@@ -126,8 +123,8 @@ void compute_footprint(int m, int n, int d, int k, bool dedup,
       static_cast<std::size_t>(tmr));
   std::size_t per_thread = cb(mbpad_max * db_max, elem);
   if (needs_norms) per_thread += cb(mbpad_max, elem);
-  if (plan.variant != Variant::kVar1 && batch_select_applies(k, dedup)) {
-    const std::size_t pairs = static_cast<std::size_t>(width) + k;
+  if (variant != Variant::kVar1 && batch_select_applies(k, dedup)) {
+    const std::size_t pairs = nb_max + k;
     per_thread = std::max(per_thread, cb(pairs, sizeof(SelPair<T>)));
   }
 
@@ -141,9 +138,9 @@ void compute_footprint(int m, int n, int d, int k, bool dedup,
 /// `packed_refs` plans a warm call served from a PackedRefs cache: the
 /// packed Rc panel and reference norms live in the cache (budgeted there,
 /// not here), so they leave the shared footprint, and the degradation
-/// ladder is restricted to the steps that keep the cache's block geometry
-/// intact — Var#6 demotion and mc halving; nc and dc are pinned (retiling
-/// them would misalign the kernel against the cached blocks).
+/// ladder is restricted to the step that keeps the cache's block geometry
+/// intact — mc halving; nc and dc are pinned (retiling them would misalign
+/// the kernel against the cached blocks).
 template <typename T>
 WorkspacePlan plan_workspace(int m, int n, int d, int k, bool dedup,
                              Variant variant, const BlockingParams& bp,
@@ -152,14 +149,13 @@ WorkspacePlan plan_workspace(int m, int n, int d, int k, bool dedup,
   assert(variant != Variant::kAuto &&
          "plan_workspace wants a concrete variant");
   WorkspacePlan plan;
-  plan.variant = variant;
   plan.blocking = bp;
   plan.threads = threads;
   plan.cap_bytes = cap_bytes;
   if (m <= 0 || n <= 0 || d <= 0) return plan;  // driver returns before packing
 
   const auto footprint = [&](WorkspacePlan& p) {
-    compute_footprint<T>(m, n, d, k, dedup, needs_norms, tmr, tnr,
+    compute_footprint<T>(m, n, d, k, dedup, variant, needs_norms, tmr, tnr,
                          packed_refs, p);
   };
   footprint(plan);
@@ -167,15 +163,11 @@ WorkspacePlan plan_workspace(int m, int n, int d, int k, bool dedup,
 
   // Degradation ladder (see the header comment): every step is bitwise-
   // result-preserving, so the only cost of a cap is extra packing passes.
-  // Warm packed-refs calls only take the steps that leave the cache's block
+  // Warm packed-refs calls only take the step that leaves the cache's block
   // geometry (nc, dc) alone — the kernel must walk the cached blocks as
   // they were packed.
   while (plan.total_bytes() > cap_bytes) {
-    if (plan.variant == Variant::kVar6) {
-      // The full m × n distance matrix cannot be retiled away; Var#5 is the
-      // paper's bounded-memory formulation of the same selection.
-      plan.variant = Variant::kVar5;
-    } else if (!packed_refs && plan.blocking.nc > tnr) {
+    if (!packed_refs && plan.blocking.nc > tnr) {
       plan.blocking.nc = std::max(
           tnr, static_cast<int>(round_up(
                    static_cast<std::size_t>(plan.blocking.nc / 2),
@@ -215,14 +207,13 @@ void plan_kernel_tail(int m, int n, int d, int k, const KnnConfig& cfg,
   kp.needs_norms = (cfg.norm == Norm::kL2Sq || cfg.norm == Norm::kCosine);
   kp.threads = resolve_threads(cfg.threads);
   kp.bp.mc = balanced_mc(m, kp.bp.mc, kp.mk.mr, kp.threads);
-  kp.requested = resolve_variant(m, n, d, k, cfg);
+  kp.variant = resolve_variant(m, n, d, k, cfg);
   const std::size_t cap = cfg.max_workspace_bytes != 0
                               ? cfg.max_workspace_bytes
                               : max_workspace_env();
-  kp.ws = plan_workspace<T>(m, n, d, k, cfg.dedup, kp.requested, kp.bp,
+  kp.ws = plan_workspace<T>(m, n, d, k, cfg.dedup, kp.variant, kp.bp,
                             kp.mk.mr, kp.mk.nr, kp.threads, kp.needs_norms,
                             cap, packed_refs);
-  kp.variant = kp.ws.variant;
   kp.bp = kp.ws.blocking;
 }
 

@@ -105,7 +105,7 @@ TEST_F(FlightRecTest, DisarmedRecordIsDropFreeNoOp) {
 
 TEST_F(FlightRecTest, ClearForgetsEventsAndDropCount) {
   for (int i = 0; i < fr::kRingCapacity + 5; ++i) {
-    fr::record(fr::Kind::kDemotion, -1, 0, 0);
+    fr::record(fr::Kind::kRetile, -1, 0, 0);
   }
   EXPECT_GT(fr::dropped(), 0u);
   fr::clear();
@@ -180,7 +180,6 @@ TEST_F(FlightRecTest, KindNamesAreStable) {
   EXPECT_STREQ(fr::kind_name(fr::Kind::kCallBegin), "call_begin");
   EXPECT_STREQ(fr::kind_name(fr::Kind::kCallEnd), "call_end");
   EXPECT_STREQ(fr::kind_name(fr::Kind::kRetile), "retile");
-  EXPECT_STREQ(fr::kind_name(fr::Kind::kDemotion), "demotion");
   EXPECT_STREQ(fr::kind_name(fr::Kind::kDeadline), "deadline");
   EXPECT_STREQ(fr::kind_name(fr::Kind::kCancel), "cancel");
   EXPECT_STREQ(fr::kind_name(fr::Kind::kPackEvict), "pack_evict");

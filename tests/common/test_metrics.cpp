@@ -120,7 +120,7 @@ TEST_F(MetricsTest, RecordCallAndSnapshot) {
 TEST_F(MetricsTest, ResetZeroesEverything) {
   m::record_call(m::EntryPoint::kLsh, 0, 123, 10, 10, 4, 2);
   m::record_drift(false, 1.0, 2.0);
-  m::add_counter(m::Counter::kVariantDemotions, 3);
+  m::add_counter(m::Counter::kWorkspaceRetileSteps, 3);
   m::reset();
   const m::MetricsSnapshot s = m::snapshot();
   for (int e = 0; e < m::kEntryPointCount; ++e) {

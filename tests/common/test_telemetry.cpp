@@ -60,20 +60,26 @@ struct VariantCase {
   int threads;
 };
 
-class TelemetryInvariants : public ::testing::TestWithParam<VariantCase> {};
+KnnConfig case_config(const VariantCase& c) {
+  KnnConfig cfg;
+  cfg.variant = c.variant;
+  cfg.threads = c.threads;
+  cfg.dedup = true;  // the tree-solver configuration — counts must still add up
+  return cfg;
+}
 
-TEST_P(TelemetryInvariants, CountersExactDouble) {
-  const auto [variant, threads] = GetParam();
+std::string case_name(const ::testing::TestParamInfo<VariantCase>& tpi) {
+  return "Var" + std::to_string(static_cast<int>(tpi.param.variant)) +
+         "Threads" + std::to_string(tpi.param.threads);
+}
+
+void expect_counters_exact_double(KnnConfig cfg) {
   const int m = 96, n = 160, d = 24, k = 8;
   const PointTable X = make_uniform(d, m + n, 0x7E1E);
   const auto q = iota_ids(m);
   const auto r = iota_ids(n, m);
 
   KernelProfile prof;
-  KnnConfig cfg;
-  cfg.variant = variant;
-  cfg.threads = threads;
-  cfg.dedup = true;  // the tree-solver configuration — counts must still add up
   cfg.profile = &prof;
   NeighborTable t(m, k);
   knn_kernel(X, q, r, t, cfg);
@@ -99,18 +105,13 @@ TEST_P(TelemetryInvariants, CountersExactDouble) {
   }
 }
 
-TEST_P(TelemetryInvariants, CountersExactFloat) {
-  const auto [variant, threads] = GetParam();
+void expect_counters_exact_float(KnnConfig cfg) {
   const int m = 80, n = 144, d = 20, k = 6;
   const PointTableF X = to_float(make_uniform(d, m + n, 0x7E1F));
   const auto q = iota_ids(m);
   const auto r = iota_ids(n, m);
 
   KernelProfile prof;
-  KnnConfig cfg;
-  cfg.variant = variant;
-  cfg.threads = threads;
-  cfg.dedup = true;
   cfg.profile = &prof;
   NeighborTableF t(m, k);
   knn_kernel(X, q, r, t, cfg);
@@ -120,18 +121,47 @@ TEST_P(TelemetryInvariants, CountersExactFloat) {
   expect_exact_counters(prof, m, n);
 }
 
+class TelemetryInvariants : public ::testing::TestWithParam<VariantCase> {};
+
+TEST_P(TelemetryInvariants, CountersExactDouble) {
+  expect_counters_exact_double(case_config(GetParam()));
+}
+
+TEST_P(TelemetryInvariants, CountersExactFloat) {
+  expect_counters_exact_float(case_config(GetParam()));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, TelemetryInvariants,
     ::testing::Values(VariantCase{Variant::kVar1, 1},
                       VariantCase{Variant::kVar1, 4},
                       VariantCase{Variant::kVar5, 1},
-                      VariantCase{Variant::kVar5, 4},
-                      VariantCase{Variant::kVar6, 1},
-                      VariantCase{Variant::kVar6, 4}),
-    [](const ::testing::TestParamInfo<VariantCase>& tpi) {
-      return "Var" + std::to_string(static_cast<int>(tpi.param.variant)) +
-             "Threads" + std::to_string(tpi.param.threads);
-    });
+                      VariantCase{Variant::kVar5, 4}),
+    case_name);
+
+// Var#5 with the rows split over several nc = 48 panels, each merged on its
+// own: the counts must still add up.
+KnnConfig multi_panel_config(const VariantCase& c) {
+  KnnConfig cfg = case_config(c);
+  cfg.blocking = BlockingParams{};
+  cfg.blocking->nc = 48;
+  return cfg;
+}
+
+class TelemetryMultiPanel : public ::testing::TestWithParam<VariantCase> {};
+
+TEST_P(TelemetryMultiPanel, CountersExactDouble) {
+  expect_counters_exact_double(multi_panel_config(GetParam()));
+}
+
+TEST_P(TelemetryMultiPanel, CountersExactFloat) {
+  expect_counters_exact_float(multi_panel_config(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Nc48, TelemetryMultiPanel,
+                         ::testing::Values(VariantCase{Variant::kVar5, 1},
+                                           VariantCase{Variant::kVar5, 4}),
+                         case_name);
 
 TEST(Telemetry, MetadataAndPhases) {
   const int m = 64, n = 128, d = 16, k = 4;
@@ -141,7 +171,7 @@ TEST(Telemetry, MetadataAndPhases) {
 
   KernelProfile prof;
   KnnConfig cfg;
-  cfg.variant = Variant::kVar6;
+  cfg.variant = Variant::kVar5;
   cfg.threads = 1;
   cfg.profile = &prof;
   NeighborTable t(m, k);
@@ -153,10 +183,10 @@ TEST(Telemetry, MetadataAndPhases) {
   EXPECT_EQ(prof.n, n);
   EXPECT_EQ(prof.d, d);
   EXPECT_EQ(prof.k, k);
-  EXPECT_EQ(prof.variant, 6);
+  EXPECT_EQ(prof.variant, 5);
   EXPECT_GT(prof.model_gflops, 0.0);
   // Attributed phases cannot exceed the wall (other_seconds clamps at 0, so
-  // verify against the raw sum), and Var#6 must attribute selection time.
+  // verify against the raw sum), and Var#5 must attribute selection time.
   EXPECT_LE(prof.phase_total(), prof.wall_seconds * 1.0001 + 1e-6);
   EXPECT_GT(prof.phase(Phase::kMicro), 0.0);
   EXPECT_GT(prof.phase(Phase::kSelect), 0.0);
@@ -336,7 +366,7 @@ TEST(Telemetry, ParallelRefsMergesWorkerProfiles) {
 // The hot-path specializations must keep the counting scheme exact: the
 // k == 1 accept shortcut and the sorted small-k row path (k <= kSmallSortedK)
 // reclassify accepted candidates out of the driver's pre-counted
-// root-rejects, and the batched row selection (Var#5/#6, k >=
+// root-rejects, and the batched row selection (Var#5, k >=
 // kBatchSelectMinK) counts a whole row's filter survivors at once.
 void run_and_audit(int m, int n, int d, int k, Variant variant) {
   const PointTable X = make_uniform(d, m + n, 0xA0D17 + static_cast<unsigned>(k));
@@ -380,12 +410,10 @@ TEST(TelemetryHotPaths, SmallSortedKCountersExact) {
   run_and_audit(96, 160, 24, 4, Variant::kVar1);  // k <= kSmallSortedK
 }
 
-// k = 256 sends Var#5 (one batch per nc panel) and Var#6 (one batch per
-// whole row) through the batched row selection.
+// k = 256 sends Var#5 (one batch per nc panel) through the batched row
+// selection.
 TEST(TelemetryHotPaths, DeferredSelectionCountersExact) {
-  for (Variant v : {Variant::kVar5, Variant::kVar6}) {
-    run_and_audit(48, 512, 16, 256, v);
-  }
+  run_and_audit(48, 512, 16, 256, Variant::kVar5);
 }
 
 TEST(TelemetryHotPaths, DeferredSelectionCountersExactFloat) {
@@ -393,16 +421,14 @@ TEST(TelemetryHotPaths, DeferredSelectionCountersExactFloat) {
   const PointTableF X = to_float(make_uniform(d, m + n, 0xA0D20));
   const auto q = iota_ids(m);
   const auto r = iota_ids(n, m);
-  for (Variant v : {Variant::kVar5, Variant::kVar6}) {
-    KernelProfile prof;
-    KnnConfig cfg;
-    cfg.variant = v;
-    cfg.threads = 1;
-    cfg.profile = &prof;
-    NeighborTableF t(m, k);
-    knn_kernel(X, q, r, t, cfg);
-    expect_exact_counters(prof, m, n);
-  }
+  KernelProfile prof;
+  KnnConfig cfg;
+  cfg.variant = Variant::kVar5;
+  cfg.threads = 1;
+  cfg.profile = &prof;
+  NeighborTableF t(m, k);
+  knn_kernel(X, q, r, t, cfg);
+  expect_exact_counters(prof, m, n);
 }
 
 TEST(Telemetry, InactiveRecorderIsNoop) {

@@ -255,7 +255,7 @@ BlockingParams contract_blocking() {
 
 /// The spans one single-threaded fused kernel call over m × n (dimension d)
 /// records with contract_blocking(): pack_r per (jc, pc), pack_q and micro
-/// per (jc, pc, ic), and the Var#5/Var#6 row selection.
+/// per (jc, pc, ic), and the Var#5 row selection per jc.
 void add_kernel_spans(std::vector<std::string>& out, int m, int n, int d,
                       Variant v) {
   const BlockingParams bp = contract_blocking();
@@ -269,7 +269,6 @@ void add_kernel_spans(std::vector<std::string>& out, int m, int n, int d,
     }
     if (v == Variant::kVar5) out.push_back("select{\"jc\":" + std::to_string(jc) + "}");
   }
-  if (v == Variant::kVar6) out.push_back("select");
 }
 
 /// Phases with non-zero time in `prof`, by name.
@@ -328,12 +327,12 @@ TEST_F(ProducerContract, KernelVar1) {
   expect_contract(spans, {"pack_q", "pack_r", "micro"});
 }
 
-TEST_F(ProducerContract, KernelVar6) {
-  cfg_.variant = Variant::kVar6;
+TEST_F(ProducerContract, KernelVar5) {
+  cfg_.variant = Variant::kVar5;
   NeighborTable t(kM, kK);
   knn_kernel(X_, q_, r_, t, cfg_);
   std::vector<std::string> spans;
-  add_kernel_spans(spans, kM, kN, kD, Variant::kVar6);
+  add_kernel_spans(spans, kM, kN, kD, Variant::kVar5);
   expect_contract(spans, {"pack_q", "pack_r", "micro", "select"});
 }
 

@@ -17,6 +17,7 @@
 #include "gsknn/data/generators.hpp"
 #include "gsknn/tree/lsh.hpp"
 #include "gsknn/tree/rkd_forest.hpp"
+#include "test_util.hpp"
 
 namespace gsknn {
 namespace {
@@ -188,24 +189,22 @@ TEST_F(CancelTest, MultiThreadedKernelCancelsCleanly) {
   }
 }
 
-// Variants 5/6 select in all-or-nothing regions: a stop before selection
+// Variant 5 selects in all-or-nothing regions: a stop before selection
 // flags every row, and no row is ever half-selected.
 TEST_F(CancelTest, StreamingVariantsCancelAllOrNothing) {
   const PointTable X = make_uniform(8, 120, 0xC8);
   const auto q = iota_ids(24);
   const auto r = iota_ids(96, 24);
-  for (const Variant v : {Variant::kVar5, Variant::kVar6}) {
-    NeighborTable res(24, 4);
-    KnnConfig cfg;
-    cfg.variant = v;
-    CancelToken token;
-    token.cancel();
-    cfg.cancel = &token;
-    ASSERT_EQ(knn_kernel_status(X, q, r, res, cfg), Status::kCancelled);
-    for (int i = 0; i < res.rows(); ++i) {
-      EXPECT_FALSE(res.row_complete(i)) << "row " << i;
-      EXPECT_TRUE(res.sorted_row(i).empty()) << "row " << i;
-    }
+  NeighborTable res(24, 4);
+  KnnConfig cfg;
+  cfg.variant = Variant::kVar5;
+  CancelToken token;
+  token.cancel();
+  cfg.cancel = &token;
+  ASSERT_EQ(knn_kernel_status(X, q, r, res, cfg), Status::kCancelled);
+  for (int i = 0; i < res.rows(); ++i) {
+    EXPECT_FALSE(res.row_complete(i)) << "row " << i;
+    EXPECT_TRUE(res.sorted_row(i).empty()) << "row " << i;
   }
 }
 
@@ -414,7 +413,7 @@ TEST_F(StopSweep, ColdAndWarmKernelAtEveryStopPoint) {
   const std::vector<int> r = iota_ids(64, kM);
   PackedRefs refs;
   ASSERT_EQ(refs.build(X_, r, {.blocking = bp_}), Status::kOk);
-  for (const Variant v : {Variant::kVar1, Variant::kVar5, Variant::kVar6}) {
+  for (const Variant v : test::kExplicitVariants) {
     SCOPED_TRACE(static_cast<int>(v));
     KnnConfig cfg = cfg_;
     cfg.variant = v;

@@ -113,8 +113,8 @@ TEST_F(CApiFixture, StatusCodesForMalformedCalls) {
                          GSKNN_VARIANT_AUTO, 2.0, 0, res),
             GSKNN_ERR_INVALID_ARGUMENT);
 
-  // Unknown variant codes, including the retired placements 2 and 3.
-  for (const int variant : {2, 3, 4}) {
+  // Unknown variant codes, including the retired placements 2, 3 and 6.
+  for (const int variant : {2, 3, 4, 6}) {
     EXPECT_EQ(gsknn_search(table, q.data(), 5, q.data(), 5, GSKNN_NORM_L2SQ,
                            variant, 2.0, 0, res),
               GSKNN_ERR_BAD_CONFIG)

@@ -27,8 +27,7 @@ using gsknn::Status;
 using gsknn::StatusError;
 using gsknn::Variant;
 
-constexpr Variant kAllVariants[] = {Variant::kVar1, Variant::kVar5,
-                                    Variant::kVar6};
+using gsknn::test::kExplicitVariants;
 
 const double kNaN = std::numeric_limits<double>::quiet_NaN();
 const double kInf = std::numeric_limits<double>::infinity();
@@ -61,7 +60,7 @@ TEST(Degenerate, EmptyIndexListsLeaveResultUntouched) {
   const PointTable X = gsknn::make_uniform(6, 40, 0xE17);
   const std::vector<int> some = iota_vec(10);
   const std::vector<int> none;
-  for (Variant v : kAllVariants) {
+  for (Variant v : kExplicitVariants) {
     KnnConfig cfg;
     cfg.variant = v;
     NeighborTable res(10, 3);
@@ -109,7 +108,7 @@ TEST(Degenerate, KGreaterThanNKeepsSentinelsAllVariants) {
   const std::vector<int> q = iota_vec(4);
   const std::vector<int> r = iota_vec(5, 4);  // n = 5 < k = 9
   const auto expect = gsknn::test::brute_force_knn(X, q, r, 9);
-  for (Variant v : kAllVariants) {
+  for (Variant v : kExplicitVariants) {
     for (HeapArity arity : {HeapArity::kBinary, HeapArity::kQuad}) {
       for (int threads : {1, 4}) {
         KnnConfig cfg;
@@ -162,7 +161,7 @@ TEST(Degenerate, NaNReferencesNeverEnterAnyVariantAnyNorm) {
                     Norm::kCosine}) {
     const auto expect =
         gsknn::test::brute_force_knn(X, q, clean, 6, norm, 3.0);
-    for (Variant v : kAllVariants) {
+    for (Variant v : kExplicitVariants) {
       KnnConfig cfg;
       cfg.norm = norm;
       cfg.p = 3.0;
@@ -197,7 +196,7 @@ TEST(Degenerate, NaNQueryYieldsEmptyRow) {
   const std::vector<int> q = {0, 2, 4, 6};
   const std::vector<int> r = iota_vec(20, 10);
   for (Norm norm : {Norm::kL2Sq, Norm::kL1, Norm::kLInf, Norm::kCosine}) {
-    for (Variant v : kAllVariants) {
+    for (Variant v : kExplicitVariants) {
       KnnConfig cfg;
       cfg.norm = norm;
       cfg.variant = v;
@@ -219,7 +218,7 @@ TEST(Degenerate, InfReferencesNeverEnter) {
   const std::vector<int> q = iota_vec(6);
   const std::vector<int> r = iota_vec(26, 6);
   for (Norm norm : {Norm::kL2Sq, Norm::kL1, Norm::kLInf}) {
-    for (Variant v : kAllVariants) {
+    for (Variant v : kExplicitVariants) {
       KnnConfig cfg;
       cfg.norm = norm;
       cfg.variant = v;
@@ -239,7 +238,7 @@ TEST(Degenerate, DuplicateQueryIdsGetIdenticalRows) {
   const PointTable X = gsknn::make_uniform(8, 50, 0xD0B);
   const std::vector<int> q = {7, 7, 13, 7};
   const std::vector<int> r = iota_vec(30, 20);
-  for (Variant v : kAllVariants) {
+  for (Variant v : kExplicitVariants) {
     KnnConfig cfg;
     cfg.variant = v;
     const auto rows = run_rows(X, q, r, 4, cfg);
@@ -259,7 +258,7 @@ TEST(Degenerate, DuplicateReferenceIdsWithDedup) {
   }
   const std::vector<int> unique = iota_vec(20, 10);
   const auto expect = gsknn::test::brute_force_knn(X, q, unique, 6);
-  for (Variant v : kAllVariants) {
+  for (Variant v : kExplicitVariants) {
     // Both dedup paths: the O(1) id-set index and the O(k) row scan.
     for (bool index : {true, false}) {
       KnnConfig cfg;
@@ -292,7 +291,7 @@ TEST(Degenerate, CosineZeroNormPointsGetDistanceOne) {
   X.compute_norms();
   const std::vector<int> q = {0, 3};
   const std::vector<int> r = iota_vec(14, 10);
-  for (Variant v : kAllVariants) {
+  for (Variant v : kExplicitVariants) {
     KnnConfig cfg;
     cfg.norm = Norm::kCosine;
     cfg.variant = v;
@@ -328,7 +327,7 @@ TEST(Degenerate, ExactTiesPickLowestIdsEverywhere) {
   const std::vector<int> q = iota_vec(6);
   const std::vector<int> r = iota_vec(24, 6);
   for (Norm norm : {Norm::kL2Sq, Norm::kL1, Norm::kLInf, Norm::kCosine}) {
-    for (Variant v : kAllVariants) {
+    for (Variant v : kExplicitVariants) {
       for (HeapArity arity : {HeapArity::kBinary, HeapArity::kQuad}) {
         for (int threads : {1, 4}) {
           KnnConfig cfg;

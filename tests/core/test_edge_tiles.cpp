@@ -3,7 +3,7 @@
 // tail groups of the vectorized pack and the rows/cols masking of the fused
 // kernels' selection epilogues — the riskiest lines of the hot-path
 // overhaul. Every shape must reproduce the brute-force oracle, for variants
-// 1/5/6, both precisions, and the k = 1 / small-k / batched selection
+// 1 and 5, both precisions, and the k = 1 / small-k / batched selection
 // paths. The same suite is registered under GSKNN_MAX_SIMD caps (see
 // tests/CMakeLists.txt) so the AVX2 and scalar tails get identical coverage.
 #include <gtest/gtest.h>
@@ -26,10 +26,7 @@ std::vector<int> iota_ids(int n, int offset = 0) {
   return v;
 }
 
-/// Variants with distinct selection placements: fused in-kernel (1),
-/// per-panel (5), and end-of-row with the 4-ary heap option (6).
-const Variant kEdgeVariants[] = {Variant::kVar1, Variant::kVar5,
-                                 Variant::kVar6};
+using test::kExplicitVariants;
 
 struct Shape {
   int m, n, d;
@@ -48,26 +45,29 @@ const Shape kEdgeShapes[] = {
 /// iterate even on these small shapes. Its 8×4 tile pins the dispatch to the
 /// kernel with that tile (AVX2 or scalar for double, scalar for float); the
 /// wider AVX-512 tiles are covered by EdgeTileDefaultBlocking below.
-KnnConfig edge_config(Variant v) {
+KnnConfig edge_config(Variant v, int nc = 12) {
   KnnConfig cfg;
   cfg.variant = v;
-  cfg.blocking = BlockingParams{8, 4, 8, 16, 12};
+  cfg.blocking = BlockingParams{8, 4, 8, 16, nc};
   return cfg;
 }
+
+/// A panel width no edge shape's n exceeds: Var#5 then selects once per
+/// finished row (the paper's Var#6 computation) instead of once per panel.
+constexpr int kOnePanelNc = 56;
 
 /// Exact-parity check for the double path: distances to 1e-9 and, wherever
 /// the oracle's neighbor is separated from its rank neighbors by more than
 /// the tolerance (no tie ambiguity), the id as well.
 void check_double(int m, int n, int d, int k, Variant variant,
-                  std::uint64_t seed) {
+                  std::uint64_t seed, int nc = 12,
+                  HeapArity arity = HeapArity::kBinary) {
   const PointTable X = make_uniform(d, m + n, seed);
   const auto q = iota_ids(m);
   const auto r = iota_ids(n, m);
 
-  NeighborTable t(m, k, variant == Variant::kVar6 && k > 4
-                            ? HeapArity::kQuad
-                            : HeapArity::kBinary);
-  knn_kernel(X, q, r, t, edge_config(variant));
+  NeighborTable t(m, k, arity);
+  knn_kernel(X, q, r, t, edge_config(variant, nc));
   ASSERT_TRUE(t.all_rows_are_heaps());
 
   const auto expect = test::brute_force_knn(X, q, r, k);
@@ -94,14 +94,14 @@ void check_double(int m, int n, int d, int k, Variant variant,
 /// Float path against the double oracle (float-precision tolerance; same
 /// scheme as test_float.cpp).
 void check_float(int m, int n, int d, int k, Variant variant,
-                 std::uint64_t seed) {
+                 std::uint64_t seed, int nc = 12) {
   const PointTable Xd = make_uniform(d, m + n, seed);
   const PointTableF Xf = to_float(Xd);
   const auto q = iota_ids(m);
   const auto r = iota_ids(n, m);
 
   NeighborTableF t(m, k);
-  knn_kernel(Xf, q, r, t, edge_config(variant));
+  knn_kernel(Xf, q, r, t, edge_config(variant, nc));
   ASSERT_TRUE(t.all_rows_are_heaps());
 
   const auto expect = test::brute_force_knn(Xd, q, r, k);
@@ -140,14 +140,46 @@ INSTANTIATE_TEST_SUITE_P(
     EdgeShapes, EdgeTileSweep,
     ::testing::Combine(
         ::testing::Range(0, static_cast<int>(std::size(kEdgeShapes))),
-        ::testing::ValuesIn(kEdgeVariants),
+        ::testing::ValuesIn(kExplicitVariants),
         // k = 1 (single-slot accept), 2 and 4 (sorted small-k row,
         // kSmallSortedK = 4), 17 (binary sift, off the power-of-two grid).
         ::testing::Values(1, 2, 4, 17)));
 
-// At k >= kBatchSelectMinK Var#5/#6 merge each row in one batch while
+// The same shapes and k with every row in one reference panel: Var#5
+// merges each row once after its last column, the path every n <= nc call
+// takes, where nc = 12 above splits the wider rows over several panels.
+class EdgeTileOnePanel
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(EdgeTileOnePanel, DoubleMatchesOracle) {
+  const auto [si, kraw] = GetParam();
+  const Shape s = kEdgeShapes[si];
+  ASSERT_LE(s.n, kOnePanelNc);
+  const int k = std::min(kraw, s.n);
+  // One-panel rows above k = 4 take the 4-ary heap, so both arities run.
+  check_double(s.m, s.n, s.d, k, Variant::kVar5,
+               0xED6E + static_cast<unsigned>(si), kOnePanelNc,
+               k > 4 ? HeapArity::kQuad : HeapArity::kBinary);
+}
+
+TEST_P(EdgeTileOnePanel, FloatMatchesOracle) {
+  const auto [si, kraw] = GetParam();
+  const Shape s = kEdgeShapes[si];
+  ASSERT_LE(s.n, kOnePanelNc);
+  const int k = std::min(kraw, s.n);
+  check_float(s.m, s.n, s.d, k, Variant::kVar5,
+              0xFD6E + static_cast<unsigned>(si), kOnePanelNc);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EdgeShapes, EdgeTileOnePanel,
+    ::testing::Combine(
+        ::testing::Range(0, static_cast<int>(std::size(kEdgeShapes))),
+        ::testing::Values(1, 2, 4, 17)));
+
+// At k >= kBatchSelectMinK Var#5 merges each row in one batch while
 // Var#1 still inserts candidate by candidate inside the micro-kernel, so
-// bitwise identity across the three variants at k = 256 is batched-vs-
+// bitwise identity across the two variants at k = 256 is batched-vs-
 // immediate parity on an edge shape (m, n, d all off-grid, n barely above k
 // so rows churn). Var#1 runs first and is the reference.
 TEST(EdgeTileDeferred, VariantsBitwiseIdenticalAtDeferredK) {
@@ -157,7 +189,7 @@ TEST(EdgeTileDeferred, VariantsBitwiseIdenticalAtDeferredK) {
   const auto r = iota_ids(n, m);
 
   std::vector<std::vector<std::pair<double, int>>> first_rows;
-  for (Variant v : kEdgeVariants) {
+  for (Variant v : kExplicitVariants) {
     NeighborTable t(m, k);
     knn_kernel(X, q, r, t, edge_config(v));
     if (first_rows.empty()) {
@@ -176,10 +208,15 @@ TEST(EdgeTileDeferred, VariantsBitwiseIdenticalAtDeferredK) {
 }
 
 TEST(EdgeTileDeferred, MatchesOracleBothPrecisions) {
-  for (Variant v : kEdgeVariants) {
+  for (Variant v : kExplicitVariants) {
     check_double(21, 387, 13, 256, v, 0xDEF2);
     check_float(21, 387, 13, 256, v, 0xDEF3);
   }
+  // The whole row in one panel: a single batched merge per row, into the
+  // 4-ary heap for double.
+  check_double(21, 387, 13, 256, Variant::kVar5, 0xDEF2, 388,
+               HeapArity::kQuad);
+  check_float(21, 387, 13, 256, Variant::kVar5, 0xDEF3, 388);
 }
 
 // k = 1 and small-k accepts take a dedicated path inside sel_insert_raw
@@ -214,7 +251,7 @@ TEST(EdgeTileSmallK, SelfSearchKOne) {
   const int n = 23, d = 9;  // both off-grid
   const PointTable X = make_uniform(d, n, 0x5E1F);
   const auto all = iota_ids(n);
-  for (Variant v : kEdgeVariants) {
+  for (Variant v : kExplicitVariants) {
     NeighborTable t(n, 1);
     knn_kernel(X, all, all, t, edge_config(v));
     for (int i = 0; i < n; ++i) {
@@ -230,7 +267,7 @@ TEST(EdgeTileSmallK, SelfSearchKOne) {
 // dispatched kernel — one deep-d shape crosses the depth blocking at least
 // once at full scale and leaves ragged tails at every level.
 TEST(EdgeTileDefaultBlocking, OffGridShapeMatchesOracle) {
-  for (Variant v : kEdgeVariants) {
+  for (Variant v : kExplicitVariants) {
     const int m = 67, n = 83, d = 231, k = 5;
     const PointTable X = make_uniform(d, m + n, 0xDB10);
     const auto q = iota_ids(m);

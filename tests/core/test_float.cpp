@@ -65,9 +65,9 @@ TEST_P(FloatKernelShapes, Var1MatchesDoubleOracle) {
                              HeapArity::kBinary, 0xF10A7 + d);
 }
 
-TEST_P(FloatKernelShapes, Var6MatchesDoubleOracle) {
+TEST_P(FloatKernelShapes, Var5MatchesDoubleOracle) {
   const auto [m, n, d, k] = GetParam();
-  check_float_against_oracle(m, n, d, k, Variant::kVar6, Norm::kL2Sq,
+  check_float_against_oracle(m, n, d, k, Variant::kVar5, Norm::kL2Sq,
                              HeapArity::kBinary, 0xF10A8 + d);
 }
 
@@ -88,7 +88,7 @@ TEST(FloatKernel, AllNormsMatchOracle) {
     check_float_against_oracle(23, 41, 12, 6, Variant::kVar1, norm,
                                HeapArity::kBinary,
                                0xF200 + static_cast<int>(norm));
-    check_float_against_oracle(23, 41, 12, 6, Variant::kVar6, norm,
+    check_float_against_oracle(23, 41, 12, 6, Variant::kVar5, norm,
                                HeapArity::kBinary,
                                0xF300 + static_cast<int>(norm));
   }
@@ -100,7 +100,7 @@ TEST(FloatKernel, AllVariantsAgree) {
   const auto q = iota_ids(m);
   const auto r = iota_ids(n, m);
   std::vector<std::vector<std::pair<float, int>>> first_rows;
-  for (Variant v : {Variant::kVar1, Variant::kVar5, Variant::kVar6}) {
+  for (Variant v : test::kExplicitVariants) {
     KnnConfig cfg;
     cfg.variant = v;
     NeighborTableF t(m, k);
@@ -128,12 +128,12 @@ TEST(FloatKernel, DeepDimensionAccumulation) {
   // d = 700 crosses the float dc boundary several times: the Cc carry path.
   check_float_against_oracle(20, 24, 700, 4, Variant::kVar1, Norm::kL2Sq,
                              HeapArity::kBinary, 0xF500);
-  check_float_against_oracle(20, 24, 700, 4, Variant::kVar6, Norm::kL2Sq,
+  check_float_against_oracle(20, 24, 700, 4, Variant::kVar5, Norm::kL2Sq,
                              HeapArity::kBinary, 0xF501);
 }
 
 TEST(FloatKernel, QuadArityLargeK) {
-  check_float_against_oracle(24, 200, 16, 64, Variant::kVar6, Norm::kL2Sq,
+  check_float_against_oracle(24, 200, 16, 64, Variant::kVar5, Norm::kL2Sq,
                              HeapArity::kQuad, 0xF600);
 }
 

@@ -69,13 +69,13 @@ TEST_P(KernelShapes, MatchesOracleVar1) {
   check_against_oracle(X, q, r, k, cfg);
 }
 
-TEST_P(KernelShapes, MatchesOracleVar6) {
+TEST_P(KernelShapes, MatchesOracleVar5) {
   const auto [m, n, d, k] = GetParam();
   const PointTable X = make_uniform(d, m + n, 4321);
   const auto q = iota_ids(m);
   const auto r = iota_ids(n, m);
   KnnConfig cfg;
-  cfg.variant = Variant::kVar6;
+  cfg.variant = Variant::kVar5;
   cfg.blocking = tiny_blocking();
   check_against_oracle(X, q, r, k, cfg);
 }
@@ -112,7 +112,7 @@ TEST(KernelGeneralStride, ArbitraryIndexSubsets) {
   for (int i = 0; i < 100; ++i) r.push_back((i * 37) % 200);
   KnnConfig cfg;
   cfg.blocking = tiny_blocking();
-  for (Variant v : {Variant::kVar1, Variant::kVar6}) {
+  for (Variant v : test::kExplicitVariants) {
     cfg.variant = v;
     check_against_oracle(X, q, r, 4, cfg);
   }
@@ -190,7 +190,7 @@ TEST(KernelDedup, DuplicateReferencesCollapse) {
   KnnConfig cfg;
   cfg.blocking = tiny_blocking();
   cfg.dedup = true;
-  for (Variant v : {Variant::kVar1, Variant::kVar6}) {
+  for (Variant v : test::kExplicitVariants) {
     cfg.variant = v;
     NeighborTable t(5, 4);
     knn_kernel(X, q, r, t, cfg);
@@ -217,7 +217,7 @@ TEST(KernelQuadArity, LargeKUsesQuadHeapRows) {
   const auto r = iota_ids(260, 40);
   KnnConfig cfg;
   cfg.blocking = tiny_blocking();
-  cfg.variant = Variant::kVar6;
+  cfg.variant = Variant::kVar5;
   check_against_oracle(X, q, r, 64, cfg, HeapArity::kQuad);
 }
 

@@ -54,7 +54,7 @@ INSTANTIATE_TEST_SUITE_P(
     Norms, NormSweep,
     ::testing::Combine(::testing::Values(Norm::kL2Sq, Norm::kL1, Norm::kLInf,
                                          Norm::kLp, Norm::kCosine),
-                       ::testing::Values(Variant::kVar1, Variant::kVar6),
+                       ::testing::ValuesIn(test::kExplicitVariants),
                        ::testing::Values(3, 8, 17)));
 
 TEST(Norms, CosineAgreesAcrossAllImplementations) {

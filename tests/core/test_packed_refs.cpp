@@ -60,8 +60,7 @@ TEST(PackedRefs, ColdWarmBitwiseIdenticalAcrossVariantsAndThreads) {
   const std::vector<int> qidx = iota_ids(m, 40);
 
   const Norm norms[] = {Norm::kL2Sq, Norm::kL1, Norm::kLInf, Norm::kCosine};
-  const Variant variants[] = {Variant::kAuto, Variant::kVar1, Variant::kVar5,
-                              Variant::kVar6};
+  const Variant variants[] = {Variant::kAuto, Variant::kVar1, Variant::kVar5};
   for (const Norm norm : norms) {
     PackedRefs refs;
     PackedRefs::Options opt;

@@ -1,4 +1,4 @@
-// Batched row selection (the Var#5/#6 row_select at k >= kBatchSelectMinK)
+// Batched row selection (the Var#5 row_select at k >= kBatchSelectMinK)
 // against the per-candidate heap scan it replaces: the sorted rows must be
 // bitwise identical and the row must still be a valid heap afterwards, in
 // both precisions and both heap arities, on the inputs where a batch could

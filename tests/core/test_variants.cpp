@@ -1,4 +1,4 @@
-// All selection placements (Var#1/5/6) are different schedules of the same
+// All selection placements (Var#1/5) are different schedules of the same
 // computation — they must produce identical neighbor sets.
 #include <gtest/gtest.h>
 
@@ -13,19 +13,16 @@
 namespace gsknn {
 namespace {
 
-const Variant kAllVariants[] = {Variant::kVar1, Variant::kVar5, Variant::kVar6};
-
 std::vector<int> iota_ids(int n, int offset = 0) {
   std::vector<int> v(static_cast<std::size_t>(n));
   std::iota(v.begin(), v.end(), offset);
   return v;
 }
 
-class VariantSweep
-    : public ::testing::TestWithParam<std::tuple<Variant, int, int, int>> {};
-
-TEST_P(VariantSweep, MatchesOracle) {
-  const auto [variant, d, k, threads] = GetParam();
+/// One forced-blocking call checked against the oracle. nc = 12 splits the
+/// 53 reference points over five panels.
+void expect_matches_oracle(Variant variant, int d, int k, int threads,
+                           int nc = 12) {
   const int m = 37, n = 53;
   const PointTable X = make_uniform(d, m + n, 0xBEEF);
   const auto q = iota_ids(m);
@@ -34,7 +31,7 @@ TEST_P(VariantSweep, MatchesOracle) {
   KnnConfig cfg;
   cfg.variant = variant;
   cfg.threads = threads;
-  cfg.blocking = BlockingParams{8, 4, 8, 16, 12};  // force all loops active
+  cfg.blocking = BlockingParams{8, 4, 8, 16, nc};  // force all loops active
 
   NeighborTable t(m, k);
   knn_kernel(X, q, r, t, cfg);
@@ -46,18 +43,42 @@ TEST_P(VariantSweep, MatchesOracle) {
       EXPECT_NEAR(row[j].first, expect[static_cast<std::size_t>(i)][j].first,
                   1e-9)
           << "variant=" << static_cast<int>(variant) << " d=" << d
-          << " k=" << k << " threads=" << threads << " i=" << i
-          << " j=" << j;
+          << " k=" << k << " threads=" << threads << " nc=" << nc
+          << " i=" << i << " j=" << j;
     }
   }
 }
 
+class VariantSweep
+    : public ::testing::TestWithParam<std::tuple<Variant, int, int, int>> {};
+
+TEST_P(VariantSweep, MatchesOracle) {
+  const auto [variant, d, k, threads] = GetParam();
+  expect_matches_oracle(variant, d, k, threads);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, VariantSweep,
-    ::testing::Combine(::testing::ValuesIn(kAllVariants),
+    ::testing::Combine(::testing::ValuesIn(test::kExplicitVariants),
                        ::testing::Values(3, 8, 20),  // below/at/above dc=8
                        ::testing::Values(1, 7, 16),
                        // one thread, and the parallel tile and selection paths
+                       ::testing::Values(1, 4)));
+
+// The same sweep with all 53 reference points in one nc = 56 panel: Var#5
+// then merges each row once after its last column (the paper's Var#6
+// computation, and the path of every n <= nc call).
+class OnePanelSweep
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(OnePanelSweep, Var5MatchesOracle) {
+  const auto [d, k, threads] = GetParam();
+  expect_matches_oracle(Variant::kVar5, d, k, threads, 56);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllDepths, OnePanelSweep,
+    ::testing::Combine(::testing::Values(3, 8, 20), ::testing::Values(1, 7, 16),
                        ::testing::Values(1, 4)));
 
 TEST(VariantConsistency, AllVariantsIdenticalNeighborSets) {
@@ -69,7 +90,7 @@ TEST(VariantConsistency, AllVariantsIdenticalNeighborSets) {
   cfg.blocking = BlockingParams{8, 4, 8, 16, 12};
 
   std::vector<std::vector<std::pair<double, int>>> reference_rows;
-  for (Variant v : kAllVariants) {
+  for (Variant v : test::kExplicitVariants) {
     cfg.variant = v;
     NeighborTable t(m, k);
     knn_kernel(X, q, r, t, cfg);
@@ -90,7 +111,7 @@ TEST(VariantConsistency, AllVariantsIdenticalNeighborSets) {
 
 TEST(VariantResolve, ExplicitChoiceIsHonored) {
   KnnConfig cfg;
-  for (Variant v : kAllVariants) {
+  for (Variant v : test::kExplicitVariants) {
     cfg.variant = v;
     EXPECT_EQ(resolve_variant(100, 100, 10, 5, cfg), v);
   }

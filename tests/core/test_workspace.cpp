@@ -16,6 +16,7 @@
 #include "gsknn/common/threads.hpp"
 #include "gsknn/core/knn.hpp"
 #include "gsknn/data/generators.hpp"
+#include "test_util.hpp"
 
 namespace gsknn {
 namespace {
@@ -108,23 +109,23 @@ TEST(WorkspacePlan, LadderStopsAtTheFloors) {
   EXPECT_EQ(plan.cap_bytes, 1u);
 }
 
-// Step 1 of the ladder: a Var#6 plan over a wide reference set demotes to
-// Var#5 (bounded distance buffer) before any retiling.
-TEST(WorkspacePlan, Var6DemotesToVar5UnderPressure) {
+// The ladder's first rung is retiling: over a wide reference set, one byte
+// under the natural footprint, every explicit variant retiles and fits.
+TEST(WorkspacePlan, CapRetilesEveryVariant) {
   const int m = 64, n = 4096, d = 32, k = 8;
-  KnnConfig cfg;
-  cfg.variant = Variant::kVar6;
-  cfg.blocking = BlockingParams{};
-  cfg.blocking->nc = 128;
-  const auto natural = plan_knn_workspace<double>(m, n, d, k, cfg);
-  ASSERT_EQ(natural.variant, Variant::kVar6);
-  KnnConfig capped = cfg;
-  capped.max_workspace_bytes = natural.total_bytes() - 1;
-  const auto plan = plan_knn_workspace<double>(m, n, d, k, capped);
-  EXPECT_EQ(plan.variant, Variant::kVar5);
-  EXPECT_GE(plan.retile_steps, 1);
-  ASSERT_TRUE(plan.fits);
-  EXPECT_LE(plan.total_bytes(), capped.max_workspace_bytes);
+  for (const Variant v : test::kExplicitVariants) {
+    KnnConfig cfg;
+    cfg.variant = v;
+    cfg.blocking = BlockingParams{};
+    cfg.blocking->nc = 128;
+    const auto natural = plan_knn_workspace<double>(m, n, d, k, cfg);
+    KnnConfig capped = cfg;
+    capped.max_workspace_bytes = natural.total_bytes() - 1;
+    const auto plan = plan_knn_workspace<double>(m, n, d, k, capped);
+    EXPECT_GE(plan.retile_steps, 1) << "variant " << static_cast<int>(v);
+    ASSERT_TRUE(plan.fits) << "variant " << static_cast<int>(v);
+    EXPECT_LE(plan.total_bytes(), capped.max_workspace_bytes);
+  }
 }
 
 // The acceptance bar: a cap of a quarter of the natural footprint must
@@ -174,15 +175,13 @@ TEST(WorkspacePlan, QuarterCapIsBitwiseIdenticalF32) {
   }
 }
 
-// Every explicit variant stays bitwise-stable under a quarter cap (the
-// streaming variants exercise the Var#6 -> Var#5 demotion on top of
-// retiling; demotion preserves results by construction).
+// Every explicit variant stays bitwise-stable under a quarter cap.
 TEST(WorkspacePlan, QuarterCapAcrossVariants) {
   const int m = 96, n = 512, d = 40, k = 8;
   const PointTable X = make_uniform(d, m + n, 0x9D);
   const auto q = iota_ids(m);
   const auto r = iota_ids(n, m);
-  for (const Variant v : {Variant::kVar1, Variant::kVar5, Variant::kVar6}) {
+  for (const Variant v : test::kExplicitVariants) {
     KnnConfig cfg;
     cfg.variant = v;
     NeighborTable uncapped(m, k);
@@ -263,8 +262,8 @@ TEST(WorkspacePlan, CappedMultiThreadedRunMatchesUncapped) {
   }
 }
 
-// Var#5/#6 at k >= 256 carve the batched row selection's scratch — one
-// row of candidates (at most nc for Var#5) plus its k entries, 16-byte
+// Var#5 at k >= 256 carves the batched row selection's scratch — one
+// row of candidates (at most nc) plus its k entries, 16-byte
 // (distance, id) pairs in f64 — from the per-thread arena once the packed
 // query panel is done with it. Here the scratch is the larger of the two,
 // so it sets per_thread_bytes; Var#1 and dedup calls (per-candidate scan)
@@ -275,7 +274,7 @@ TEST(WorkspacePlan, BatchSelectionScratchIsPlanned) {
   KnnConfig cfg;
   cfg.threads = 1;  // kAuto: Var#5 at this k
   const auto plan = plan_knn_workspace<double>(m, n, d, k, cfg);
-  ASSERT_EQ(plan.variant, Variant::kVar5);
+  ASSERT_EQ(resolve_variant(m, n, d, k, cfg), Variant::kVar5);
   const int width = std::min(n, plan.blocking.nc);
   EXPECT_EQ(plan.per_thread_bytes,
             round_up(static_cast<std::size_t>(width + k) * 16,
@@ -306,14 +305,14 @@ TEST(WorkspacePlan, BatchSelectionScratchIsPlanned) {
 
 // kAuto at k >= 256 runs Var#5, whose distance buffer holds one m × nc
 // panel: with no cap set, 65536 × 65536 at k = 300 plans exactly what
-// n = nc plans — within twice the m × nc panel — not the 32 GiB m × n
-// matrix Var#6 would ask for.
+// n = nc plans — within twice the m × nc panel — not the 32 GiB of the
+// full m × n matrix.
 TEST(WorkspacePlan, AutoLargeKFootprintBoundedByNc) {
   const int m = 65536, n = 65536, d = 64, k = 300;
   KnnConfig cfg;
   cfg.threads = 1;
   const auto plan = plan_knn_workspace<double>(m, n, d, k, cfg);
-  ASSERT_EQ(plan.variant, Variant::kVar5);
+  ASSERT_EQ(resolve_variant(m, n, d, k, cfg), Variant::kVar5);
   const int nc = plan.blocking.nc;
   ASSERT_LT(nc, n);
   EXPECT_EQ(plan.total_bytes(),

@@ -82,3 +82,14 @@ execute_process(COMMAND ${GSKNN_CLI} bogus-subcommand
 if(rc EQUAL 0)
   message(FATAL_ERROR "unknown subcommand should fail")
 endif()
+# Only auto, 1 and 5 name a variant; the retired placements 2, 3 and 6 are
+# usage errors (exit 1 naming the variant), never a silent search.
+foreach(v 2 3 6)
+  execute_process(COMMAND ${GSKNN_CLI} search --data ${WORK_DIR}/data.gsknn
+                    --k 3 --variant ${v} --out ${WORK_DIR}/bad_variant.csv
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "unknown variant '${v}'")
+    message(FATAL_ERROR "search --variant ${v} should be a usage error, "
+                        "got exit ${rc}: ${err}")
+  endif()
+endforeach()

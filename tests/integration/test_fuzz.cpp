@@ -25,8 +25,6 @@ struct FuzzCase {
 };
 
 FuzzCase draw_case(Xoshiro256& rng) {
-  static const Variant variants[] = {Variant::kAuto, Variant::kVar1,
-                                     Variant::kVar5, Variant::kVar6};
   static const Norm norms[] = {Norm::kL2Sq, Norm::kL1, Norm::kLInf,
                                Norm::kCosine};
   FuzzCase c;
@@ -35,7 +33,7 @@ FuzzCase draw_case(Xoshiro256& rng) {
   c.d = 1 + static_cast<int>(rng.below(70));
   c.k = 1 + static_cast<int>(rng.below(24));
   c.threads = 1 + static_cast<int>(rng.below(3));
-  c.variant = variants[rng.below(4)];
+  c.variant = test::draw_variant(rng);
   c.norm = norms[rng.below(4)];
   c.arity = rng.below(2) ? HeapArity::kQuad : HeapArity::kBinary;
   c.dedup = rng.below(4) == 0;

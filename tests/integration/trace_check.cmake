@@ -36,11 +36,11 @@ message(STATUS "${last_output}")
 run(${PYTHON} ${ROOFLINE} ${WORK_DIR}/prof.json --threshold 0.5)
 message(STATUS "${last_output}")
 
-# The deferred selection runs in its own parallel region with its own span
-# per team thread: Var#6 at two threads must record select spans.
-run(${GSKNN_CLI} search --data ${WORK_DIR}/data.gsknn --k 8 --variant 6
-    --threads 2 --out ${WORK_DIR}/nn6.csv --trace=${WORK_DIR}/trace6.json)
-run(${PYTHON} ${CHECK_TRACE} ${WORK_DIR}/trace6.json --require-phase select
+# The row selection after each panel records one span per team thread:
+# Var#5 at two threads must record select spans.
+run(${GSKNN_CLI} search --data ${WORK_DIR}/data.gsknn --k 8 --variant 5
+    --threads 2 --out ${WORK_DIR}/nn5.csv --trace=${WORK_DIR}/trace5.json)
+run(${PYTHON} ${CHECK_TRACE} ${WORK_DIR}/trace5.json --require-phase select
     --require-phase micro --verbose)
 message(STATUS "${last_output}")
 

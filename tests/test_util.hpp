@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <unordered_set>
@@ -24,6 +25,17 @@
 #include "gsknn/data/point_table.hpp"
 
 namespace gsknn::test {
+
+/// Every selection placement a caller can request by name (Variant::kAuto
+/// resolves to one of them). The suites and fuzzers sweep this one list.
+inline constexpr Variant kExplicitVariants[] = {Variant::kVar1,
+                                                Variant::kVar5};
+
+/// Variant::kAuto or one of kExplicitVariants, uniformly.
+inline Variant draw_variant(Xoshiro256& rng) {
+  const std::uint64_t i = rng.below(std::size(kExplicitVariants) + 1);
+  return i == 0 ? Variant::kAuto : kExplicitVariants[i - 1];
+}
 
 /// Contract-reference distance between points qi and ri of X, computed the
 /// naive way (squared for kL2Sq, p-th power for kLp — matching the library

@@ -32,7 +32,7 @@ import sys
 from check_metrics import ENTRY_POINTS, STATUSES, check_json
 
 EVENT_KINDS = [
-    "call_begin", "call_end", "retile", "demotion", "deadline", "cancel",
+    "call_begin", "call_end", "retile", "deadline", "cancel",
     "pack_evict", "pack_update", "stale_reject", "fault",
     "serve_submit", "serve_fuse", "serve_shed", "serve_watchdog",
     "serve_breaker",

@@ -33,7 +33,7 @@ STATUSES = [
     "cancelled", "stale",
 ]
 COUNTERS = [
-    "workspace_retiled_calls", "workspace_retile_steps", "variant_demotions",
+    "workspace_retiled_calls", "workspace_retile_steps",
     "trace_spans_dropped", "pmu_multiplexed_reads", "pack_hits",
     "pack_misses", "pack_evictions", "cache_bytes",
     "serve_enqueued", "serve_fused_calls", "serve_fused_queries",

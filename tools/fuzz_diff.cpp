@@ -81,8 +81,7 @@ const char* mode_name(Mode m) {
   }
 }
 
-constexpr Variant kAllVariants[] = {Variant::kVar1, Variant::kVar5,
-                                    Variant::kVar6};
+using gsknn::test::kExplicitVariants;
 
 struct Trial {
   std::uint64_t seed = 0;
@@ -372,7 +371,7 @@ bool check_packed(const PointTable& X, const std::vector<int>& q,
       }
     }  // op == 2: query-only step (pure warm traffic)
 
-    cfg.variant = kAllVariants[rng.below(3)];
+    cfg.variant = kExplicitVariants[rng.below(std::size(kExplicitVariants))];
     cfg.threads = (rng.below(2) != 0u) ? 3 : 1;
 
     const std::vector<int> snap(refs.ids().begin(), refs.ids().end());
@@ -663,7 +662,7 @@ bool run_trial(const Trial& t, gsknn::Xoshiro256& rng) {
   // f64: bitwise identity of every variant × thread count × arity.
   const auto anchor =
       run_kernel(X, q, r, t, Variant::kVar1, 1, HeapArity::kBinary);
-  for (Variant v : kAllVariants) {
+  for (Variant v : kExplicitVariants) {
     for (int threads : {1, 3}) {
       for (HeapArity arity : {HeapArity::kBinary, HeapArity::kQuad}) {
         const auto rows = run_kernel(X, q, r, t, v, threads, arity);
@@ -698,7 +697,7 @@ bool run_trial(const Trial& t, gsknn::Xoshiro256& rng) {
     const gsknn::PointTableF Xf = gsknn::to_float(X);
     const auto anchor_f =
         run_kernel(Xf, q, r, t, Variant::kVar1, 1, HeapArity::kBinary);
-    for (Variant v : kAllVariants) {
+    for (Variant v : kExplicitVariants) {
       for (int threads : {1, 3}) {
         const auto rows =
             run_kernel(Xf, q, r, t, v, threads, HeapArity::kBinary);

@@ -437,9 +437,7 @@ int main(int argc, char** argv) {
         const Norm norms[] = {Norm::kL2Sq, Norm::kL1, Norm::kLInf,
                               Norm::kCosine};
         t.norm = norms[rng.below(4)];
-        const Variant variants[] = {Variant::kAuto, Variant::kVar1,
-                                    Variant::kVar5, Variant::kVar6};
-        t.variant = variants[rng.below(4)];
+        t.variant = gsknn::test::draw_variant(rng);
         t.m = 1 + static_cast<int>(rng.below(48));
         t.n = 1 + static_cast<int>(rng.below(160));
         t.d = 1 + static_cast<int>(rng.below(40));

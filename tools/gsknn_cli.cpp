@@ -5,7 +5,7 @@
 //             [--intrinsic I] [--clusters C] [--sigma S] [--seed S]
 //             [--csv]                     synthesize a dataset
 //   search    --data FILE --k K --out FILE [--queries FILE] [--norm l2|l1|
-//             linf|cos|lp] [--p P] [--variant auto|1|5|6] [--threads N]
+//             linf|cos|lp] [--p P] [--variant auto|1|5] [--threads N]
 //             [--f32] [--pack-cache] [--repeat R] [--cache-budget B]
 //             [--profile [FILE]] [--trace [FILE]] [--metrics [FILE]]
 //             [--metrics-prom [FILE]]
@@ -151,8 +151,7 @@ Variant parse_variant(const std::string& s) {
   if (s == "auto" || s.empty()) return Variant::kAuto;
   if (s == "1") return Variant::kVar1;
   if (s == "5") return Variant::kVar5;
-  if (s == "6") return Variant::kVar6;
-  throw std::runtime_error("unknown variant '" + s + "' (auto/1/5/6)");
+  throw std::runtime_error("unknown variant '" + s + "' (auto/1/5)");
 }
 
 /// Resolve `--profile [path]` into the JSON output path: an explicit path
@@ -808,7 +807,7 @@ void usage() {
   std::puts("usage: gsknn <generate|search|batch|allnn|info|doctor|serve-sim> [--options]\n"
             "  generate --out F --d D --n N [--dist uniform|gaussian|mixture] [--csv]\n"
             "  search   --data F --k K --out F [--queries F] [--norm l2|l1|linf|cos|lp]\n"
-            "           [--variant auto|1|5|6] [--threads N] [--f32]\n"
+            "           [--variant auto|1|5] [--threads N] [--f32]\n"
             "           [--pack-cache] [--repeat R] [--cache-budget B] [--profile [F]]\n"
             "           [--trace [F]] [--metrics [F]] [--metrics-prom [F]]\n"
             "  batch    --data F --k K --out F [--tasks T] [--threads N]\n"
