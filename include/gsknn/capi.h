@@ -327,7 +327,9 @@ enum {
   GSKNN_METRIC_EP_SINGLE_LOOP = 5,
   GSKNN_METRIC_EP_RKD_FOREST = 6,
   GSKNN_METRIC_EP_LSH = 7,
-  GSKNN_METRIC_EP_COUNT = 8
+  GSKNN_METRIC_EP_SERVE_INTERACTIVE = 8, /* serving tickets, per lane */
+  GSKNN_METRIC_EP_SERVE_BULK = 9,
+  GSKNN_METRIC_EP_COUNT = 10
 };
 
 /* Event-counter axis (mirror gsknn::metrics::Counter). The codes from
@@ -343,7 +345,16 @@ enum {
   GSKNN_METRIC_CTR_PACK_MISSES = 5,     /* packed-refs blocks packed cold */
   GSKNN_METRIC_CTR_PACK_EVICTIONS = 6,  /* blocks evicted under the budget */
   GSKNN_METRIC_CTR_CACHE_BYTES = 7,     /* bytes packed into caches, cumul. */
-  GSKNN_METRIC_CTR_COUNT = 8
+  GSKNN_METRIC_CTR_SERVE_ENQUEUED = 8,  /* tickets admitted to a lane queue */
+  GSKNN_METRIC_CTR_SERVE_FUSED_CALLS = 9,     /* fused kernel dispatches */
+  GSKNN_METRIC_CTR_SERVE_FUSED_QUERIES = 10,  /* tickets those carried */
+  GSKNN_METRIC_CTR_SERVE_CANCELLED = 11,  /* cancelled before dispatch */
+  GSKNN_METRIC_CTR_SERVE_EXPIRED = 12,    /* failed on their own deadline */
+  GSKNN_METRIC_CTR_SERVE_SHED_PREDICTIVE = 13,  /* submits refused */
+  GSKNN_METRIC_CTR_SERVE_DOOMED_EVICTED = 14,   /* evicted already-expired */
+  GSKNN_METRIC_CTR_SERVE_WATCHDOG_FIRES = 15,   /* watchdog cancellations */
+  GSKNN_METRIC_CTR_SERVE_BREAKER_OPEN = 16,     /* breaker opened */
+  GSKNN_METRIC_CTR_COUNT = 17
 };
 
 typedef struct gsknn_metrics gsknn_metrics; /* MetricsSnapshot handle */

@@ -9,19 +9,10 @@
 // pack-cache evictions/updates, stale-epoch rejections and fault
 // injections.
 //
-// Design, mirroring the metrics registry's sharding model:
-//   * a fixed static pool of event rings indexed by the thread-slot
-//     registry (gsknn/common/threads.hpp), so the hot path never contends;
-//     a ring outlives its thread and passes to the slot's next owner;
-//   * an event is five relaxed std::atomic<uint64_t> words (40 B): the
-//     writer stores the words then publishes the ring head with a release
-//     store; drain() reads heads with acquire. Concurrent drain-while-
-//     record is data-race-free by construction; an event being overwritten
-//     mid-read can tear *logically* (mixed words from two events), which is
-//     the usual flight-recorder contract — the ring holds kRingCapacity
-//     recent events per thread and recording never blocks;
-//   * threads the registry gives no slot drop events into a shared
-//     counter (visible as dropped()), as do ring overwrites.
+// Events live in the one per-thread ring (SlotRing, slot_ring.hpp, shared
+// with TraceSink): kRingCapacity recent events per thread slot, five
+// relaxed atomic words each, so recording never blocks and a drain can run
+// beside it (an event overwritten mid-read may tear logically).
 //
 // Armed by default at a cost comparable to the metrics hot path (~tens of
 // ns; bench/micro_flightrec.cpp guards the <=1% end-to-end budget).
@@ -80,8 +71,7 @@ inline constexpr int kKindCount = static_cast<int>(Kind::kNumKinds);
 
 const char* kind_name(Kind k);
 
-/// Per-ring capacity, fixed at compile time so the recorder never
-/// allocates.
+/// Per-ring capacity, fixed at compile time.
 inline constexpr int kRingCapacity = 1024;
 
 /// One decoded event, as drain() returns it (plain struct, already
@@ -112,7 +102,7 @@ void record(Kind kind, int entry, int status, std::uint64_t value, int m = 0,
 std::vector<Event> drain();
 
 /// Events lost so far: ring overwrites plus records from threads that held
-/// no registry slot.
+/// no registry slot or whose ring could not be allocated.
 std::uint64_t dropped();
 
 /// Forget all retained events and zero dropped(). May race recording.
@@ -141,6 +131,11 @@ void set_dump_hook(DumpHook hook);
 /// {"flightrec_version":1,"reason":…,"dropped":…,"events":N} then one
 /// event object per line.
 std::string dump_json(const char* reason);
+
+/// Append one event as a JSON object (no trailing newline). The one
+/// renderer of an event: dump_json(), dump_to_fd() and the diag bundle's
+/// flightrec.events all write through it.
+void append_event_json(std::string& out, const Event& ev);
 
 /// dump_json() to a file; false on I/O failure.
 bool dump_to_file(const char* path, const char* reason);

@@ -304,4 +304,13 @@ void reset();
 /// Steady-clock nanoseconds, for bracketing entry points.
 std::uint64_t now_ns();
 
+/// Library-internal: printf-append into `out` (at most 511 bytes per call),
+/// the one text builder of the JSON exports (metrics, trace, diag bundle).
+void append_fmt(std::string& out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
+/// Write `text` to `path` (created or truncated): the one file writer of
+/// those exports. False (errno set) unless fully written and closed.
+bool write_file(const char* path, const std::string& text);
+
 }  // namespace gsknn::metrics

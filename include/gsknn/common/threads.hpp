@@ -1,7 +1,7 @@
 // Thin OpenMP abstraction so every module compiles (and tests pass) with or
 // without OpenMP. `threads == 0` everywhere in the public API means "use the
 // runtime default". Also home of the thread-slot registry that metrics
-// shards, flight-recorder rings and TraceSink tracks are indexed by.
+// shards and SlotRing's rings (gsknn/common/slot_ring.hpp) are indexed by.
 #pragma once
 
 #if defined(GSKNN_HAVE_OPENMP)

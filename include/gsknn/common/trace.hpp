@@ -13,11 +13,11 @@
 //   trace.write_json("run.trace.json");
 //
 // Recording discipline:
-//   * One ring per thread slot (gsknn/common/threads.hpp), allocated by the
-//     slot's owner on its first span; after that a span is a few plain
-//     stores — no locks, no atomic RMW, no allocation. Threads that never
-//     overlap may share a track; slotless spans are dropped and counted.
-//     With no sink attached the drivers read no timestamps at all.
+//   * Spans live in the one per-thread ring (SlotRing, slot_ring.hpp,
+//     shared with the flight recorder): a span is four relaxed word stores
+//     and a release head store — no locks, no atomic RMW, no allocation
+//     after a slot's first span. Threads that never overlap may share a
+//     track. With no sink attached the drivers read no timestamps at all.
 //   * Rings are fixed-size (GSKNN_TRACE_RING_KB per thread, default 1024)
 //     and overflow by dropping the *oldest* spans; the count of dropped
 //     spans is surfaced in the trace metadata (`otherData.dropped_spans`),
@@ -33,19 +33,17 @@
 // reset() clears the rings for reuse.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <x86intrin.h>
 #endif
 
+#include "gsknn/common/slot_ring.hpp"
 #include "gsknn/common/telemetry.hpp"
-#include "gsknn/common/threads.hpp"
 
 namespace gsknn::telemetry {
 
@@ -78,7 +76,6 @@ class TraceSink {
   /// from the environment (default 1024 KB ≈ 32k spans per thread; values
   /// are clamped so a ring always holds at least 16 spans).
   explicit TraceSink(std::size_t ring_kb = 0);
-  ~TraceSink();
   TraceSink(const TraceSink&) = delete;
   TraceSink& operator=(const TraceSink&) = delete;
 
@@ -88,11 +85,12 @@ class TraceSink {
               int b = -1);
 
   /// Spans currently retained across all rings (post-overflow).
-  std::uint64_t span_count() const;
-  /// Spans evicted by ring overflow (plus any recorded without a slot).
-  std::uint64_t dropped_spans() const;
+  std::uint64_t span_count() const { return ring_.retained(); }
+  /// Spans evicted by ring overflow (plus any recorded without a slot or
+  /// ring).
+  std::uint64_t dropped_spans() const { return ring_.dropped(); }
   /// Thread slots that have recorded into this sink so far.
-  int thread_tracks() const { return static_cast<int>(tracks().size()); }
+  int thread_tracks() const { return ring_.slots_used(); }
   std::size_t ring_kb() const { return ring_kb_; }
 
   /// Chrome trace_event JSON ({"traceEvents":[...],"otherData":{...}}).
@@ -106,16 +104,9 @@ class TraceSink {
   void reset();
 
  private:
-  struct Ring;
-
-  /// Rings that have recorded, in slot order (the export's tracks).
-  std::vector<Ring*> tracks() const;
-
-  /// One ring per thread slot; null until that slot's first span.
-  std::atomic<Ring*> rings_[kMaxThreadSlots] = {};
-  std::atomic<std::uint64_t> dropped_no_slot_{0};
   std::size_t ring_kb_ = 0;
-  std::size_t ring_capacity_ = 0;  ///< spans per ring
+  /// A span is four words: t0, t1, phase, then (a << 32) | b.
+  SlotRing<4> ring_;
   std::uint64_t epoch_ticks_ = 0;  ///< trace_now() at construction
   std::chrono::steady_clock::time_point epoch_wall_;
 };

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,7 +12,7 @@
 #include <unistd.h>
 
 #include "gsknn/common/metrics.hpp"
-#include "gsknn/common/threads.hpp"
+#include "gsknn/common/slot_ring.hpp"
 
 namespace gsknn::flightrec {
 
@@ -28,21 +27,22 @@ const char* const kKindNames[kKindCount] = {
 
 // ---- event rings -----------------------------------------------------------
 
-// An event is five relaxed atomic words. Word 1 packs the discriminants:
+// An event is five words. Word 1 packs the discriminants:
 //   bits [0,8)   kind
 //   bits [8,16)  entry + 1 (0 = none)
 //   bits [16,32) status
 // Words 3/4 pack the shape as (m << 32) | n and (d << 32) | k.
 constexpr int kWordsPerEvent = 5;
+using EventRing = SlotRing<kWordsPerEvent>;
 
-struct alignas(64) Ring {
-  std::atomic<std::uint64_t> head{0};  ///< events ever written to this ring
-  std::atomic<std::uint64_t> words[kRingCapacity][kWordsPerEvent];
+/// The recorder's rings. Never destroyed: thread-exit paths can still
+/// record after static destruction has begun.
+union Rings {
+  constexpr Rings() : ring(kRingCapacity) {}
+  ~Rings() {}
+  EventRing ring;
 };
-
-// One ring per thread slot (gsknn/common/threads.hpp).
-Ring g_rings[kMaxThreadSlots];
-std::atomic<std::uint64_t> g_no_slot_drops{0};
+constinit Rings g_rings;
 
 bool initial_enabled() {
   const char* e = std::getenv("GSKNN_FLIGHTREC");
@@ -98,38 +98,28 @@ void maybe_trigger(int status) {
   }
 }
 
-// ---- packing helpers -------------------------------------------------------
-
-inline std::uint64_t pack_meta(Kind kind, int entry, int status) {
-  const std::uint64_t e =
-      static_cast<std::uint64_t>(entry < 0 ? 0 : (entry & 0x7F) + 1);
-  return static_cast<std::uint64_t>(static_cast<int>(kind) & 0xFF) |
-         (e << 8) | (static_cast<std::uint64_t>(status & 0xFFFF) << 16);
+Event decode(const EventRing::Record& w, std::uint64_t seq, int slot) {
+  const int kind = static_cast<int>(w[1] & 0xFF);
+  return Event{w[0], seq, slot,
+               static_cast<Kind>(kind < kKindCount ? kind : 0),  // torn read
+               static_cast<int>((w[1] >> 8) & 0xFF) - 1,
+               static_cast<int>((w[1] >> 16) & 0xFFFF), w[2],
+               static_cast<std::uint32_t>(w[3] >> 32),
+               static_cast<std::uint32_t>(w[3]),
+               static_cast<std::uint32_t>(w[4] >> 32),
+               static_cast<std::uint32_t>(w[4])};
 }
 
-inline std::uint64_t pack_pair(std::uint32_t hi, std::uint32_t lo) {
-  return (static_cast<std::uint64_t>(hi) << 32) | lo;
-}
-
-Event decode(const std::uint64_t w[kWordsPerEvent], std::uint64_t seq,
-             int slot) {
-  Event ev;
-  ev.t_ns = w[0];
-  ev.seq = seq;
-  ev.thread_slot = slot;
-  const std::uint64_t meta = w[1];
-  int kind = static_cast<int>(meta & 0xFF);
-  if (kind < 0 || kind >= kKindCount) kind = 0;  // torn read: clamp
-  ev.kind = static_cast<Kind>(kind);
-  const int e = static_cast<int>((meta >> 8) & 0xFF);
-  ev.entry = e == 0 ? -1 : e - 1;
-  ev.status = static_cast<int>((meta >> 16) & 0xFFFF);
-  ev.value = w[2];
-  ev.m = static_cast<std::uint32_t>(w[3] >> 32);
-  ev.n = static_cast<std::uint32_t>(w[3]);
-  ev.d = static_cast<std::uint32_t>(w[4] >> 32);
-  ev.k = static_cast<std::uint32_t>(w[4]);
-  return ev;
+/// Calls fn(event) for every retained event, slot by slot, oldest first
+/// within a slot. Allocation-free (the signal path drains through it).
+template <typename Fn>
+void for_each_event(Fn&& fn) {
+  const EventRing& ring = g_rings.ring;
+  ring.for_each_slot([&](int slot) {
+    ring.drain_slot(slot, [&](std::uint64_t seq, const EventRing::Record& w) {
+      fn(decode(w, seq, slot));
+    });
+  });
 }
 
 // ---- async-signal-safe formatting ------------------------------------------
@@ -148,12 +138,23 @@ std::size_t fmt_u64(char* buf, std::uint64_t v) {
   return n;
 }
 
-struct FdWriter {
-  int fd;
+/// Formats through a fixed buffer into `out` when set, else into `fd` with
+/// write(2) alone (async-signal-safe).
+struct Writer {
+  explicit Writer(int target) : fd(target) {}
+  explicit Writer(std::string& target) : out(&target) {}
+
+  int fd = -1;
+  std::string* out = nullptr;
   char buf[512];
   std::size_t len = 0;
 
   void flush() {
+    if (out != nullptr) {
+      out->append(buf, len);
+      len = 0;
+      return;
+    }
     std::size_t off = 0;
     while (off < len) {
       const ssize_t w = ::write(fd, buf + off, len - off);
@@ -182,7 +183,19 @@ struct FdWriter {
   }
 };
 
-void write_event(FdWriter& w, const Event& ev) {
+/// The dump header line; `events` < 0 when the count is not known up front.
+void write_header(Writer& w, const char* reason, std::int64_t events) {
+  w.str("{\"flightrec_version\":1,\"reason\":\"");
+  w.str(reason != nullptr ? reason : "on_demand");
+  w.str("\",\"dropped\":");
+  w.u64(dropped());
+  w.str(",\"events\":");
+  w.i64(events);
+  w.str("}\n");
+}
+
+/// The one renderer of an event object (no trailing newline).
+void write_event(Writer& w, const Event& ev) {
   w.str("{\"t_ns\":");
   w.u64(ev.t_ns);
   w.str(",\"seq\":");
@@ -212,25 +225,7 @@ void write_event(FdWriter& w, const Event& ev) {
   w.u64(ev.d);
   w.str(",\"k\":");
   w.u64(ev.k);
-  w.str("}\n");
-}
-
-/// Drain one ring without allocating (signal path): calls `fn` for each
-/// retained event, oldest first.
-template <typename Fn>
-void drain_ring(int slot, Fn&& fn) {
-  const Ring& r = g_rings[slot];
-  const std::uint64_t head = r.head.load(std::memory_order_acquire);
-  const std::uint64_t avail =
-      head < kRingCapacity ? head : static_cast<std::uint64_t>(kRingCapacity);
-  for (std::uint64_t i = head - avail; i < head; ++i) {
-    const std::size_t idx = static_cast<std::size_t>(i % kRingCapacity);
-    std::uint64_t w[kWordsPerEvent];
-    for (int j = 0; j < kWordsPerEvent; ++j) {
-      w[j] = r.words[idx][j].load(std::memory_order_relaxed);
-    }
-    fn(decode(w, i, slot));
-  }
+  w.str("}");
 }
 
 // ---- crash handler ---------------------------------------------------------
@@ -280,35 +275,22 @@ void set_enabled(bool on) {
 void record(Kind kind, int entry, int status, std::uint64_t value, int m,
             int n, int d, int k) {
   if (!enabled()) return;
-  const int slot = thread_slot();
-  if (slot < 0) {
-    g_no_slot_drops.fetch_add(1, std::memory_order_relaxed);
-    if (kind == Kind::kCallEnd) maybe_trigger(status);
-    return;
-  }
-  Ring& r = g_rings[slot];
-  const std::uint64_t head = r.head.load(std::memory_order_relaxed);
-  const std::size_t idx = static_cast<std::size_t>(head % kRingCapacity);
-  auto* w = r.words[idx];
-  w[0].store(metrics::now_ns(), std::memory_order_relaxed);
-  w[1].store(pack_meta(kind, entry, status), std::memory_order_relaxed);
-  w[2].store(value, std::memory_order_relaxed);
-  w[3].store(pack_pair(static_cast<std::uint32_t>(m < 0 ? 0 : m),
-                       static_cast<std::uint32_t>(n < 0 ? 0 : n)),
-             std::memory_order_relaxed);
-  w[4].store(pack_pair(static_cast<std::uint32_t>(d < 0 ? 0 : d),
-                       static_cast<std::uint32_t>(k < 0 ? 0 : k)),
-             std::memory_order_relaxed);
-  r.head.store(head + 1, std::memory_order_release);
+  const auto u32 = [](int v) -> std::uint64_t {
+    return static_cast<std::uint32_t>(v < 0 ? 0 : v);
+  };
+  const std::uint64_t meta =
+      static_cast<std::uint64_t>(static_cast<int>(kind) & 0xFF) |
+      (static_cast<std::uint64_t>(entry < 0 ? 0 : (entry & 0x7F) + 1) << 8) |
+      (static_cast<std::uint64_t>(status & 0xFFFF) << 16);
+  g_rings.ring.push({metrics::now_ns(), meta, value, u32(m) << 32 | u32(n),
+                     u32(d) << 32 | u32(k)});
   if (kind == Kind::kCallEnd) maybe_trigger(status);
 }
 
 std::vector<Event> drain() {
   std::vector<Event> out;
   out.reserve(256);
-  for (int s = 0; s < thread_slot_high_water(); ++s) {
-    drain_ring(s, [&out](const Event& ev) { out.push_back(ev); });
-  }
+  for_each_event([&out](const Event& ev) { out.push_back(ev); });
   std::sort(out.begin(), out.end(), [](const Event& a, const Event& b) {
     if (a.t_ns != b.t_ns) return a.t_ns < b.t_ns;
     if (a.thread_slot != b.thread_slot) return a.thread_slot < b.thread_slot;
@@ -317,22 +299,9 @@ std::vector<Event> drain() {
   return out;
 }
 
-std::uint64_t dropped() {
-  std::uint64_t total = g_no_slot_drops.load(std::memory_order_relaxed);
-  for (int s = 0; s < thread_slot_high_water(); ++s) {
-    const std::uint64_t head =
-        g_rings[s].head.load(std::memory_order_relaxed);
-    if (head > kRingCapacity) total += head - kRingCapacity;
-  }
-  return total;
-}
+std::uint64_t dropped() { return g_rings.ring.dropped(); }
 
-void clear() {
-  for (int s = 0; s < thread_slot_high_water(); ++s) {
-    g_rings[s].head.store(0, std::memory_order_relaxed);
-  }
-  g_no_slot_drops.store(0, std::memory_order_relaxed);
-}
+void clear() { g_rings.ring.clear(); }
 
 std::uint32_t trigger_mask() {
   return g_trigger_mask.load(std::memory_order_relaxed);
@@ -358,59 +327,34 @@ std::string dump_json(const char* reason) {
   const std::vector<Event> events = drain();
   std::string out;
   out.reserve(128 + events.size() * 160);
-  char head[192];
-  std::snprintf(head, sizeof(head),
-                "{\"flightrec_version\":1,\"reason\":\"%s\",\"dropped\":%llu,"
-                "\"events\":%zu}\n",
-                reason != nullptr ? reason : "on_demand",
-                static_cast<unsigned long long>(dropped()), events.size());
-  out += head;
-  char line[320];
+  Writer w(out);
+  write_header(w, reason, static_cast<std::int64_t>(events.size()));
   for (const Event& ev : events) {
-    char entry_buf[40];
-    if (ev.entry < 0) {
-      std::snprintf(entry_buf, sizeof(entry_buf), "null");
-    } else {
-      std::snprintf(entry_buf, sizeof(entry_buf), "\"%s\"",
-                    metrics::entry_point_name(
-                        static_cast<metrics::EntryPoint>(ev.entry)));
-    }
-    std::snprintf(
-        line, sizeof(line),
-        "{\"t_ns\":%llu,\"seq\":%llu,\"thread\":%d,\"kind\":\"%s\","
-        "\"entry\":%s,\"status\":\"%s\",\"value\":%llu,"
-        "\"m\":%u,\"n\":%u,\"d\":%u,\"k\":%u}\n",
-        static_cast<unsigned long long>(ev.t_ns),
-        static_cast<unsigned long long>(ev.seq), ev.thread_slot,
-        kind_name(ev.kind), entry_buf, metrics::status_label(ev.status),
-        static_cast<unsigned long long>(ev.value), ev.m, ev.n, ev.d, ev.k);
-    out += line;
+    write_event(w, ev);
+    w.str("\n");
   }
+  w.flush();
   return out;
 }
 
+void append_event_json(std::string& out, const Event& ev) {
+  Writer w(out);
+  write_event(w, ev);
+  w.flush();
+}
+
 bool dump_to_file(const char* path, const char* reason) {
-  if (path == nullptr) return false;
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) return false;
-  const std::string text = dump_json(reason);
-  const std::size_t n = std::fwrite(text.data(), 1, text.size(), f);
-  const bool ok = n == text.size() && std::fclose(f) == 0;
-  if (!ok && n != text.size()) std::fclose(f);
-  return ok;
+  return path != nullptr && metrics::write_file(path, dump_json(reason));
 }
 
 void dump_to_fd(int fd, const char* reason) {
-  FdWriter w{fd, {}};
-  // Header. dropped() and the per-ring drains below only use atomic loads.
-  w.str("{\"flightrec_version\":1,\"reason\":\"");
-  w.str(reason != nullptr ? reason : "on_demand");
-  w.str("\",\"dropped\":");
-  w.u64(dropped());
-  w.str(",\"events\":-1}\n");  // count unknown up front on the signal path
-  for (int s = 0; s < thread_slot_high_water(); ++s) {
-    drain_ring(s, [&w](const Event& ev) { write_event(w, ev); });
-  }
+  Writer w(fd);
+  // Atomic loads only: dropped() in the header, then the rings slot by slot.
+  write_header(w, reason, -1);  // count unknown up front on the signal path
+  for_each_event([&w](const Event& ev) {
+    write_event(w, ev);
+    w.str("\n");
+  });
   w.flush();
 }
 

@@ -134,20 +134,8 @@ inline void rotate_window(Shard& s, int slot, std::uint64_t sec,
   }
 }
 
-// ---- tiny JSON/text builders (snprintf into std::string, the telemetry
-// serializer idiom — no allocation surprises, no iostreams) ----------------
-
-void append_fmt(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void append_fmt(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
-}
+// ---- tiny JSON/text builders (append_fmt below: snprintf into std::string,
+// the telemetry serializer idiom — no allocation surprises, no iostreams) --
 
 void append_bucket_array(std::string& out, const std::uint64_t* b) {
   out += '[';
@@ -195,6 +183,23 @@ std::string le_number(double v) {
 }
 
 }  // namespace
+
+void append_fmt(std::string& out, const char* fmt, ...) {
+  char buf[512];
+  va_list ap;
+  va_start(ap, fmt);
+  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
+  va_end(ap);
+  if (n > 0) out.append(buf, std::min<std::size_t>(n, sizeof(buf) - 1));
+}
+
+bool write_file(const char* path, const std::string& text) {
+  std::FILE* f = path != nullptr ? std::fopen(path, "w") : nullptr;
+  if (f == nullptr) return false;
+  const bool complete = std::fwrite(text.data(), 1, text.size(), f) ==
+                        text.size();
+  return std::fclose(f) == 0 && complete;
+}
 
 const char* entry_point_name(EntryPoint ep) {
   const int i = static_cast<int>(ep);

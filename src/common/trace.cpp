@@ -1,14 +1,17 @@
-// TraceSink implementation (see include/gsknn/common/trace.hpp): per-thread
-// span rings and the Chrome trace_event serializer.
+// TraceSink implementation (see include/gsknn/common/trace.hpp): span
+// recording into the one per-thread ring and the Chrome trace_event
+// serializer.
 #include "gsknn/common/trace.hpp"
 
-#include <cstdio>
+#include <algorithm>
 #include <cstdlib>
 #include <vector>
 
 #include "gsknn/common/metrics.hpp"
 
 namespace gsknn::telemetry {
+
+using metrics::append_fmt;
 
 namespace {
 
@@ -37,90 +40,27 @@ std::size_t env_ring_kb() {
 
 }  // namespace
 
-/// Single-producer span ring: only the owning thread writes, and export
-/// happens after the traced region, so head is a plain counter.
-struct TraceSink::Ring {
-  std::vector<TraceSpan> buf;
-  std::uint64_t head = 0;
-
-  explicit Ring(std::size_t capacity) : buf(capacity) {}
-
-  void push(const TraceSpan& s) {
-    if (head >= buf.size()) {
-      // Drop-oldest overwrite: the aggregate counter makes ring pressure
-      // visible without exporting (or even finishing) the trace.
-      metrics::add_counter(metrics::Counter::kTraceSpansDropped);
-    }
-    buf[static_cast<std::size_t>(head % buf.size())] = s;
-    ++head;
-  }
-  std::uint64_t retained() const {
-    return head < buf.size() ? head : buf.size();
-  }
-  std::uint64_t dropped() const {
-    return head > buf.size() ? head - buf.size() : 0;
-  }
-};
-
 TraceSink::TraceSink(std::size_t ring_kb)
-    : ring_kb_(ring_kb > 0 ? ring_kb : env_ring_kb()) {
-  ring_capacity_ = ring_kb_ * 1024 / sizeof(TraceSpan);
-  if (ring_capacity_ < 16) ring_capacity_ = 16;
-  epoch_ticks_ = trace_now();
-  epoch_wall_ = std::chrono::steady_clock::now();
-}
-
-TraceSink::~TraceSink() {
-  for (Ring* r : tracks()) delete r;
-}
-
-std::vector<TraceSink::Ring*> TraceSink::tracks() const {
-  std::vector<Ring*> out;
-  for (int i = 0; i < thread_slot_high_water(); ++i) {
-    if (Ring* r = rings_[i].load(std::memory_order_acquire)) out.push_back(r);
-  }
-  return out;
-}
+    : ring_kb_(ring_kb > 0 ? ring_kb : env_ring_kb()),
+      ring_(std::max<std::size_t>(16, ring_kb_ * 1024 / sizeof(TraceSpan))),
+      epoch_ticks_(trace_now()),
+      epoch_wall_(std::chrono::steady_clock::now()) {}
 
 void TraceSink::record(Phase phase, std::uint64_t t0, std::uint64_t t1,
                        int a, int b) {
-  const int slot = thread_slot();
-  if (slot < 0) {
-    dropped_no_slot_.fetch_add(1, std::memory_order_relaxed);
+  const auto u32 = [](int v) -> std::uint64_t {
+    return static_cast<std::uint32_t>(v);
+  };
+  if (!ring_.push({t0, t1, static_cast<std::uint64_t>(phase),
+                   u32(a) << 32 | u32(b)})) {
+    // The aggregate counter makes ring pressure visible without exporting
+    // (or even finishing) the trace.
     metrics::add_counter(metrics::Counter::kTraceSpansDropped);
-    return;
   }
-  // Only the slot's owner stores its ring, and the registry orders one
-  // owner's writes before the next owner's reads.
-  Ring* ring = rings_[slot].load(std::memory_order_relaxed);
-  if (ring == nullptr) {
-    ring = new Ring(ring_capacity_);
-    rings_[slot].store(ring, std::memory_order_release);
-  }
-  TraceSpan s;
-  s.t0 = t0;
-  s.t1 = t1;
-  s.phase = static_cast<std::int32_t>(phase);
-  s.a = a;
-  s.b = b;
-  ring->push(s);
-}
-
-std::uint64_t TraceSink::span_count() const {
-  std::uint64_t n = 0;
-  for (const Ring* r : tracks()) n += r->retained();
-  return n;
-}
-
-std::uint64_t TraceSink::dropped_spans() const {
-  std::uint64_t n = dropped_no_slot_.load(std::memory_order_relaxed);
-  for (const Ring* r : tracks()) n += r->dropped();
-  return n;
 }
 
 void TraceSink::reset() {
-  for (Ring* r : tracks()) r->head = 0;
-  dropped_no_slot_.store(0, std::memory_order_relaxed);
+  ring_.clear();
   epoch_ticks_ = trace_now();
   epoch_wall_ = std::chrono::steady_clock::now();
 }
@@ -152,79 +92,61 @@ std::string TraceSink::to_json() const {
   std::string j;
   j.reserve(1 << 16);
   j += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  char buf[256];
   bool first = true;
   // Tracks are numbered densely in slot order.
-  const std::vector<Ring*> rings = tracks();
-  const int used = static_cast<int>(rings.size());
+  std::vector<int> slots;
+  ring_.for_each_slot([&slots](int slot) { slots.push_back(slot); });
+  const int used = static_cast<int>(slots.size());
   for (int t = 0; t < used; ++t) {
     // Name each track so Perfetto shows "omp-<track>" instead of a bare tid.
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
-                  "\"tid\":%d,\"args\":{\"name\":\"omp-%d\"}}",
-                  first ? "" : ",", t, t);
+    append_fmt(j,
+               "%s{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
+               "\"tid\":%d,\"args\":{\"name\":\"omp-%d\"}}",
+               first ? "" : ",", t, t);
     first = false;
-    j += buf;
   }
   for (int t = 0; t < used; ++t) {
-    const Ring* r = rings[static_cast<std::size_t>(t)];
-    const std::uint64_t retained = r->retained();
-    const std::uint64_t start = r->head - retained;  // oldest surviving span
-    for (std::uint64_t i = start; i < r->head; ++i) {
-      const TraceSpan& s = r->buf[static_cast<std::size_t>(i % r->buf.size())];
-      const double t0 = ts_us(s.t0);
-      const double dur = ts_us(s.t1) - t0;
-      const int ph = s.phase >= 0 && s.phase < kPhaseCount ? s.phase : 0;
-      int len = std::snprintf(
-          buf, sizeof(buf),
-          "%s{\"name\":\"%s\",\"cat\":\"gsknn\",\"ph\":\"X\",\"ts\":%.3f,"
-          "\"dur\":%.3f,\"pid\":1,\"tid\":%d",
-          first ? "" : ",", phase_name(static_cast<Phase>(ph)), t0,
-          dur >= 0.0 ? dur : 0.0, t);
+    ring_.drain_slot(slots[static_cast<std::size_t>(t)], [&](std::uint64_t,
+                                                            const auto& w) {
+      const auto a = static_cast<std::int32_t>(w[3] >> 32);
+      const auto b = static_cast<std::int32_t>(w[3]);
+      const double t0 = ts_us(w[0]);
+      const double dur = ts_us(w[1]) - t0;
+      const int ph = w[2] < kPhaseCount ? static_cast<int>(w[2]) : 0;
+      append_fmt(j,
+                 "%s{\"name\":\"%s\",\"cat\":\"gsknn\",\"ph\":\"X\","
+                 "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d",
+                 first ? "" : ",", phase_name(static_cast<Phase>(ph)), t0,
+                 dur >= 0.0 ? dur : 0.0, t);
       first = false;
-      j.append(buf, static_cast<std::size_t>(len));
-      if (s.a >= 0 || s.b >= 0) {
+      if (a >= 0 || b >= 0) {
         j += ",\"args\":{";
-        bool inner_first = true;
-        if (s.a >= 0) {
-          len = std::snprintf(buf, sizeof(buf), "\"%s\":%d", kArgNames[ph].a,
-                              s.a);
-          j.append(buf, static_cast<std::size_t>(len));
-          inner_first = false;
-        }
-        if (s.b >= 0) {
-          len = std::snprintf(buf, sizeof(buf), "%s\"%s\":%d",
-                              inner_first ? "" : ",", kArgNames[ph].b, s.b);
-          j.append(buf, static_cast<std::size_t>(len));
+        if (a >= 0) append_fmt(j, "\"%s\":%d", kArgNames[ph].a, a);
+        if (b >= 0) {
+          append_fmt(j, "%s\"%s\":%d", a >= 0 ? "," : "", kArgNames[ph].b, b);
         }
         j += '}';
       }
       j += '}';
-    }
+    });
   }
-  std::snprintf(buf, sizeof(buf),
-                "],\"otherData\":{\"ring_kb\":%zu,\"spans\":%llu,"
-                "\"dropped_spans\":%llu,\"thread_tracks\":%d,"
-                "\"clock\":\"%s\",\"ticks_per_us\":%.1f}}",
-                ring_kb_, static_cast<unsigned long long>(span_count()),
-                static_cast<unsigned long long>(dropped_spans()), used,
+  append_fmt(j,
+             "],\"otherData\":{\"ring_kb\":%zu,\"spans\":%llu,"
+             "\"dropped_spans\":%llu,\"thread_tracks\":%d,"
+             "\"clock\":\"%s\",\"ticks_per_us\":%.1f}}",
+             ring_kb_, static_cast<unsigned long long>(span_count()),
+             static_cast<unsigned long long>(dropped_spans()), used,
 #if defined(__x86_64__) || defined(__i386__)
-                "tsc",
+             "tsc",
 #else
-                "steady_ns",
+             "steady_ns",
 #endif
-                ticks_per_us);
-  j += buf;
+             ticks_per_us);
   return j;
 }
 
 bool TraceSink::write_json(const char* path) const {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) return false;
-  const std::string j = to_json();
-  const bool ok = std::fwrite(j.data(), 1, j.size(), f) == j.size();
-  std::fclose(f);
-  return ok;
+  return metrics::write_file(path, to_json());
 }
 
 }  // namespace gsknn::telemetry

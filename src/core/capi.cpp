@@ -81,6 +81,41 @@ int parse_search_config(int norm, int variant, double lp, int threads,
 
 }  // namespace
 
+// The C codes index the snapshot's axes directly: each must equal its C++
+// enumerator, and the counts the axis sizes.
+#define GSKNN_C_MIRRORS(code, value) \
+  static_assert(GSKNN_METRIC_##code == static_cast<int>(gsknn::metrics::value))
+GSKNN_C_MIRRORS(EP_KERNEL_F64, EntryPoint::kKernelF64);
+GSKNN_C_MIRRORS(EP_KERNEL_F32, EntryPoint::kKernelF32);
+GSKNN_C_MIRRORS(EP_PARALLEL_REFS, EntryPoint::kParallelRefs);
+GSKNN_C_MIRRORS(EP_BATCH, EntryPoint::kBatch);
+GSKNN_C_MIRRORS(EP_GEMM_BASELINE, EntryPoint::kGemmBaseline);
+GSKNN_C_MIRRORS(EP_SINGLE_LOOP, EntryPoint::kSingleLoop);
+GSKNN_C_MIRRORS(EP_RKD_FOREST, EntryPoint::kRkdForest);
+GSKNN_C_MIRRORS(EP_LSH, EntryPoint::kLsh);
+GSKNN_C_MIRRORS(EP_SERVE_INTERACTIVE, EntryPoint::kServeInteractive);
+GSKNN_C_MIRRORS(EP_SERVE_BULK, EntryPoint::kServeBulk);
+static_assert(GSKNN_METRIC_EP_COUNT == gsknn::metrics::kEntryPointCount);
+GSKNN_C_MIRRORS(CTR_WORKSPACE_RETILED_CALLS, Counter::kWorkspaceRetiledCalls);
+GSKNN_C_MIRRORS(CTR_WORKSPACE_RETILE_STEPS, Counter::kWorkspaceRetileSteps);
+GSKNN_C_MIRRORS(CTR_TRACE_SPANS_DROPPED, Counter::kTraceSpansDropped);
+GSKNN_C_MIRRORS(CTR_PMU_MULTIPLEXED_READS, Counter::kPmuMultiplexedReads);
+GSKNN_C_MIRRORS(CTR_PACK_HITS, Counter::kPackHits);
+GSKNN_C_MIRRORS(CTR_PACK_MISSES, Counter::kPackMisses);
+GSKNN_C_MIRRORS(CTR_PACK_EVICTIONS, Counter::kPackEvictions);
+GSKNN_C_MIRRORS(CTR_CACHE_BYTES, Counter::kCacheBytes);
+GSKNN_C_MIRRORS(CTR_SERVE_ENQUEUED, Counter::kServeEnqueued);
+GSKNN_C_MIRRORS(CTR_SERVE_FUSED_CALLS, Counter::kServeFusedCalls);
+GSKNN_C_MIRRORS(CTR_SERVE_FUSED_QUERIES, Counter::kServeFusedQueries);
+GSKNN_C_MIRRORS(CTR_SERVE_CANCELLED, Counter::kServeCancelled);
+GSKNN_C_MIRRORS(CTR_SERVE_EXPIRED, Counter::kServeExpired);
+GSKNN_C_MIRRORS(CTR_SERVE_SHED_PREDICTIVE, Counter::kServeShedPredictive);
+GSKNN_C_MIRRORS(CTR_SERVE_DOOMED_EVICTED, Counter::kServeDoomedEvicted);
+GSKNN_C_MIRRORS(CTR_SERVE_WATCHDOG_FIRES, Counter::kServeWatchdogFires);
+GSKNN_C_MIRRORS(CTR_SERVE_BREAKER_OPEN, Counter::kServeBreakerOpen);
+static_assert(GSKNN_METRIC_CTR_COUNT == gsknn::metrics::kCounterCount);
+#undef GSKNN_C_MIRRORS
+
 // gsknn_table / gsknn_result live in capi_handles.hpp (shared with the
 // serving C API translation unit).
 
@@ -567,11 +602,6 @@ uint64_t gsknn_metrics_latency_quantile_ns(const gsknn_metrics* m,
   return m->snap.latency_quantile_ns(
       static_cast<gsknn::metrics::EntryPoint>(entry_point), q);
 }
-
-// The C counter codes index MetricsSnapshot::counters directly, so a
-// Counter added or removed ahead of the mirrored prefix must renumber them.
-static_assert(GSKNN_METRIC_CTR_CACHE_BYTES ==
-              static_cast<int>(gsknn::metrics::Counter::kCacheBytes));
 
 uint64_t gsknn_metrics_counter(const gsknn_metrics* m, int counter) {
   if (m == nullptr || counter < 0 ||

@@ -1,8 +1,6 @@
 // Diagnostics bundles (see include/gsknn/core/diag.hpp).
 #include "gsknn/core/diag.hpp"
 
-#include <cstdarg>
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -21,17 +19,7 @@ namespace gsknn::diag {
 
 namespace {
 
-void append_fmt(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void append_fmt(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, static_cast<std::size_t>(n));
-}
+using metrics::append_fmt;
 
 void append_escaped(std::string& out, const char* s) {
   out += '"';
@@ -129,27 +117,9 @@ void append_flightrec(std::string& out) {
   const std::vector<flightrec::Event> events = flightrec::drain();
   append_fmt(out, "\"flightrec\":{\"dropped\":%llu,\"events\":[",
              static_cast<unsigned long long>(flightrec::dropped()));
-  bool first = true;
-  for (const flightrec::Event& ev : events) {
-    append_fmt(out, "%s{\"t_ns\":%llu,\"seq\":%llu,\"thread\":%d,"
-                    "\"kind\":\"%s\",\"entry\":",
-               first ? "" : ",", static_cast<unsigned long long>(ev.t_ns),
-               static_cast<unsigned long long>(ev.seq), ev.thread_slot,
-               flightrec::kind_name(ev.kind));
-    if (ev.entry < 0) {
-      out += "null";
-    } else {
-      append_fmt(out, "\"%s\"",
-                 metrics::entry_point_name(
-                     static_cast<metrics::EntryPoint>(ev.entry)));
-    }
-    append_fmt(out,
-               ",\"status\":\"%s\",\"value\":%llu,\"m\":%u,\"n\":%u,"
-               "\"d\":%u,\"k\":%u}",
-               metrics::status_label(ev.status),
-               static_cast<unsigned long long>(ev.value), ev.m, ev.n, ev.d,
-               ev.k);
-    first = false;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (i > 0) out += ',';
+    flightrec::append_event_json(out, events[i]);
   }
   out += "]}";
 }
@@ -246,14 +216,7 @@ std::string bundle_json(const char* reason) {
 }
 
 bool write_bundle(const char* path, const char* reason) {
-  if (path == nullptr) return false;
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) return false;
-  const std::string text = bundle_json(reason);
-  const std::size_t n = std::fwrite(text.data(), 1, text.size(), f);
-  const bool complete = n == text.size();
-  const bool closed = std::fclose(f) == 0;
-  return complete && closed;
+  return path != nullptr && metrics::write_file(path, bundle_json(reason));
 }
 
 void ensure_trigger_hook() {

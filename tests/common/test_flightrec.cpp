@@ -2,10 +2,11 @@
 // trip preserves every field; overflow keeps the newest kRingCapacity events
 // and accounts the rest in dropped(); disarmed record() is a no-op; the
 // one-shot non-OK trigger latches and rearms; the JSON-lines dump matches
-// the schema tools/check_diag.py validates; a 40-thread writer storm
-// stays consistent (run under tsan via `ctest -L observability`); and the
-// tree solvers record their call_begin/call_end pair like every other entry
-// point, whether or not the metrics registry is armed.
+// the schema tools/check_diag.py validates, and the signal-path dump streams
+// the same event lines; a 40-thread writer storm stays consistent (run under
+// tsan via `ctest -L observability`); and the tree solvers record their
+// call_begin/call_end pair like every other entry point, whether or not the
+// metrics registry is armed.
 #include "gsknn/common/flightrec.hpp"
 
 #include <gtest/gtest.h>
@@ -173,6 +174,37 @@ TEST_F(FlightRecTest, DumpJsonMatchesSchema) {
   EXPECT_EQ(static_cast<std::size_t>(
                 std::count(dump.begin(), dump.end(), '\n')),
             3u);  // header + 2 events, each newline-terminated
+}
+
+TEST_F(FlightRecTest, SignalPathDumpMatchesDumpJson) {
+  // One thread, so dump_to_fd's slot-by-slot stream is already in
+  // dump_json's time order and the event lines must match byte for byte.
+  fr::record(fr::Kind::kCallBegin, 0, 0, 0, 32, 64, 8, 4);
+  fr::record(fr::Kind::kFault, -1, 0, std::uint64_t{1} << 40);
+  fr::record(fr::Kind::kCallEnd, 1, 0, 5000, 32, 64, 8, 4);
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  fr::dump_to_fd(fileno(f), "unit_test");
+  const std::string json = fr::dump_json("unit_test");
+  std::rewind(f);
+  std::string streamed;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;) {
+    streamed.append(buf, n);
+  }
+  std::fclose(f);
+
+  const std::size_t streamed_eol = streamed.find('\n');
+  const std::size_t json_eol = json.find('\n');
+  ASSERT_NE(streamed_eol, std::string::npos);
+  ASSERT_NE(json_eol, std::string::npos);
+  EXPECT_EQ(streamed.substr(0, streamed_eol),
+            "{\"flightrec_version\":1,\"reason\":\"unit_test\","
+            "\"dropped\":0,\"events\":-1}");
+  EXPECT_NE(json.substr(0, json_eol).find("\"events\":3}"), std::string::npos);
+  const std::string events = streamed.substr(streamed_eol + 1);
+  EXPECT_EQ(events, json.substr(json_eol + 1));
+  EXPECT_EQ(std::count(events.begin(), events.end(), '\n'), 3);
 }
 
 TEST_F(FlightRecTest, KindNamesAreStable) {

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "gsknn/common/metrics.hpp"
 #include "gsknn/data/generators.hpp"
 #include "test_util.hpp"
 
@@ -485,6 +486,44 @@ TEST(CApi, MetricsHandlesAreNullSafeAndBoundsChecked) {
   EXPECT_STREQ(gsknn_metrics_json(nullptr), "{}");
   EXPECT_STREQ(gsknn_metrics_prometheus(nullptr), "");
   gsknn_metrics_destroy(nullptr);
+}
+
+TEST(CApi, ServingAxesReadByName) {
+  // The serving cells have C names, and every C code reads the cell its
+  // C++ enumerator names.
+  namespace metrics = gsknn::metrics;
+  ASSERT_EQ(gsknn_metrics_enabled(), 1);
+  gsknn_metrics_reset();
+  metrics::add_counter(metrics::Counter::kServeEnqueued, 3);
+  metrics::record_call(metrics::EntryPoint::kServeInteractive, 0, 1000, 1, 40,
+                       8, 4);
+  metrics::record_call(metrics::EntryPoint::kServeInteractive, 0, 2000, 1, 40,
+                       8, 4);
+  const metrics::MetricsSnapshot snap = metrics::snapshot();
+  gsknn_metrics* m = gsknn_metrics_snapshot();
+  ASSERT_NE(m, nullptr);
+
+  EXPECT_EQ(gsknn_metrics_counter(m, GSKNN_METRIC_CTR_SERVE_ENQUEUED), 3u);
+  EXPECT_EQ(gsknn_metrics_counter(m, GSKNN_METRIC_CTR_SERVE_ENQUEUED),
+            snap.counters[static_cast<int>(metrics::Counter::kServeEnqueued)]);
+  EXPECT_EQ(gsknn_metrics_calls(m, GSKNN_METRIC_EP_SERVE_INTERACTIVE, GSKNN_OK),
+            2u);
+  EXPECT_EQ(gsknn_metrics_calls_total(m, GSKNN_METRIC_EP_SERVE_INTERACTIVE),
+            snap.calls_total(metrics::EntryPoint::kServeInteractive));
+  EXPECT_EQ(gsknn_metrics_calls_total(m, GSKNN_METRIC_EP_SERVE_BULK), 0u);
+
+  ASSERT_EQ(GSKNN_METRIC_CTR_COUNT, metrics::kCounterCount);
+  ASSERT_EQ(GSKNN_METRIC_EP_COUNT, metrics::kEntryPointCount);
+  for (int c = 0; c < GSKNN_METRIC_CTR_COUNT; ++c) {
+    EXPECT_EQ(gsknn_metrics_counter(m, c), snap.counters[c]) << "counter " << c;
+  }
+  for (int ep = 0; ep < GSKNN_METRIC_EP_COUNT; ++ep) {
+    EXPECT_EQ(gsknn_metrics_calls_total(m, ep),
+              snap.calls_total(static_cast<metrics::EntryPoint>(ep)))
+        << "entry point " << ep;
+  }
+  gsknn_metrics_destroy(m);
+  gsknn_metrics_reset();
 }
 
 TEST(CApi, MetricsEnableToggle) {

@@ -29,7 +29,7 @@ import argparse
 import json
 import sys
 
-from check_metrics import ENTRY_POINTS, STATUSES, check_json
+from check_metrics import ENTRY_POINTS, STATUSES, check_json, fail
 
 EVENT_KINDS = [
     "call_begin", "call_end", "retile", "deadline", "cancel",
@@ -55,11 +55,6 @@ MODEL_ROW_KEYS = ["m", "n", "d", "k", "var1_ms", "var6_ms", "gemm_ms",
                   "var1_gflops", "chosen"]
 MODEL_GRID = {(8192, 8192, d, k)
               for d in (16, 64, 256, 1024) for k in (16, 128, 512, 2048)}
-
-
-def fail(msg):
-    print(f"check_diag: FAIL: {msg}")
-    sys.exit(1)
 
 
 def check_event(where, ev):

@@ -20,6 +20,7 @@ Usage:
 
 import argparse
 import json
+import os
 import sys
 
 ENTRY_POINTS = [
@@ -67,8 +68,13 @@ PROM_FAMILIES = {
 }
 
 
+# The running checker's name (check_metrics, check_diag or check_trace),
+# which prefixes every verdict line.
+TOOL = os.path.splitext(os.path.basename(sys.argv[0]))[0] or "check_metrics"
+
+
 def fail(msg):
-    print(f"check_metrics: FAIL: {msg}")
+    print(f"{TOOL}: FAIL: {msg}")
     sys.exit(1)
 
 
@@ -88,7 +94,7 @@ def check_hist(where, h, count_key="count"):
 
 
 def load_json(path):
-    """Parse a metrics JSON snapshot file."""
+    """Parse a JSON file (metrics snapshot, trace, ...)."""
     try:
         with open(path) as f:
             return json.load(f)

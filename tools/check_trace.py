@@ -15,8 +15,9 @@ Usage:
 """
 
 import argparse
-import json
 import sys
+
+from check_metrics import fail, load_json
 
 # Phase names the serializer can emit (telemetry::Phase).
 PHASE_NAMES = {
@@ -31,11 +32,6 @@ OTHER_DATA_KEYS = {
     "clock": str,
     "ticks_per_us": (int, float),
 }
-
-
-def fail(msg):
-    print(f"check_trace: FAIL: {msg}")
-    sys.exit(1)
 
 
 def check_event(i, ev, tracks):
@@ -84,12 +80,7 @@ def main():
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args()
 
-    try:
-        with open(args.trace) as f:
-            trace = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        fail(f"cannot parse {args.trace}: {e}")
-
+    trace = load_json(args.trace)
     if not isinstance(trace, dict) or "traceEvents" not in trace:
         fail("top level must be an object with a traceEvents array")
     events = trace["traceEvents"]
