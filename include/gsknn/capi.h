@@ -219,9 +219,9 @@ enum {
   GSKNN_PHASE_COUNT = 7
 };
 
-/* Work counters (mirror gsknn::telemetry::Counter). Exact tallies only when
- * the kernel was built with -DGSKNN_PROFILE=ON; see
- * gsknn_profile_counters_enabled(). */
+/* Work counters (mirror gsknn::telemetry::Counter). Exact tallies from the
+ * fused kernel whenever a profile is attached; a profile fed only by the
+ * GEMM baseline reads zero (see gsknn_profile_counters_enabled()). */
 enum {
   GSKNN_COUNTER_CANDIDATES = 0,
   GSKNN_COUNTER_HEAP_PUSHES = 1,

@@ -13,15 +13,15 @@
 //   puts(prof.format_table().c_str());   // Table-5-style breakdown
 //   puts(prof.to_json().c_str());        // one-line structured profile
 //
-// Two instrumentation tiers:
-//   * Phase timers — always available, runtime-gated: with no profile sink
-//     attached the drivers skip every clock read, so the default path pays
-//     one branch per cache-block, not per candidate.
-//   * Work counters (candidates evaluated, heap pushes vs. root-rejects,
-//     tiles, bytes packed) — live in the selection hot loops, so they are
-//     compiled in only when the build defines GSKNN_PROFILE (CMake option
-//     -DGSKNN_PROFILE=ON). kCountersEnabled reports the build mode;
-//     KernelProfile::counters_enabled reports it per profile.
+// One build, one run-time gate: the phase timers and the work counters
+// (candidates evaluated, heap pushes vs. root-rejects, tiles, bytes packed)
+// record into the calling thread's ThreadCounters slot, and
+// Recorder::slot() is null when no profile sink is attached. An unprofiled
+// call therefore reads no clock and writes no slot: the fused kernel
+// tallies a tile's heap pushes in its selection context, and the driver
+// adds them to the slot once per tile when there is one.
+// KernelProfile::counters_enabled says whether the producing algorithm
+// counts (the fused driver does, the GEMM baseline does not).
 //
 // Aggregation model: drivers record into per-thread, cache-line-padded
 // ThreadCounters slots (no sharing, no atomics). Recorder::aggregate() then
@@ -40,12 +40,6 @@
 #include "gsknn/common/pmu.hpp"
 
 namespace gsknn::telemetry {
-
-#if defined(GSKNN_PROFILE)
-inline constexpr bool kCountersEnabled = true;
-#else
-inline constexpr bool kCountersEnabled = false;
-#endif
 
 /// Phases of the kNN kernel time breakdown. The fused kernel uses the first
 /// five; the Algorithm-2.1 GEMM baseline maps its Table-5 columns onto the
@@ -67,7 +61,7 @@ inline constexpr int kPhaseCount = static_cast<int>(Phase::kNumPhases);
 /// Stable lowercase identifier ("pack_q", "micro", ...) used in JSON.
 const char* phase_name(Phase p);
 
-/// Work counters (exact tallies, GSKNN_PROFILE builds only).
+/// Work counters (exact tallies, kept while a profile sink is attached).
 enum class Counter : int {
   kCandidates = 0,  ///< candidate (query, reference) pairs seen by selection
   kHeapPushes,      ///< candidates that entered a heap row (batched rows:
@@ -106,7 +100,7 @@ struct KernelProfile {
   const char* precision = "";  ///< "f64" or "f32"
   int m = 0, n = 0, d = 0, k = 0;
   int threads = 1;       ///< threads the kernel resolved to
-  int variant = 0;       ///< resolved selection variant (1/2/3/5/6; 0 = n/a)
+  int variant = 0;       ///< resolved selection variant (1/5; 0 = n/a)
   int simd_level = 0;    ///< static_cast<int>(SimdLevel) the dispatch chose
   BlockingParams blocking;
   /// Workspace governance of the last invocation (docs/ROBUSTNESS.md):
@@ -126,10 +120,9 @@ struct KernelProfile {
   double phase_seconds[kPhaseCount] = {};       ///< critical-path per phase
   double phase_thread_seconds[kPhaseCount] = {};///< total CPU per phase
   std::uint64_t counters[kCounterCount] = {};
-  /// True once a counting (GSKNN_PROFILE) kernel build has recorded into
-  /// this profile. Deliberately NOT defaulted from kCountersEnabled: the
-  /// recording translation unit decides, so a profile constructed in a
-  /// non-profiled consumer still reports the producing kernel's mode.
+  /// True once an algorithm that counts (the fused driver, also under
+  /// parallel_refs and knn_batch) has recorded into this profile; a profile
+  /// fed only by the GEMM baseline reads false and its counters zero.
   bool counters_enabled = false;
   /// Per-phase hardware-counter totals (summed across threads) and whether
   /// any were actually collected. False whenever perf_event_open is denied
@@ -154,7 +147,7 @@ struct KernelProfile {
   double gflops() const;
   /// Fraction of the wall spent selecting (Var#1 reports 0 — fused).
   double selection_fraction() const;
-  /// Packing bandwidth in GB/s (counters build only; 0 otherwise).
+  /// Packing bandwidth in GB/s (0 when no counting algorithm recorded).
   double pack_bandwidth_gbs() const;
 
   // ---- PMU-derived metrics (all 0 when pmu_enabled is false) -------------

@@ -3,9 +3,9 @@
 #include "gsknn/common/telemetry.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 
+#include "gsknn/common/metrics.hpp"
 #include "gsknn/common/trace.hpp"
 
 namespace gsknn::telemetry {
@@ -25,33 +25,6 @@ const char* const kCounterNames[kCounterCount] = {
     "candidates_evaluated", "heap_pushes",    "root_rejects",
     "tiles",                "bytes_packed_q", "bytes_packed_r",
 };
-
-void append_kv(std::string& out, const char* key, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%.9g", key, v);
-  out += buf;
-}
-
-void append_kv(std::string& out, const char* key, std::uint64_t v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%llu", key,
-                static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void append_kv(std::string& out, const char* key, int v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%d", key, v);
-  out += buf;
-}
-
-void append_kv(std::string& out, const char* key, const char* v) {
-  out += '"';
-  out += key;
-  out += "\":\"";
-  out += v;
-  out += '"';
-}
 
 }  // namespace
 
@@ -176,171 +149,114 @@ void KernelProfile::merge(const KernelProfile& other) {
 }
 
 std::string KernelProfile::to_json() const {
+  using metrics::append_fmt;
+  using ull = unsigned long long;
   std::string j;
   j.reserve(2048);
-  j += '{';
-  append_kv(j, "algorithm", algorithm);
-  j += ',';
-  append_kv(j, "precision", precision);
-  j += ',';
-  append_kv(j, "m", m);
-  j += ',';
-  append_kv(j, "n", n);
-  j += ',';
-  append_kv(j, "d", d);
-  j += ',';
-  append_kv(j, "k", k);
-  j += ',';
-  append_kv(j, "threads", threads);
-  j += ',';
-  append_kv(j, "variant", variant);
-  j += ',';
-  append_kv(j, "simd", simd_level_name(simd_level));
-  j += ",\"blocking\":{";
-  append_kv(j, "mr", blocking.mr);
-  j += ',';
-  append_kv(j, "nr", blocking.nr);
-  j += ',';
-  append_kv(j, "dc", blocking.dc);
-  j += ',';
-  append_kv(j, "mc", blocking.mc);
-  j += ',';
-  append_kv(j, "nc", blocking.nc);
-  j += "},\"workspace\":{";
-  append_kv(j, "bytes", static_cast<std::uint64_t>(workspace_bytes));
-  j += ',';
-  append_kv(j, "cap", static_cast<std::uint64_t>(workspace_cap));
-  j += ',';
-  append_kv(j, "retiles", workspace_retiles);
-  j += "},";
-  append_kv(j, "invocations", invocations);
-  j += ',';
-  append_kv(j, "wall_seconds", wall_seconds);
-  j += ",\"phases\":{";
-  for (int i = 0; i < kPhaseCount; ++i) {
-    if (i > 0) j += ',';
-    append_kv(j, kPhaseNames[i], phase_seconds[i]);
-  }
-  j += "},";
-  append_kv(j, "phase_total", phase_total());
-  j += ',';
-  append_kv(j, "other_seconds", other_seconds());
-  j += ",\"phase_thread_seconds\":{";
-  for (int i = 0; i < kPhaseCount; ++i) {
-    if (i > 0) j += ',';
-    append_kv(j, kPhaseNames[i], phase_thread_seconds[i]);
-  }
-  j += "},";
-  j += "\"counters_enabled\":";
-  j += counters_enabled ? "true" : "false";
-  j += ",\"counters\":{";
+  append_fmt(j,
+             "{\"algorithm\":\"%s\",\"precision\":\"%s\",\"m\":%d,\"n\":%d,"
+             "\"d\":%d,\"k\":%d,\"threads\":%d,\"variant\":%d,\"simd\":\"%s\"",
+             algorithm, precision, m, n, d, k, threads, variant,
+             simd_level_name(simd_level));
+  append_fmt(j,
+             ",\"blocking\":{\"mr\":%d,\"nr\":%d,\"dc\":%d,\"mc\":%d,"
+             "\"nc\":%d},\"workspace\":{\"bytes\":%llu,\"cap\":%llu,"
+             "\"retiles\":%d},\"invocations\":%llu,\"wall_seconds\":%.9g",
+             blocking.mr, blocking.nr, blocking.dc, blocking.mc, blocking.nc,
+             static_cast<ull>(workspace_bytes), static_cast<ull>(workspace_cap),
+             workspace_retiles, static_cast<ull>(invocations), wall_seconds);
+  const auto per_phase = [&](const char* key, const double* v) {
+    append_fmt(j, ",\"%s\":{", key);
+    for (int i = 0; i < kPhaseCount; ++i) {
+      append_fmt(j, "%s\"%s\":%.9g", i > 0 ? "," : "", kPhaseNames[i], v[i]);
+    }
+    j += '}';
+  };
+  per_phase("phases", phase_seconds);
+  append_fmt(j, ",\"phase_total\":%.9g,\"other_seconds\":%.9g", phase_total(),
+             other_seconds());
+  per_phase("phase_thread_seconds", phase_thread_seconds);
+  append_fmt(j, ",\"counters_enabled\":%s,\"counters\":{",
+             counters_enabled ? "true" : "false");
   for (int i = 0; i < kCounterCount; ++i) {
-    if (i > 0) j += ',';
-    append_kv(j, kCounterNames[i], counters[i]);
+    append_fmt(j, "%s\"%s\":%llu", i > 0 ? "," : "", kCounterNames[i],
+               static_cast<ull>(counters[i]));
   }
-  j += "},\"pmu\":{\"enabled\":";
-  j += pmu_enabled ? "true" : "false";
-  j += ",\"phases\":{";
+  append_fmt(j, "},\"pmu\":{\"enabled\":%s,\"phases\":{",
+             pmu_enabled ? "true" : "false");
   for (int p = 0; p < kPhaseCount; ++p) {
-    if (p > 0) j += ',';
-    j += '"';
-    j += kPhaseNames[p];
-    j += "\":{";
+    append_fmt(j, "%s\"%s\":{", p > 0 ? "," : "", kPhaseNames[p]);
     for (int e = 0; e < kPmuEventCount; ++e) {
-      if (e > 0) j += ',';
-      append_kv(j, pmu_event_name(static_cast<PmuEvent>(e)), phase_pmu[p][e]);
+      append_fmt(j, "%s\"%s\":%llu", e > 0 ? "," : "",
+                 pmu_event_name(static_cast<PmuEvent>(e)),
+                 static_cast<ull>(phase_pmu[p][e]));
     }
     j += '}';
   }
-  j += "}},\"derived\":{";
-  append_kv(j, "gflops", gflops());
-  j += ',';
-  append_kv(j, "model_gflops", model_gflops);
-  j += ',';
-  append_kv(j, "peak_gflops", peak_gflops);
-  j += ',';
-  append_kv(j, "peak_gbs", peak_gbs);
-  j += ',';
-  append_kv(j, "selection_fraction", selection_fraction());
-  j += ',';
-  append_kv(j, "pack_gbs", pack_bandwidth_gbs());
-  j += ',';
-  append_kv(j, "ipc", ipc());
-  j += ',';
-  append_kv(j, "l1_mpki", mpki(PmuEvent::kL1dMisses));
-  j += ',';
-  append_kv(j, "llc_mpki", mpki(PmuEvent::kLlcMisses));
-  j += "}}";
+  append_fmt(j,
+             "}},\"derived\":{\"gflops\":%.9g,\"model_gflops\":%.9g,"
+             "\"peak_gflops\":%.9g,\"peak_gbs\":%.9g,"
+             "\"selection_fraction\":%.9g,\"pack_gbs\":%.9g,\"ipc\":%.9g,"
+             "\"l1_mpki\":%.9g,\"llc_mpki\":%.9g}}",
+             gflops(), model_gflops, peak_gflops, peak_gbs,
+             selection_fraction(), pack_bandwidth_gbs(), ipc(),
+             mpki(PmuEvent::kL1dMisses), mpki(PmuEvent::kLlcMisses));
   return j;
 }
 
 std::string KernelProfile::format_table() const {
-  char line[192];
+  using metrics::append_fmt;
+  using ull = unsigned long long;
   std::string out;
   out.reserve(1024);
-  std::snprintf(line, sizeof(line),
-                "profile: %s %s m=%d n=%d d=%d k=%d threads=%d variant=%d "
-                "simd=%s blocking=(%d,%d,%d,%d,%d) invocations=%llu\n",
-                algorithm, precision, m, n, d, k, threads, variant,
-                simd_level_name(simd_level), blocking.mr, blocking.nr,
-                blocking.dc, blocking.mc, blocking.nc,
-                static_cast<unsigned long long>(invocations));
-  out += line;
+  append_fmt(out,
+             "profile: %s %s m=%d n=%d d=%d k=%d threads=%d variant=%d "
+             "simd=%s blocking=(%d,%d,%d,%d,%d) invocations=%llu\n",
+             algorithm, precision, m, n, d, k, threads, variant,
+             simd_level_name(simd_level), blocking.mr, blocking.nr,
+             blocking.dc, blocking.mc, blocking.nc,
+             static_cast<ull>(invocations));
   if (pmu_enabled) {
-    std::snprintf(line, sizeof(line),
-                  "  %-14s %12s %8s %14s %6s %8s %8s %6s\n", "phase",
-                  "seconds", "% wall", "thread-secs", "ipc", "l1-mpki",
-                  "llc-mpki", "B/cyc");
+    append_fmt(out, "  %-14s %12s %8s %14s %6s %8s %8s %6s\n", "phase",
+               "seconds", "% wall", "thread-secs", "ipc", "l1-mpki",
+               "llc-mpki", "B/cyc");
   } else {
-    std::snprintf(line, sizeof(line), "  %-14s %12s %8s %14s\n", "phase",
-                  "seconds", "% wall", "thread-secs");
+    append_fmt(out, "  %-14s %12s %8s %14s\n", "phase", "seconds", "% wall",
+               "thread-secs");
   }
-  out += line;
   const double wall = wall_seconds > 0.0 ? wall_seconds : 1.0;
   for (int i = 0; i < kPhaseCount; ++i) {
     if (phase_seconds[i] == 0.0 && phase_thread_seconds[i] == 0.0) continue;
-    const auto ph = static_cast<Phase>(i);
+    append_fmt(out, "  %-14s %12.6f %7.1f%% %14.6f", kPhaseLabels[i],
+               phase_seconds[i], 100.0 * phase_seconds[i] / wall,
+               phase_thread_seconds[i]);
     if (pmu_enabled) {
-      std::snprintf(line, sizeof(line),
-                    "  %-14s %12.6f %7.1f%% %14.6f %6.2f %8.2f %8.2f %6.2f\n",
-                    kPhaseLabels[i], phase_seconds[i],
-                    100.0 * phase_seconds[i] / wall, phase_thread_seconds[i],
-                    phase_ipc(ph), phase_mpki(ph, PmuEvent::kL1dMisses),
-                    phase_mpki(ph, PmuEvent::kLlcMisses),
-                    phase_bytes_per_cycle(ph));
-    } else {
-      std::snprintf(line, sizeof(line), "  %-14s %12.6f %7.1f%% %14.6f\n",
-                    kPhaseLabels[i], phase_seconds[i],
-                    100.0 * phase_seconds[i] / wall, phase_thread_seconds[i]);
+      const auto ph = static_cast<Phase>(i);
+      append_fmt(out, " %6.2f %8.2f %8.2f %6.2f", phase_ipc(ph),
+                 phase_mpki(ph, PmuEvent::kL1dMisses),
+                 phase_mpki(ph, PmuEvent::kLlcMisses),
+                 phase_bytes_per_cycle(ph));
     }
-    out += line;
+    out += '\n';
   }
-  std::snprintf(line, sizeof(line), "  %-14s %12.6f %7.1f%%\n", "(other)",
-                other_seconds(), 100.0 * other_seconds() / wall);
-  out += line;
-  std::snprintf(line, sizeof(line), "  %-14s %12.6f %7.1f%%\n", "total (wall)",
-                wall_seconds, 100.0);
-  out += line;
-  std::snprintf(line, sizeof(line),
-                "  gflops=%.2f model_gflops=%.2f selection=%.1f%%\n", gflops(),
-                model_gflops, 100.0 * selection_fraction());
-  out += line;
+  append_fmt(out, "  %-14s %12.6f %7.1f%%\n", "(other)", other_seconds(),
+             100.0 * other_seconds() / wall);
+  append_fmt(out, "  %-14s %12.6f %7.1f%%\n", "total (wall)", wall_seconds,
+             100.0);
+  append_fmt(out, "  gflops=%.2f model_gflops=%.2f selection=%.1f%%\n",
+             gflops(), model_gflops, 100.0 * selection_fraction());
   if (counters_enabled) {
-    std::snprintf(
-        line, sizeof(line),
-        "  candidates=%llu heap_pushes=%llu root_rejects=%llu tiles=%llu\n",
-        static_cast<unsigned long long>(counter(Counter::kCandidates)),
-        static_cast<unsigned long long>(counter(Counter::kHeapPushes)),
-        static_cast<unsigned long long>(counter(Counter::kRootRejects)),
-        static_cast<unsigned long long>(counter(Counter::kTiles)));
-    out += line;
-    std::snprintf(
-        line, sizeof(line),
-        "  packed_q=%llu B packed_r=%llu B pack_bw=%.2f GB/s\n",
-        static_cast<unsigned long long>(counter(Counter::kBytesPackedQ)),
-        static_cast<unsigned long long>(counter(Counter::kBytesPackedR)),
-        pack_bandwidth_gbs());
-    out += line;
+    append_fmt(out,
+               "  candidates=%llu heap_pushes=%llu root_rejects=%llu "
+               "tiles=%llu\n",
+               static_cast<ull>(counter(Counter::kCandidates)),
+               static_cast<ull>(counter(Counter::kHeapPushes)),
+               static_cast<ull>(counter(Counter::kRootRejects)),
+               static_cast<ull>(counter(Counter::kTiles)));
+    append_fmt(out, "  packed_q=%llu B packed_r=%llu B pack_bw=%.2f GB/s\n",
+               static_cast<ull>(counter(Counter::kBytesPackedQ)),
+               static_cast<ull>(counter(Counter::kBytesPackedR)),
+               pack_bandwidth_gbs());
   }
   return out;
 }

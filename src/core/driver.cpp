@@ -299,7 +299,8 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
 
   // Telemetry: every phase is one telemetry::PhaseSpan, which reads only
   // the clocks of the sinks attached (none: one predictable branch per
-  // cache block); counters additionally require a GSKNN_PROFILE build.
+  // cache block). The work counters go to rec.slot(tid), null without a
+  // profile sink.
   telemetry::Recorder rec(cfg.profile, threads, cfg.trace);
 
   const auto heap_row = [&](int i) {
@@ -485,11 +486,9 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
             } else {
               r2cur = (last && needs_norms) ? rpanels.norms() : nullptr;
               pack_r.close();
-              if constexpr (telemetry::kCountersEnabled) {
-                if (rec.active()) {
-                  rec.slot(0)->add(telemetry::Counter::kBytesPackedR,
-                                   pack_bytes);
-                }
+              if (rec.active()) {
+                rec.slot(0)->add(telemetry::Counter::kBytesPackedR,
+                                 pack_bytes);
               }
             }
           }
@@ -518,7 +517,6 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
               static_cast<std::size_t>(mb), static_cast<std::size_t>(tmr)));
           const int tid = thread_id();
           telemetry::ThreadCounters* tc = rec.slot(tid);
-          [[maybe_unused]] std::uint64_t tiles_local = 0, cand_local = 0;
           // One span over the block: pack-Qc, then the micro-kernel from
           // the same reading to the end of the 3rd loop.
           telemetry::PhaseSpan span =
@@ -537,14 +535,22 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
             q2c = q2;
           }
           span.next(telemetry::Phase::kMicro, ic, jc);
-          if constexpr (telemetry::kCountersEnabled) {
-            if (tc != nullptr) {
-              std::uint64_t bytes =
-                  static_cast<std::uint64_t>(mbpad) * db * sizeof(T);
-              if (last && needs_norms) {
-                bytes += static_cast<std::uint64_t>(mbpad) * sizeof(T);
-              }
-              tc->add(telemetry::Counter::kBytesPackedQ, bytes);
+          if (tc != nullptr) {
+            std::uint64_t bytes =
+                static_cast<std::uint64_t>(mbpad) * db * sizeof(T);
+            if (last && needs_norms) {
+              bytes += static_cast<std::uint64_t>(mbpad) * sizeof(T);
+            }
+            tc->add(telemetry::Counter::kBytesPackedQ, bytes);
+            tc->add(telemetry::Counter::kTiles,
+                    static_cast<std::uint64_t>(mbpad / tmr) *
+                        static_cast<std::uint64_t>(ceil_div(nb, tnr)));
+            if (variant == Variant::kVar1 && last) {
+              // Pre-count every candidate of the block as a root-reject;
+              // each tile's inserts are reclassified into pushes below.
+              const auto cands = static_cast<std::uint64_t>(mb) * nb;
+              tc->add(telemetry::Counter::kCandidates, cands);
+              tc->add(telemetry::Counter::kRootRejects, cands);
             }
           }
 
@@ -587,31 +593,20 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
                 ctx.row_stride = stride;
                 ctx.arity = arity;
                 ctx.dedup = cfg.dedup;
-                ctx.tc = tc;
                 sel = &ctx;
-                if constexpr (telemetry::kCountersEnabled) {
-                  // Pre-count every live tile candidate as a root-reject;
-                  // sel_insert reclassifies the accepted ones into pushes.
-                  cand_local += static_cast<std::uint64_t>(rows) * cols;
-                }
               }
 
               micro(db, qs, rs, cin, ld, cout, ld, c_colmajor, q2s, r2s, last,
                     rows, cols, sel, cfg.p);
-              if constexpr (telemetry::kCountersEnabled) ++tiles_local;
+              if (sel != nullptr && tc != nullptr) {
+                count_pushes(tc, ctx.pushes);
+              }
             }  // 2nd loop
           }  // 3rd loop
 
           // The whole 3rd loop is micro-kernel time (for Var#1 that
           // includes the fused selection).
           span.close();
-          if constexpr (telemetry::kCountersEnabled) {
-            if (tc != nullptr) {
-              tc->add(telemetry::Counter::kTiles, tiles_local);
-              tc->add(telemetry::Counter::kCandidates, cand_local);
-              tc->add(telemetry::Counter::kRootRejects, cand_local);
-            }
-          }
           if (last) ++block_pass[static_cast<std::size_t>(ic / mc)];
           } catch (const std::bad_alloc&) {
             int expected = 0;
@@ -672,10 +667,7 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
                        .level = chosen,
                        .blocking = kp.bp,
                        .method = model::method_for(variant),
-                       // Evaluated in *this* translation unit so a profiled
-                       // core build reports its counters even to consumers
-                       // compiled without GSKNN_PROFILE.
-                       .counters_enabled = telemetry::kCountersEnabled,
+                       .counters_enabled = true,
                        .workspace_bytes = plan.total_bytes(),
                        .workspace_cap = plan.cap_bytes,
                        .workspace_retiles = plan.retile_steps});

@@ -26,7 +26,7 @@
 // the ℓp path and the fallback without AVX2.
 //
 // Alongside the kernel contract live the selection rules every path shares
-// (sel_accepts, sel_insert_raw, the Var#5/#6 row_select) and the plan-phase
+// (sel_accepts, sel_insert_raw, the Var#5 row_select) and the plan-phase
 // types the driver and the workspace planner share (KernelPlanT,
 // plan_kernel).
 #pragma once
@@ -59,10 +59,10 @@ struct SelectCtxT {
   int row_stride = 0;  ///< physical slots per row (fallback dedup scan bound)
   HeapArity arity = HeapArity::kBinary;
   bool dedup = false;
-  /// Telemetry slot of the owning thread (GSKNN_PROFILE builds only; the
-  /// driver pre-counts every tile candidate as a root-reject and sel_insert
-  /// reclassifies accepted ones, so pushes + rejects == candidates exactly).
-  telemetry::ThreadCounters* tc = nullptr;
+  /// Candidates sel_insert took. The driver pre-counts every candidate as
+  /// a root-reject and, with a profile sink attached, reclassifies these as
+  /// pushes after the tile, so pushes + rejects == candidates exactly.
+  mutable std::uint64_t pushes = 0;
 };
 
 /// The selection accept predicate, shared by every path that offers a
@@ -97,17 +97,24 @@ GSKNN_ALWAYS_INLINE void sel_replace_root(T* GSKNN_RESTRICT hd,
   }
 }
 
+/// Reclassify `n` pre-counted root-rejects as heap pushes. Called once per
+/// tile or row, never per insert: testing for a slot on every insert cost
+/// the unprofiled fused kernels 2-5% at k = 16 (EXPERIMENTS.md, "Work
+/// counters in the one build").
+inline void count_pushes(telemetry::ThreadCounters* tc, std::uint64_t n) {
+  tc->add(telemetry::Counter::kHeapPushes, n);
+  tc->sub(telemetry::Counter::kRootRejects, n);
+}
+
 /// Insert one accepted candidate into a raw heap row (caller already
 /// verified sel_accepts). Shared by the in-tile path and row_select's
-/// per-candidate scan. In GSKNN_PROFILE builds the caller has pre-counted
-/// the candidate as a root-reject; an insert reclassifies it as a push.
+/// per-candidate scan. Returns whether the row took it: a dedup row drops
+/// an id it already holds.
 template <typename T>
-GSKNN_ALWAYS_INLINE void sel_insert_raw(T* GSKNN_RESTRICT hd,
+GSKNN_ALWAYS_INLINE bool sel_insert_raw(T* GSKNN_RESTRICT hd,
                                         int* GSKNN_RESTRICT hi, RowIdSet* hset,
                                         int k, int stride, HeapArity arity,
-                                        bool dedup,
-                                        telemetry::ThreadCounters* tc, T d,
-                                        int id) {
+                                        bool dedup, T d, int id) {
   if (k == 1 && !dedup) {
     // k == 1 specialization: the heap is a single slot, so the accept is
     // two stores — no dedup scan, no sift dispatch. (A register-argmin tile
@@ -116,38 +123,29 @@ GSKNN_ALWAYS_INLINE void sel_insert_raw(T* GSKNN_RESTRICT hd,
     // reduction only adds work; see EXPERIMENTS.md "Hot-path tuning".)
     hd[0] = d;
     hi[0] = id;
-    if constexpr (telemetry::kCountersEnabled) {
-      if (tc != nullptr) {
-        tc->add(telemetry::Counter::kHeapPushes, 1);
-        tc->sub(telemetry::Counter::kRootRejects, 1);
-      }
-    }
-    return;
+    return true;
   }
   if (dedup) {
     if (hset != nullptr) {
-      if (!hset->insert_if_absent(id)) return;
+      if (!hset->insert_if_absent(id)) return false;
     } else {
       for (int t = 0; t < stride; ++t) {
-        if (hi[t] == id) return;
+        if (hi[t] == id) return false;
       }
     }
   }
   sel_replace_root(hd, hi, k, arity, d, id);
-  if constexpr (telemetry::kCountersEnabled) {
-    if (tc != nullptr) {
-      tc->add(telemetry::Counter::kHeapPushes, 1);
-      tc->sub(telemetry::Counter::kRootRejects, 1);
-    }
-  }
+  return true;
 }
 
 /// Insert one accepted candidate (caller already verified sel_accepts).
 template <typename T>
 GSKNN_ALWAYS_INLINE void sel_insert(const SelectCtxT<T>& s, int row, T d,
                                     int id) {
-  sel_insert_raw(s.hd[row], s.hi[row], s.hset[row], s.k, s.row_stride,
-                 s.arity, s.dedup, s.tc, d, id);
+  s.pushes += sel_insert_raw(s.hd[row], s.hi[row], s.hset[row], s.k,
+                             s.row_stride, s.arity, s.dedup, d, id)
+                  ? 1
+                  : 0;
 }
 
 /// Smallest k at which row_select merges a row in one batch instead of
@@ -194,7 +192,7 @@ T batch_bound(const T* GSKNN_RESTRICT cand, int len, int k) {
 }
 
 /// Scan `len` contiguous finished distances (candidate j carries global id
-/// ids[j]) into one heap row — the Var#5/#6 selection. With `scratch`
+/// ids[j]) into one heap row — the Var#5 selection. With `scratch`
 /// (room for len + k pairs) and batch_select_applies(k, dedup), the row is
 /// merged in one batch instead of candidate by candidate:
 ///   1. filter the candidates that beat the current root and a sampled
@@ -206,29 +204,31 @@ T batch_bound(const T* GSKNN_RESTRICT cand, int len, int k) {
 ///      write the k smallest back and rebuild the heap.
 /// The k smallest entries under the (distance, id) order are unique as a
 /// multiset, so the sorted row is bitwise the one the per-candidate scan
-/// produces (docs/CONTRACT.md). In GSKNN_PROFILE builds `tc` counts every
-/// candidate once: a push when it entered the row — on the batch path, a
-/// survivor that is among the k smallest — a reject otherwise.
+/// produces (docs/CONTRACT.md). A non-null `tc` counts every candidate
+/// once: a push when it entered the row — on the batch path, a survivor
+/// that is among the k smallest — a reject otherwise.
 template <typename T>
 void row_select(const T* GSKNN_RESTRICT cand, const int* GSKNN_RESTRICT ids,
                 int len, T* GSKNN_RESTRICT hd, int* GSKNN_RESTRICT hi,
                 RowIdSet* hset, int k, int stride, HeapArity arity, bool dedup,
                 SelPair<T>* GSKNN_RESTRICT scratch = nullptr,
                 telemetry::ThreadCounters* tc = nullptr) {
-  if constexpr (telemetry::kCountersEnabled) {
-    if (tc != nullptr) {
-      const auto n = static_cast<std::uint64_t>(len);
-      tc->add(telemetry::Counter::kCandidates, n);
-      tc->add(telemetry::Counter::kRootRejects, n);
-    }
+  if (tc != nullptr) {
+    const auto n = static_cast<std::uint64_t>(len);
+    tc->add(telemetry::Counter::kCandidates, n);
+    tc->add(telemetry::Counter::kRootRejects, n);
   }
   if (scratch == nullptr || !batch_select_applies(k, dedup)) {
+    std::uint64_t pushes = 0;
     for (int j = 0; j < len; ++j) {
       if (sel_accepts(cand[j], ids[j], hd, hi)) {
-        sel_insert_raw(hd, hi, hset, k, stride, arity, dedup, tc, cand[j],
-                       ids[j]);
+        pushes += sel_insert_raw(hd, hi, hset, k, stride, arity, dedup,
+                                 cand[j], ids[j])
+                      ? 1
+                      : 0;
       }
     }
+    if (tc != nullptr) count_pushes(tc, pushes);
     return;
   }
   constexpr T kInf = std::numeric_limits<T>::infinity();
@@ -251,8 +251,6 @@ void row_select(const T* GSKNN_RESTRICT cand, const int* GSKNN_RESTRICT ids,
     bound = kInf;  // the sample undershot: filter on the root alone
   }
   // 2. Select the k smallest of survivors ∪ row and rebuild the heap.
-  const T root_d = hd[0];
-  const int root_i = hi[0];
   int total = s;
   for (int j = 0; j < k; ++j) {
     scratch[total] = {hd[slot(j)], hi[slot(j)]};
@@ -262,6 +260,26 @@ void row_select(const T* GSKNN_RESTRICT cand, const int* GSKNN_RESTRICT ids,
                    [](const SelPair<T>& a, const SelPair<T>& b) {
                      return heap::pair_less(a.d, a.id, b.d, b.id);
                    });
+  if (tc != nullptr) {
+    // The row took the survivors that are not after the k-th pair: all
+    // such entries of survivors ∪ row (the first k, plus any later copy of
+    // the k-th pair) less the row's own, counted before the write-back.
+    const SelPair<T> kth = scratch[k - 1];
+    const auto upto_kth = [&kth](T d, int id) {
+      return !heap::pair_less(kth.d, kth.id, d, id);
+    };
+    std::uint64_t upto = k;  // the k smallest
+    for (int j = k; j < total; ++j) {
+      upto += upto_kth(scratch[j].d, scratch[j].id) ? 1 : 0;
+    }
+    std::uint64_t own = 0;
+    for (int j = 0; j < k; ++j) {
+      own += (hd[slot(j)] <= bound && upto_kth(hd[slot(j)], hi[slot(j)]))
+                 ? 1
+                 : 0;
+    }
+    count_pushes(tc, upto - own);
+  }
   for (int j = 0; j < k; ++j) {
     hd[slot(j)] = scratch[j].d;
     hi[slot(j)] = scratch[j].id;
@@ -270,22 +288,6 @@ void row_select(const T* GSKNN_RESTRICT cand, const int* GSKNN_RESTRICT ids,
     heap::quad_build(hd, hi, k);
   } else {
     heap::binary_build(hd, hi, k);
-  }
-  if constexpr (telemetry::kCountersEnabled) {
-    if (tc != nullptr) {
-      // The survivors that made the k smallest are the ones the row took.
-      const SelPair<T> kth = scratch[k - 1];
-      std::uint64_t pushes = 0;
-      for (int j = 0; j < len; ++j) {
-        pushes += (sel_accepts(cand[j], ids[j], &root_d, &root_i) &&
-                   cand[j] <= bound &&
-                   !heap::pair_less(kth.d, kth.id, cand[j], ids[j]))
-                      ? 1
-                      : 0;
-      }
-      tc->add(telemetry::Counter::kHeapPushes, pushes);
-      tc->sub(telemetry::Counter::kRootRejects, pushes);
-    }
   }
 }
 

@@ -20,8 +20,7 @@ struct ProfiledCall {
   SimdLevel level = SimdLevel::kScalar;
   BlockingParams blocking;
   model::Method method = model::Method::kVar1;  ///< prices model_gflops
-  /// The producer tallies work counters (the fused driver, in a
-  /// GSKNN_PROFILE build: pass telemetry::kCountersEnabled).
+  /// The producer tallies work counters (the fused driver does).
   bool counters_enabled = false;
   std::size_t workspace_bytes = 0;
   std::size_t workspace_cap = 0;

@@ -2,9 +2,9 @@
 // variant, profile aggregation semantics, JSON/table rendering, and the
 // GEMM baseline's Table-5 phases.
 //
-// This test links against gsknn_core_prof — the core compiled with
-// GSKNN_PROFILE=1 — so the hot-loop counters are live here even though the
-// default library build leaves them compiled out. The counting scheme is
+// The work counters run in every build whenever a profile sink is attached.
+// The suite is also registered under the avx2 and scalar SIMD levels, so
+// each level's fused selection epilogue is audited. The counting scheme is
 // designed to be *exact*, not sampled: every (query, reference) candidate a
 // kernel invocation examines is classified as either a heap push or a
 // root-reject, so for an m×n problem
@@ -15,6 +15,7 @@
 // must hold to the last unit, for every variant, precision and thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -38,11 +39,25 @@ std::vector<int> iota_ids(int n, int offset = 0) {
   return v;
 }
 
+/// Micro-kernel tiles of one m×n×d call under `bp`: every depth block of
+/// every (mc, nc) block runs ⌈mb/mr⌉·⌈nb/nr⌉ tiles.
+std::uint64_t expected_tiles(int m, int n, int d, const BlockingParams& bp) {
+  const auto cdiv = [](int a, int b) {
+    return static_cast<std::uint64_t>((a + b - 1) / b);
+  };
+  std::uint64_t tiles = 0;
+  for (int jc = 0; jc < n; jc += bp.nc) {
+    for (int ic = 0; ic < m; ic += bp.mc) {
+      tiles += cdiv(std::min(bp.mc, m - ic), bp.mr) *
+               cdiv(std::min(bp.nc, n - jc), bp.nr);
+    }
+  }
+  return tiles * cdiv(d, bp.dc);
+}
+
 /// Check the exact counter invariants on a profile of one m×n invocation.
 void expect_exact_counters(const KernelProfile& prof, int m, int n) {
-  if (!prof.counters_enabled) {
-    GTEST_SKIP() << "kernel build has no work counters (GSKNN_PROFILE off)";
-  }
+  ASSERT_TRUE(prof.counters_enabled);
   const auto mn = static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(n);
   EXPECT_EQ(prof.counter(Counter::kCandidates), mn);
   EXPECT_EQ(prof.counter(Counter::kHeapPushes) +
@@ -52,7 +67,8 @@ void expect_exact_counters(const KernelProfile& prof, int m, int n) {
   // at +inf), and rejects cannot exceed the total.
   EXPECT_GE(prof.counter(Counter::kHeapPushes),
             static_cast<std::uint64_t>(m));
-  EXPECT_GT(prof.counter(Counter::kTiles), 0u);
+  EXPECT_EQ(prof.counter(Counter::kTiles),
+            expected_tiles(m, n, prof.d, prof.blocking));
 }
 
 struct VariantCase {
@@ -139,12 +155,14 @@ INSTANTIATE_TEST_SUITE_P(
                       VariantCase{Variant::kVar5, 4}),
     case_name);
 
-// Var#5 with the rows split over several nc = 48 panels, each merged on its
-// own: the counts must still add up.
+// The references split over several nc = 48 panels (Var#5 merges each on
+// its own) and the depth over dc = 8 blocks (Var#1 selects on the last one):
+// the counts must still add up.
 KnnConfig multi_panel_config(const VariantCase& c) {
   KnnConfig cfg = case_config(c);
   cfg.blocking = BlockingParams{};
   cfg.blocking->nc = 48;
+  cfg.blocking->dc = 8;
   return cfg;
 }
 
@@ -159,7 +177,9 @@ TEST_P(TelemetryMultiPanel, CountersExactFloat) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Nc48, TelemetryMultiPanel,
-                         ::testing::Values(VariantCase{Variant::kVar5, 1},
+                         ::testing::Values(VariantCase{Variant::kVar1, 1},
+                                           VariantCase{Variant::kVar1, 4},
+                                           VariantCase{Variant::kVar5, 1},
                                            VariantCase{Variant::kVar5, 4}),
                          case_name);
 
@@ -220,10 +240,9 @@ TEST(Telemetry, AccumulatesAcrossInvocations) {
     knn_kernel(X, q, r, t, cfg);
   }
   EXPECT_EQ(prof.invocations, 3u);
-  if (prof.counters_enabled) {
-    EXPECT_EQ(prof.counter(Counter::kCandidates),
-              3ull * static_cast<std::uint64_t>(m) * n);
-  }
+  ASSERT_TRUE(prof.counters_enabled);
+  EXPECT_EQ(prof.counter(Counter::kCandidates),
+            3ull * static_cast<std::uint64_t>(m) * n);
 
   const double wall = prof.wall_seconds;
   prof.reset();
@@ -308,6 +327,9 @@ TEST(Telemetry, BaselineUnifiedBreakdown) {
                    prof.phase(Phase::kCollect) + prof.phase(Phase::kMicro) +
                        prof.phase(Phase::kSq2d) + prof.phase(Phase::kSelect));
   EXPECT_LE(prof.phase_total(), prof.wall_seconds * 1.0001 + 1e-6);
+  // The baseline does not count: its profile says so and reads zero.
+  EXPECT_FALSE(prof.counters_enabled);
+  EXPECT_EQ(prof.counter(Counter::kCandidates), 0u);
 }
 
 // Metadata follows the most recent invocation whichever layer produced it:
@@ -353,14 +375,13 @@ TEST(Telemetry, ParallelRefsMergesWorkerProfiles) {
                                    : "gsknn");
   EXPECT_EQ(prof.invocations, 1u);
   EXPECT_GT(prof.wall_seconds, 0.0);
-  if (prof.counters_enabled) {
-    // Workers partition the references, so the candidate total is exact.
-    EXPECT_EQ(prof.counter(Counter::kCandidates),
-              static_cast<std::uint64_t>(m) * n);
-    EXPECT_EQ(prof.counter(Counter::kHeapPushes) +
-                  prof.counter(Counter::kRootRejects),
-              prof.counter(Counter::kCandidates));
-  }
+  ASSERT_TRUE(prof.counters_enabled);
+  // Workers partition the references, so the candidate total is exact.
+  EXPECT_EQ(prof.counter(Counter::kCandidates),
+            static_cast<std::uint64_t>(m) * n);
+  EXPECT_EQ(prof.counter(Counter::kHeapPushes) +
+                prof.counter(Counter::kRootRejects),
+            prof.counter(Counter::kCandidates));
 }
 
 // The hot-path specializations must keep the counting scheme exact: the

@@ -305,13 +305,9 @@ TEST_F(CApiFixture, ProfiledSearchFillsProfile) {
   }
   EXPECT_LE(sum, gsknn_profile_wall_seconds(prof) * 1.0001 + 1e-6);
 
-  // Counters exist only in GSKNN_PROFILE builds; either way the accessors
-  // must be consistent with the reported mode.
-  if (gsknn_profile_counters_enabled(prof)) {
-    EXPECT_EQ(gsknn_profile_counter(prof, GSKNN_COUNTER_CANDIDATES), 900u);
-  } else {
-    EXPECT_EQ(gsknn_profile_counter(prof, GSKNN_COUNTER_CANDIDATES), 0u);
-  }
+  // The fused kernel counts whenever a profile is attached.
+  EXPECT_EQ(gsknn_profile_counters_enabled(prof), 1);
+  EXPECT_EQ(gsknn_profile_counter(prof, GSKNN_COUNTER_CANDIDATES), 900u);
 
   EXPECT_STREQ(gsknn_profile_phase_name(GSKNN_PHASE_PACK_Q), "pack_q");
   EXPECT_STREQ(gsknn_profile_phase_name(GSKNN_PHASE_SELECT), "select");

@@ -69,6 +69,24 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
     endif()
   endif()
   message(STATUS "profile ok: wall=${wall}s phases=${phase_total}s other=${other}s")
+
+  # The work counters run whenever a profile is attached: every (query,
+  # reference) pair is a candidate, and each one is a heap push or a root
+  # reject.
+  string(JSON m GET "${profile_json}" m)
+  string(JSON n GET "${profile_json}" n)
+  string(JSON candidates GET "${profile_json}" counters candidates_evaluated)
+  string(JSON pushes GET "${profile_json}" counters heap_pushes)
+  string(JSON rejects GET "${profile_json}" counters root_rejects)
+  math(EXPR mn "${m} * ${n}")
+  math(EXPR classified "${pushes} + ${rejects}")
+  if(NOT candidates EQUAL mn OR NOT classified EQUAL candidates)
+    message(FATAL_ERROR "profile counters inexact: m*n=${mn} "
+                        "candidates=${candidates} pushes=${pushes} "
+                        "rejects=${rejects}")
+  endif()
+  message(STATUS "counters ok: candidates=${candidates} pushes=${pushes} "
+                 "rejects=${rejects}")
 endif()
 
 # Error paths must fail cleanly (non-zero, no crash).

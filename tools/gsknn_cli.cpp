@@ -35,8 +35,9 @@
 // --profile prints a Table-5-style phase breakdown (pack/micro/select/...) —
 // with per-phase IPC and cache-miss columns when perf_event_open is usable —
 // and writes the structured one-line JSON profile to FILE (default:
-// <out>.profile.json). Work counters appear when the library was built with
-// -DGSKNN_PROFILE=ON; the breakdown warns when they are absent.
+// <out>.profile.json), work counters included (candidates, heap pushes,
+// root rejects, tiles, bytes packed). A profile from an algorithm that does
+// not count (the GEMM baseline) says so instead of printing zeros.
 //
 // --trace records per-thread phase spans and writes a Chrome/Perfetto
 // trace_event timeline to FILE (default: <out>.trace.json); open it in
@@ -202,11 +203,11 @@ void emit_profile(const telemetry::KernelProfile& prof,
                   const std::string& json_path) {
   std::fputs(prof.format_table().c_str(), stdout);
   if (!prof.counters_enabled) {
-    // Without this note, a counter-free build reads as "zero heap pushes"
+    // Without this note, a baseline profile reads as "zero heap pushes"
     // instead of "not measured".
     std::fputs(
-        "note: work counters not collected (library built without "
-        "-DGSKNN_PROFILE=ON); counter fields read as zero\n",
+        "note: work counters not collected (the GEMM baseline does not "
+        "count); counter fields read as zero\n",
         stdout);
   }
   if (!prof.pmu_enabled) {

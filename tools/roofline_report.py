@@ -140,8 +140,8 @@ def report(prof, threshold):
         print(line)
 
     if not prof.get("counters_enabled"):
-        print("  (work counters not collected — -DGSKNN_PROFILE=ON builds "
-              "add exact candidate/push/byte tallies)")
+        print("  (work counters not collected — the GEMM baseline does not "
+              "count; fused-kernel profiles carry exact tallies)")
     return flags
 
 
