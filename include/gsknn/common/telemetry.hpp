@@ -117,6 +117,7 @@ struct KernelProfile {
 
   // ---- accumulated measurements ------------------------------------------
   double wall_seconds = 0.0;                    ///< end-to-end kernel wall time
+  double flops = 0.0;  ///< useful flops, (2d+3)·m·n summed over invocations
   double phase_seconds[kPhaseCount] = {};       ///< critical-path per phase
   double phase_thread_seconds[kPhaseCount] = {};///< total CPU per phase
   std::uint64_t counters[kCounterCount] = {};
@@ -142,8 +143,7 @@ struct KernelProfile {
   double phase_total() const;
   /// Unattributed wall time, clamped at zero.
   double other_seconds() const;
-  /// Useful-flop rate the paper plots: (2d+3)*m*n / wall / 1e9. Uses the
-  /// last invocation's shape, so it is meaningful for single-kernel sinks.
+  /// Useful-flop rate the paper plots over every invocation: flops / wall.
   double gflops() const;
   /// Fraction of the wall spent selecting (Var#1 reports 0 — fused).
   double selection_fraction() const;

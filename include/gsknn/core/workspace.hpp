@@ -3,8 +3,8 @@
 //
 // The BLIS-style blocked nest makes workspace need a pure function of the
 // blocking parameters: the shared packed reference panel + distance buffer,
-// plus per thread one packed query panel (+ norms), or the batched row
-// selection's scratch when that is larger. plan_knn_workspace() computes
+// plus per thread one packed query panel (+ norms), or any Var#5 call's
+// row-merge scratch when that is larger. plan_knn_workspace() computes
 // that footprint exactly — byte-for-byte what the driver will carve from its
 // WorkspaceArenas — and, when a cap is set, walks the degradation ladder:
 //
@@ -32,7 +32,7 @@ struct WorkspacePlan {
   BlockingParams blocking;           ///< after balancing and retiling
   int threads = 1;
   std::size_t shared_bytes = 0;      ///< packed Rc + norms + distance buffer
-  std::size_t per_thread_bytes = 0;  ///< max(packed Qc + norms, batch scratch)
+  std::size_t per_thread_bytes = 0;  ///< max(packed Qc + norms, Var#5 scratch)
   std::size_t cap_bytes = 0;         ///< the cap the plan honored (0 = none)
   int retile_steps = 0;              ///< ladder steps taken (telemetry)
   bool fits = true;                  ///< false: cap unreachable at the floors

@@ -33,6 +33,7 @@ enum class HeapArity {
 /// so a re-offered evicted id (whose distance to this query is a fixed
 /// number ≥ the root at its eviction) can never pass the root compare again.
 /// Stale entries therefore never reject a candidate the heap would accept.
+/// Var#5's merge (core::row_select) adds every survivor of its final filter.
 class RowIdSet {
  public:
   /// Prepare for ~expected ids; clears existing contents.

@@ -62,8 +62,7 @@ double KernelProfile::other_seconds() const {
 
 double KernelProfile::gflops() const {
   if (wall_seconds <= 0.0) return 0.0;
-  return (2.0 * d + 3.0) * static_cast<double>(m) * static_cast<double>(n) /
-         wall_seconds / 1e9;
+  return flops / wall_seconds / 1e9;
 }
 
 double KernelProfile::selection_fraction() const {
@@ -125,6 +124,7 @@ void KernelProfile::merge(const KernelProfile& other) {
     const KernelProfile self = *this;
     *this = other;
     wall_seconds = self.wall_seconds;
+    flops = self.flops;
     std::memcpy(phase_seconds, self.phase_seconds, sizeof(phase_seconds));
     std::memcpy(phase_thread_seconds, self.phase_thread_seconds,
                 sizeof(phase_thread_seconds));
@@ -133,6 +133,7 @@ void KernelProfile::merge(const KernelProfile& other) {
     invocations = self.invocations;
   }
   wall_seconds += other.wall_seconds;
+  flops += other.flops;
   for (int i = 0; i < kPhaseCount; ++i) {
     phase_seconds[i] += other.phase_seconds[i];
     phase_thread_seconds[i] += other.phase_thread_seconds[i];
@@ -161,10 +162,12 @@ std::string KernelProfile::to_json() const {
   append_fmt(j,
              ",\"blocking\":{\"mr\":%d,\"nr\":%d,\"dc\":%d,\"mc\":%d,"
              "\"nc\":%d},\"workspace\":{\"bytes\":%llu,\"cap\":%llu,"
-             "\"retiles\":%d},\"invocations\":%llu,\"wall_seconds\":%.9g",
+             "\"retiles\":%d},\"invocations\":%llu,\"wall_seconds\":%.9g,"
+             "\"flops\":%.9g",
              blocking.mr, blocking.nr, blocking.dc, blocking.mc, blocking.nc,
              static_cast<ull>(workspace_bytes), static_cast<ull>(workspace_cap),
-             workspace_retiles, static_cast<ull>(invocations), wall_seconds);
+             workspace_retiles, static_cast<ull>(invocations), wall_seconds,
+             flops);
   const auto per_phase = [&](const char* key, const double* v) {
     append_fmt(j, ",\"%s\":{", key);
     for (int i = 0; i < kPhaseCount; ++i) {

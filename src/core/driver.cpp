@@ -91,6 +91,7 @@ Status degenerate_d0(const int* rid, int n, int m, NeighborTableT<T>& result,
   const T dist0 = (cfg.norm == Norm::kCosine) ? T(1) : T(0);
   AlignedBuffer<T> cand(static_cast<std::size_t>(n));
   for (int j = 0; j < n; ++j) cand.data()[j] = dist0;
+  AlignedBuffer<SelPair<T>> scratch(static_cast<std::size_t>(n) + result.k());
   const int stride0 = result.row_stride();
   const HeapArity arity0 = result.arity();
   for (int i = 0; i < m; ++i) {
@@ -98,7 +99,7 @@ Status degenerate_d0(const int* rid, int n, int m, NeighborTableT<T>& result,
         result_rows.empty() ? i : result_rows[static_cast<std::size_t>(i)];
     row_select(cand.data(), rid, n, result.row_dists(row),
                result.row_ids(row), result.row_idset(row), result.k(),
-               stride0, arity0, cfg.dedup);
+               stride0, arity0, cfg.dedup, scratch.data());
   }
   return Status::kOk;
 }
@@ -423,12 +424,10 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
     telemetry::PhaseSpan span =
         rec.span(tid, telemetry::Phase::kSelect, -1, jc);
     // The batch scratch reuses this thread's arena, idle between 4th loops.
-    SelPair<T>* scratch = nullptr;
-    if (batch_select_applies(k, cfg.dedup)) {
-      WorkspaceArena& ws = thread_arena();
-      ws.rewind();
-      scratch = ws.alloc<SelPair<T>>(static_cast<std::size_t>(nb) + k);
-    }
+    WorkspaceArena& ws = thread_arena();
+    ws.rewind();
+    SelPair<T>* const scratch =
+        ws.alloc<SelPair<T>>(static_cast<std::size_t>(nb) + k);
     GSKNN_OMP(omp for schedule(static) nowait)
     for (int i = 0; i < m; ++i) {
       const int row = heap_row(i);
@@ -829,13 +828,11 @@ Variant resolve_variant(int /*m*/, int /*n*/, int /*d*/, int k,
                         const KnnConfig& cfg) {
   if (cfg.variant != Variant::kAuto) return cfg.variant;
   // The paper's §3 rule is Var#1 up to k = 512, Var#6 beyond: a per-
-  // candidate heap is the only selection cheap enough to fuse. Finished
-  // rows admit a batched merge instead (row_select), which the Fig. 5
-  // re-run measures ahead of fused Var#1 from k = 256 and behind it at
-  // k <= 128 (EXPERIMENTS.md "Batched row selection"). The threshold is the
-  // batch's own, so kAuto and the batch switch on together. Var#5 is the
-  // paper's Var#6 selection with its distance buffer bounded by nc: for
-  // n <= nc it is the same single merge per row.
+  // candidate heap is the only selection cheap enough to fuse. Var#5 (the
+  // paper's Var#6 selection in a buffer bounded by nc) merges finished rows
+  // instead (row_select), which Fig. 5 now puts ahead of Var#1 from k = 64
+  // to 128 (EXPERIMENTS.md "One finished-row merge"); 256 stays until a
+  // workload runs 16 < k < 512.
   return k < core::kBatchSelectMinK ? Variant::kVar1 : Variant::kVar5;
 }
 

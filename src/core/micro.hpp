@@ -26,7 +26,7 @@
 // the ℓp path and the fallback without AVX2.
 //
 // Alongside the kernel contract live the selection rules every path shares
-// (sel_accepts, sel_insert_raw, the Var#5 row_select) and the plan-phase
+// (sel_accepts, Var#1's sel_insert, Var#5's row_select) and the plan-phase
 // types the driver and the workspace planner share (KernelPlanT,
 // plan_kernel).
 #pragma once
@@ -106,16 +106,15 @@ inline void count_pushes(telemetry::ThreadCounters* tc, std::uint64_t n) {
   tc->sub(telemetry::Counter::kRootRejects, n);
 }
 
-/// Insert one accepted candidate into a raw heap row (caller already
-/// verified sel_accepts). Shared by the in-tile path and row_select's
-/// per-candidate scan. Returns whether the row took it: a dedup row drops
-/// an id it already holds.
+/// Insert one accepted candidate (caller already verified sel_accepts) into
+/// a row of the tile — the in-tile (Var#1) selection — and count it in
+/// s.pushes. A dedup row drops an id it already holds.
 template <typename T>
-GSKNN_ALWAYS_INLINE bool sel_insert_raw(T* GSKNN_RESTRICT hd,
-                                        int* GSKNN_RESTRICT hi, RowIdSet* hset,
-                                        int k, int stride, HeapArity arity,
-                                        bool dedup, T d, int id) {
-  if (k == 1 && !dedup) {
+GSKNN_ALWAYS_INLINE void sel_insert(const SelectCtxT<T>& s, int row, T d,
+                                    int id) {
+  T* const hd = s.hd[row];
+  int* const hi = s.hi[row];
+  if (s.k == 1 && !s.dedup) {
     // k == 1 specialization: the heap is a single slot, so the accept is
     // two stores — no dedup scan, no sift dispatch. (A register-argmin tile
     // epilogue was also tried and measured slower: the prefilter already
@@ -123,44 +122,26 @@ GSKNN_ALWAYS_INLINE bool sel_insert_raw(T* GSKNN_RESTRICT hd,
     // reduction only adds work; see EXPERIMENTS.md "Hot-path tuning".)
     hd[0] = d;
     hi[0] = id;
-    return true;
+    ++s.pushes;
+    return;
   }
-  if (dedup) {
-    if (hset != nullptr) {
-      if (!hset->insert_if_absent(id)) return false;
+  if (s.dedup) {
+    if (s.hset[row] != nullptr) {
+      if (!s.hset[row]->insert_if_absent(id)) return;
     } else {
-      for (int t = 0; t < stride; ++t) {
-        if (hi[t] == id) return false;
+      for (int t = 0; t < s.row_stride; ++t) {
+        if (hi[t] == id) return;
       }
     }
   }
-  sel_replace_root(hd, hi, k, arity, d, id);
-  return true;
+  sel_replace_root(hd, hi, s.k, s.arity, d, id);
+  ++s.pushes;
 }
 
-/// Insert one accepted candidate (caller already verified sel_accepts).
-template <typename T>
-GSKNN_ALWAYS_INLINE void sel_insert(const SelectCtxT<T>& s, int row, T d,
-                                    int id) {
-  s.pushes += sel_insert_raw(s.hd[row], s.hi[row], s.hset[row], s.k,
-                             s.row_stride, s.arity, s.dedup, d, id)
-                  ? 1
-                  : 0;
-}
-
-/// Smallest k at which row_select merges a row in one batch instead of
-/// sifting candidates one at a time. Below it the sift is only a few levels
-/// deep; from here up a whole-row nth_element plus an O(k) heap rebuild
-/// beats sifting each root-passing candidate (EXPERIMENTS.md, Figure 5
-/// re-run and "Batched row selection"). kAuto hands every
-/// k >= kBatchSelectMinK to Var#5 so the batch sees finished rows.
+/// Smallest k at which kAuto runs Var#5, whose row_select merges each
+/// finished row in one batch, instead of Var#1's sift fused into the tile
+/// (EXPERIMENTS.md, Figure 5 re-run and "One finished-row merge").
 inline constexpr int kBatchSelectMinK = 256;
-
-/// Whether row_select batches a row. dedup rows keep the per-candidate scan:
-/// RowIdSet membership depends on arrival order.
-constexpr bool batch_select_applies(int k, bool dedup) {
-  return k >= kBatchSelectMinK && !dedup;
-}
 
 /// One (distance, id) entry of row_select's batch scratch.
 template <typename T>
@@ -191,45 +172,53 @@ T batch_bound(const T* GSKNN_RESTRICT cand, int len, int k) {
   return sample[rank];
 }
 
-/// Scan `len` contiguous finished distances (candidate j carries global id
-/// ids[j]) into one heap row — the Var#5 selection. With `scratch`
-/// (room for len + k pairs) and batch_select_applies(k, dedup), the row is
-/// merged in one batch instead of candidate by candidate:
-///   1. filter the candidates that beat the current root and a sampled
-///      bound on the k-th distance (batch_bound) into the scratch — the
-///      root only shrinks as a row fills, and the bound is dropped unless
-///      k entries of row ∪ survivors fall under it, so nothing filtered
-///      out can be among the k smallest;
-///   2. nth_element the survivors with the row's entries under the bound,
-///      write the k smallest back and rebuild the heap.
+/// Drop the filter survivors a dedup row refuses and return how many are
+/// left, sorted by id: ids the row holds (its RowIdSet, or its `stride`
+/// slots when it has none) and every copy of an id after its nearest one.
+template <typename T>
+int drop_held_ids(SelPair<T>* GSKNN_RESTRICT sv, int s,
+                  const int* GSKNN_RESTRICT hi, const RowIdSet* hset,
+                  int stride) {
+  SelPair<T>* const end = std::remove_if(sv, sv + s, [&](const SelPair<T>& p) {
+    return hset != nullptr ? hset->contains(p.id)
+                           : std::find(hi, hi + stride, p.id) != hi + stride;
+  });
+  std::sort(sv, end, [](const SelPair<T>& a, const SelPair<T>& b) {
+    return a.id < b.id || (a.id == b.id && a.d < b.d);
+  });
+  const auto same_id = [](const SelPair<T>& a, const SelPair<T>& b) {
+    return a.id == b.id;
+  };
+  return static_cast<int>(std::unique(sv, end, same_id) - sv);
+}
+
+/// Merge `len` contiguous finished distances (candidate j carries global id
+/// ids[j]) into one heap row in one batch — the Var#5 selection — with
+/// `scratch` room for len + k pairs:
+///   1. filter the candidates that beat the row's root and a sampled bound
+///      on the k-th distance (batch_bound); a dedup row drops repeated and
+///      held ids (drop_held_ids). The bound is dropped unless k distinct
+///      entries of row ∪ survivors fall under it, so nothing filtered out
+///      is among the k smallest;
+///   2. if any survivor is left, a dedup row's RowIdSet takes the
+///      survivors (only now: a retry on the root alone must not find them
+///      held; a loser stays a stale id, which cannot pass the root again),
+///      nth_element survivors ∪ the row's entries under the bound, write
+///      the k smallest back and rebuild the heap.
 /// The k smallest entries under the (distance, id) order are unique as a
-/// multiset, so the sorted row is bitwise the one the per-candidate scan
+/// multiset, so the sorted row is bitwise the one a per-candidate scan
 /// produces (docs/CONTRACT.md). A non-null `tc` counts every candidate
-/// once: a push when it entered the row — on the batch path, a survivor
-/// that is among the k smallest — a reject otherwise.
+/// once: a push when it entered the merged row, a reject otherwise.
 template <typename T>
 void row_select(const T* GSKNN_RESTRICT cand, const int* GSKNN_RESTRICT ids,
                 int len, T* GSKNN_RESTRICT hd, int* GSKNN_RESTRICT hi,
                 RowIdSet* hset, int k, int stride, HeapArity arity, bool dedup,
-                SelPair<T>* GSKNN_RESTRICT scratch = nullptr,
+                SelPair<T>* GSKNN_RESTRICT scratch,
                 telemetry::ThreadCounters* tc = nullptr) {
   if (tc != nullptr) {
     const auto n = static_cast<std::uint64_t>(len);
     tc->add(telemetry::Counter::kCandidates, n);
     tc->add(telemetry::Counter::kRootRejects, n);
-  }
-  if (scratch == nullptr || !batch_select_applies(k, dedup)) {
-    std::uint64_t pushes = 0;
-    for (int j = 0; j < len; ++j) {
-      if (sel_accepts(cand[j], ids[j], hd, hi)) {
-        pushes += sel_insert_raw(hd, hi, hset, k, stride, arity, dedup,
-                                 cand[j], ids[j])
-                      ? 1
-                      : 0;
-      }
-    }
-    if (tc != nullptr) count_pushes(tc, pushes);
-    return;
   }
   constexpr T kInf = std::numeric_limits<T>::infinity();
   const bool quad = (arity == HeapArity::kQuad);
@@ -244,11 +233,18 @@ void row_select(const T* GSKNN_RESTRICT cand, const int* GSKNN_RESTRICT ids,
       scratch[s] = {cand[j], ids[j]};
       s += (sel_accepts(cand[j], ids[j], hd, hi) && cand[j] <= bound) ? 1 : 0;
     }
+    if (dedup) s = drop_held_ids(scratch, s, hi, hset, stride);
     if (bound == kInf) break;
     int under = s;
     for (int j = 0; j < k; ++j) under += (hd[slot(j)] <= bound) ? 1 : 0;
     if (under >= k) break;
     bound = kInf;  // the sample undershot: filter on the root alone
+  }
+  if (s == 0) return;  // nothing beats the row: it stays as it is
+  if (dedup && hset != nullptr) {
+    // In id order: a set filled so answers later lookups about twice as
+    // fast as one filled in heap order (EXPERIMENTS.md).
+    for (int j = 0; j < s; ++j) hset->insert_if_absent(scratch[j].id);
   }
   // 2. Select the k smallest of survivors ∪ row and rebuild the heap.
   int total = s;
@@ -261,34 +257,27 @@ void row_select(const T* GSKNN_RESTRICT cand, const int* GSKNN_RESTRICT ids,
                      return heap::pair_less(a.d, a.id, b.d, b.id);
                    });
   if (tc != nullptr) {
-    // The row took the survivors that are not after the k-th pair: all
-    // such entries of survivors ∪ row (the first k, plus any later copy of
-    // the k-th pair) less the row's own, counted before the write-back.
+    // The row took the survivors not after the k-th pair: all such entries
+    // of survivors ∪ row (the first k, plus any later copy of the k-th
+    // pair) less the row's own, counted before the write-back.
     const SelPair<T> kth = scratch[k - 1];
     const auto upto_kth = [&kth](T d, int id) {
       return !heap::pair_less(kth.d, kth.id, d, id);
     };
-    std::uint64_t upto = k;  // the k smallest
+    std::uint64_t pushes = k;
     for (int j = k; j < total; ++j) {
-      upto += upto_kth(scratch[j].d, scratch[j].id) ? 1 : 0;
+      pushes += upto_kth(scratch[j].d, scratch[j].id) ? 1 : 0;
     }
-    std::uint64_t own = 0;
     for (int j = 0; j < k; ++j) {
-      own += (hd[slot(j)] <= bound && upto_kth(hd[slot(j)], hi[slot(j)]))
-                 ? 1
-                 : 0;
+      pushes -= upto_kth(hd[slot(j)], hi[slot(j)]) ? 1 : 0;
     }
-    count_pushes(tc, upto - own);
+    count_pushes(tc, pushes);
   }
   for (int j = 0; j < k; ++j) {
     hd[slot(j)] = scratch[j].d;
     hi[slot(j)] = scratch[j].id;
   }
-  if (quad) {
-    heap::quad_build(hd, hi, k);
-  } else {
-    heap::binary_build(hd, hi, k);
-  }
+  quad ? heap::quad_build(hd, hi, k) : heap::binary_build(hd, hi, k);
 }
 
 /// The unified micro-kernel signature. `dcur` is the current depth-block

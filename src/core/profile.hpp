@@ -29,8 +29,8 @@ struct ProfiledCall {
 
 /// Close `call` into the recorder's sink: add each single-threaded worker
 /// profile as its thread slot's share (worker t on slot t), reduce the slots
-/// with the recorder's wall time as one invocation, then stamp the metadata
-/// and roofs. No-op when the recorder is inactive.
+/// with the recorder's wall time as one invocation plus its (2d+3)·m·n
+/// flops, then stamp the metadata and roofs. No-op when inactive.
 inline void finish_profile(telemetry::Recorder& rec, const ProfiledCall& call,
                            std::span<const telemetry::KernelProfile> workers =
                                {}) {
@@ -40,6 +40,8 @@ inline void finish_profile(telemetry::Recorder& rec, const ProfiledCall& call,
     rec.absorb(static_cast<int>(t), workers[t]);
   }
   rec.aggregate(rec.wall_seconds());
+  P->flops += (2.0 * call.shape.d + 3.0) * static_cast<double>(call.shape.m) *
+              static_cast<double>(call.shape.n);
   P->algorithm = call.algorithm;
   P->precision = call.precision;
   P->m = call.shape.m;

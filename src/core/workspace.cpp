@@ -75,9 +75,9 @@ int balanced_mc(int m, int mc, int mr, int threads) {
 /// Every line corresponds to an AlignedBuffer/arena chunk in driver.cpp; the
 /// chunk_bytes rounding matches WorkspaceArena::alloc exactly.
 template <typename T>
-void compute_footprint(int m, int n, int d, int k, bool dedup,
-                       Variant variant, bool needs_norms, int tmr, int tnr,
-                       bool packed_refs, WorkspacePlan& plan) {
+void compute_footprint(int m, int n, int d, int k, Variant variant,
+                       bool needs_norms, int tmr, int tnr, bool packed_refs,
+                       WorkspacePlan& plan) {
   const BlockingParams& bp = plan.blocking;
   const auto cb = [](std::size_t count, std::size_t es) {
     return WorkspaceArena::chunk_bytes(count, es);
@@ -115,15 +115,15 @@ void compute_footprint(int m, int n, int d, int k, bool dedup,
   }
 
   // Per thread: packed Qc panel (+ query norms) for the largest mc-block.
-  // Var#5's batched row selection carves its scratch (one row's
-  // candidates plus its k entries) from the same arena after the 4th loop
-  // has finished with it, so a thread needs the larger of the two.
+  // Var#5's row merge carves its scratch (one row's candidates plus its k
+  // entries) from the same arena after the 4th loop has finished with it,
+  // so a Var#5 thread needs the larger of the two.
   const std::size_t mbpad_max = round_up(
       static_cast<std::size_t>(std::min(m, bp.mc)),
       static_cast<std::size_t>(tmr));
   std::size_t per_thread = cb(mbpad_max * db_max, elem);
   if (needs_norms) per_thread += cb(mbpad_max, elem);
-  if (variant != Variant::kVar1 && batch_select_applies(k, dedup)) {
+  if (variant != Variant::kVar1) {
     const std::size_t pairs = nb_max + k;
     per_thread = std::max(per_thread, cb(pairs, sizeof(SelPair<T>)));
   }
@@ -142,9 +142,9 @@ void compute_footprint(int m, int n, int d, int k, bool dedup,
 /// intact — mc halving; nc and dc are pinned (retiling them would misalign
 /// the kernel against the cached blocks).
 template <typename T>
-WorkspacePlan plan_workspace(int m, int n, int d, int k, bool dedup,
-                             Variant variant, const BlockingParams& bp,
-                             int tmr, int tnr, int threads, bool needs_norms,
+WorkspacePlan plan_workspace(int m, int n, int d, int k, Variant variant,
+                             const BlockingParams& bp, int tmr, int tnr,
+                             int threads, bool needs_norms,
                              std::size_t cap_bytes, bool packed_refs) {
   assert(variant != Variant::kAuto &&
          "plan_workspace wants a concrete variant");
@@ -155,7 +155,7 @@ WorkspacePlan plan_workspace(int m, int n, int d, int k, bool dedup,
   if (m <= 0 || n <= 0 || d <= 0) return plan;  // driver returns before packing
 
   const auto footprint = [&](WorkspacePlan& p) {
-    compute_footprint<T>(m, n, d, k, dedup, variant, needs_norms, tmr, tnr,
+    compute_footprint<T>(m, n, d, k, variant, needs_norms, tmr, tnr,
                          packed_refs, p);
   };
   footprint(plan);
@@ -211,9 +211,9 @@ void plan_kernel_tail(int m, int n, int d, int k, const KnnConfig& cfg,
   const std::size_t cap = cfg.max_workspace_bytes != 0
                               ? cfg.max_workspace_bytes
                               : max_workspace_env();
-  kp.ws = plan_workspace<T>(m, n, d, k, cfg.dedup, kp.variant, kp.bp,
-                            kp.mk.mr, kp.mk.nr, kp.threads, kp.needs_norms,
-                            cap, packed_refs);
+  kp.ws = plan_workspace<T>(m, n, d, k, kp.variant, kp.bp, kp.mk.mr,
+                            kp.mk.nr, kp.threads, kp.needs_norms, cap,
+                            packed_refs);
   kp.bp = kp.ws.blocking;
 }
 

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gsknn/common/telemetry.hpp"
@@ -249,6 +250,33 @@ TEST(Telemetry, AccumulatesAcrossInvocations) {
   EXPECT_EQ(prof.invocations, 0u);
   EXPECT_EQ(prof.wall_seconds, 0.0);
   EXPECT_NE(wall, 0.0);
+}
+
+// A sink over calls of different shapes reports their summed useful flops
+// over their summed wall, not the last call's flops over the whole wall.
+TEST(Telemetry, GflopsSumsFlopsOfEveryInvocation) {
+  const int d = 8, k = 4;
+  const PointTable X = make_uniform(d, 400, 0xF10);
+  KernelProfile prof;
+  KnnConfig cfg;
+  cfg.threads = 1;
+  cfg.profile = &prof;
+  double flops = 0.0;
+  for (const auto& [m, n] : {std::pair{48, 64}, std::pair{200, 150}}) {
+    NeighborTable t(m, k);
+    knn_kernel(X, iota_ids(m), iota_ids(n, m), t, cfg);
+    flops += (2.0 * d + 3.0) * m * n;
+  }
+  EXPECT_EQ(prof.invocations, 2u);
+  EXPECT_DOUBLE_EQ(prof.flops, flops);
+  ASSERT_GT(prof.wall_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(prof.gflops(), flops / prof.wall_seconds / 1e9);
+
+  KernelProfile merged;  // merge sums the flops like every measurement
+  merged.merge(prof);
+  merged.merge(prof);
+  EXPECT_DOUBLE_EQ(merged.flops, 2.0 * flops);
+  EXPECT_DOUBLE_EQ(merged.gflops(), prof.gflops());
 }
 
 TEST(Telemetry, MergeAdoptsMetadataOnce) {

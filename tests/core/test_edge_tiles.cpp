@@ -219,7 +219,7 @@ TEST(EdgeTileDeferred, MatchesOracleBothPrecisions) {
   check_float(21, 387, 13, 256, Variant::kVar5, 0xDEF3, 388);
 }
 
-// k = 1 and small-k accepts take a dedicated path inside sel_insert_raw
+// k = 1 and small-k accepts take a dedicated path inside sel_insert
 // (two stores / sorted-row replacement); Var#5 reaches the same heaps
 // through the buffered per-panel scan. Bitwise identity between the two on
 // an off-grid shape pins the fast paths to the reference schedule.

@@ -262,13 +262,13 @@ TEST(WorkspacePlan, CappedMultiThreadedRunMatchesUncapped) {
   }
 }
 
-// Var#5 at k >= 256 carves the batched row selection's scratch — one
-// row of candidates (at most nc) plus its k entries, 16-byte
-// (distance, id) pairs in f64 — from the per-thread arena once the packed
-// query panel is done with it. Here the scratch is the larger of the two,
-// so it sets per_thread_bytes; Var#1 and dedup calls (per-candidate scan)
-// carve none. The kernel then runs inside that plan (ASan builds catch any
-// carve past it) and matches the fused Var#1 rows.
+// Var#5 carves its row merge's scratch — one row of candidates (at most
+// nc) plus its k entries, 16-byte (distance, id) pairs in f64 — from the
+// per-thread arena once the packed query panel is done with it, at every k
+// and for dedup calls too. Here the scratch is the larger of the two, so it
+// sets per_thread_bytes; Var#1 carves none. The kernel then runs inside
+// that plan (ASan builds catch any carve past it), plain and dedup, and
+// matches the fused Var#1 rows.
 TEST(WorkspacePlan, BatchSelectionScratchIsPlanned) {
   const int m = 64, n = 4096, d = 16, k = 256;
   KnnConfig cfg;
@@ -281,12 +281,17 @@ TEST(WorkspacePlan, BatchSelectionScratchIsPlanned) {
                      kVectorAlignBytes));
   KnnConfig dedup = cfg;
   dedup.dedup = true;
-  EXPECT_LT(plan_knn_workspace<double>(m, n, d, k, dedup).per_thread_bytes,
+  EXPECT_EQ(plan_knn_workspace<double>(m, n, d, k, dedup).per_thread_bytes,
             plan.per_thread_bytes);
   KnnConfig fused = cfg;
   fused.variant = Variant::kVar1;
   EXPECT_LT(plan_knn_workspace<double>(m, n, d, k, fused).per_thread_bytes,
             plan.per_thread_bytes);
+  KnnConfig small_k = cfg;  // an explicit Var#5 merges at any k
+  small_k.variant = Variant::kVar5;
+  EXPECT_EQ(plan_knn_workspace<double>(m, n, d, 4, small_k).per_thread_bytes,
+            round_up(static_cast<std::size_t>(width + 4) * 16,
+                     kVectorAlignBytes));
 
   const PointTable X = make_uniform(d, m + n, 0xBA7C);
   const auto q = iota_ids(m);
@@ -298,8 +303,12 @@ TEST(WorkspacePlan, BatchSelectionScratchIsPlanned) {
   EXPECT_EQ(P.workspace_bytes, plan.total_bytes());
   NeighborTable immediate(m, k);
   knn_kernel(X, q, r, immediate, fused);
+  NeighborTable deduped(m, k);
+  deduped.enable_dedup_index();
+  knn_kernel(X, q, r, deduped, dedup);
   for (int i = 0; i < m; ++i) {
     EXPECT_EQ(batched.sorted_row(i), immediate.sorted_row(i)) << "row " << i;
+    EXPECT_EQ(deduped.sorted_row(i), immediate.sorted_row(i)) << "row " << i;
   }
 }
 

@@ -89,6 +89,33 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
                  "rejects=${rejects}")
 endif()
 
+# allnn honors --threads: every leaf kernel of a --threads 1 run is one
+# thread, and the profile's rate is the flops of all its leaf calls over
+# their summed wall, not the last call's alone.
+run(allnn --data ${WORK_DIR}/prof_data.gsknn --k 8 --out ${WORK_DIR}/allnn_prof.csv
+    --trees 2 --leaf 256 --threads 1 --profile ${WORK_DIR}/allnn_prof.json)
+file(READ ${WORK_DIR}/allnn_prof.json allnn_json)
+if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
+  string(JSON threads GET "${allnn_json}" threads)
+  string(JSON invocations GET "${allnn_json}" invocations)
+  string(JSON flops GET "${allnn_json}" flops)
+  string(JSON m GET "${allnn_json}" m)
+  string(JSON n GET "${allnn_json}" n)
+  string(JSON d GET "${allnn_json}" d)
+  if(NOT threads EQUAL 1)
+    message(FATAL_ERROR "allnn --threads 1 profile reports threads=${threads}")
+  endif()
+  # flops sums (2d+3)·m·n over every leaf call, so with more than one call it
+  # exceeds the last call's share.
+  math(EXPR last_flops "(2 * ${d} + 3) * ${m} * ${n}")
+  if(NOT invocations GREATER 1 OR NOT flops GREATER last_flops)
+    message(FATAL_ERROR "allnn profile flops=${flops} over ${invocations} "
+                        "calls should exceed the last call's ${last_flops}")
+  endif()
+  message(STATUS "allnn profile ok: threads=${threads} calls=${invocations} "
+                 "flops=${flops}")
+endif()
+
 # Error paths must fail cleanly (non-zero, no crash).
 execute_process(COMMAND ${GSKNN_CLI} search --data /nonexistent --k 3 --out ${WORK_DIR}/x.csv
                 RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)

@@ -754,6 +754,7 @@ int main(int argc, char** argv) {
   gsknn::test::FuzzRun run{20.0, 0x5EEDFACEull};
   long mode_counts[static_cast<int>(Mode::kModeCount)] = {};
   long large_k_trials = 0;
+  long large_k_dedup = 0;  // large-k trials whose rows merge under dedup
   Trial t;
 
   const int rc = gsknn::test::fuzz_loop(
@@ -768,11 +769,11 @@ int main(int argc, char** argv) {
                               Norm::kCosine};
         t.norm = norms[rng.below(5)];
         t.p = (rng.below(2) != 0u) ? 2.5 : 1.3;
-        // One trial in eight is large-k: only there do Var#5/#6 merge rows
-        // in batches and kAuto resolve to Var#5. Half of those draw n in
-        // 256..640 and k in 256..n+6 (k > n included); the other half n in
-        // 1024..1536 and k in 256..n/4, long enough rows for the sampled
-        // bound on the k-th distance to narrow the batch.
+        // One trial in eight is large-k: only there does kAuto resolve to
+        // Var#5 (explicit Var#5 merges rows at every k). Half of those draw
+        // n in 256..640 and k in 256..n+6 (k > n included); the other half
+        // n in 1024..1536 and k in 256..n/4, long enough rows for the
+        // sampled bound on the k-th distance to narrow the batch.
         const bool large_k = (trials % 8 == 7);
         const bool long_rows = large_k && (trials % 16 == 15);
         t.m = static_cast<int>(rng.below(36));  // 0..35 (empty included)
@@ -792,6 +793,7 @@ int main(int argc, char** argv) {
         }
         if (large_k) ++large_k_trials;
         t.dedup = (rng.below(2) != 0u);
+        if (large_k && t.dedup) ++large_k_dedup;
         const double scales[] = {1e-3, 1.0, 1e3, 1e6};
         t.scale = scales[rng.below(4)];
         if (t.norm == Norm::kLp) t.scale = std::min(t.scale, 1e3);
@@ -835,7 +837,7 @@ int main(int argc, char** argv) {
 
   std::printf("fuzz_diff: %ld trials OK in %.1fs (seed=0x%llx)\n", run.trials,
               run.seconds, static_cast<unsigned long long>(run.seed));
-  std::printf("  large-k  %ld\n", large_k_trials);
+  std::printf("  large-k  %ld (%ld dedup)\n", large_k_trials, large_k_dedup);
   for (int i = 0; i < static_cast<int>(Mode::kModeCount); ++i) {
     std::printf("  %-8s %ld\n", mode_name(static_cast<Mode>(i)),
                 mode_counts[i]);

@@ -17,7 +17,7 @@
 //             them through the §2.5 batch scheduler (with --pack-cache: one
 //             warm kernel call over every query, T is ignored)
 //   allnn     --data FILE --k K --out FILE [--trees T] [--leaf L] [--seed S]
-//             [--pack-cache] [--sweeps S] [--cache-budget B]
+//             [--threads N] [--pack-cache] [--sweeps S] [--cache-budget B]
 //             [--profile [FILE]] [--trace [FILE]] [--metrics [FILE]]
 //             [--metrics-prom [FILE]]
 //             approximate all-NN via the randomized KD-tree forest,
@@ -526,6 +526,7 @@ int cmd_allnn(const Args& a) {
   cfg.num_trees = static_cast<int>(a.get_long("trees", 8));
   cfg.leaf_size = static_cast<int>(a.get_long("leaf", 512));
   cfg.seed = static_cast<std::uint64_t>(a.get_long("seed", 0));
+  cfg.kernel.threads = static_cast<int>(a.get_long("threads", 0));
   cfg.pack_cache = a.has("pack-cache");
   cfg.sweeps = std::max(1, static_cast<int>(a.get_long("sweeps", 1)));
   cfg.pack_cache_budget =
@@ -814,7 +815,7 @@ void usage() {
             "  batch    --data F --k K --out F [--tasks T] [--threads N]\n"
             "           [--pack-cache] [--cache-budget B]\n"
             "           [--metrics [F]] [--metrics-prom [F]]\n"
-            "  allnn    --data F --k K --out F [--trees T] [--leaf L]\n"
+            "  allnn    --data F --k K --out F [--trees T] [--leaf L] [--threads N]\n"
             "           [--pack-cache] [--sweeps S] [--cache-budget B] [--profile [F]]\n"
             "           [--trace [F]] [--metrics [F]] [--metrics-prom [F]]\n"
             "  info     --data F\n"
