@@ -7,6 +7,7 @@
 // recorded EXPERIMENTS.md numbers use the default (full) scale.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -50,6 +51,54 @@ double time_best(int reps, Fn&& fn) {
     best = std::min(best, t.seconds());
   }
   return best;
+}
+
+/// Quantile q of `v` (sorted in place), linear between order statistics.
+inline double quantile(std::vector<double>& v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+/// Medians and quartiles of an interleaved A/B run: seconds per side, and
+/// the per-pair ratio B/A (each B timed next to its own A, so slow drifts of
+/// a shared host cancel out of the ratio).
+struct AbStats {
+  double a_q1, a_med, a_q3;
+  double b_q1, b_med, b_q3;
+  double ratio_q1, ratio_med, ratio_q3;
+};
+
+/// Time `pairs` A/B pairs of fn_a() and fn_b(), A first in even pairs and B
+/// first in odd ones, after one untimed call of each.
+template <typename FnA, typename FnB>
+AbStats interleaved_ab(int pairs, FnA&& fn_a, FnB&& fn_b) {
+  const auto timed = [](auto& fn) {
+    WallTimer t;
+    fn();
+    return t.seconds();
+  };
+  fn_a();
+  fn_b();
+  std::vector<double> a, b, ratio;
+  for (int p = 0; p < pairs; ++p) {
+    double ta, tb;
+    if (p % 2 == 0) {
+      ta = timed(fn_a);
+      tb = timed(fn_b);
+    } else {
+      tb = timed(fn_b);
+      ta = timed(fn_a);
+    }
+    a.push_back(ta);
+    b.push_back(tb);
+    ratio.push_back(tb / ta);
+  }
+  return {quantile(a, 0.25),     quantile(a, 0.5),     quantile(a, 0.75),
+          quantile(b, 0.25),     quantile(b, 0.5),     quantile(b, 0.75),
+          quantile(ratio, 0.25), quantile(ratio, 0.5), quantile(ratio, 0.75)};
 }
 
 /// Useful-flop efficiency the paper plots: (2d+3)·m·n flops over `seconds`.

@@ -52,9 +52,7 @@ int main() {
 
       KnnConfig cfg;
       cfg.variant = p.variant;
-      const HeapArity arity =
-          (p.variant == Variant::kVar5) ? HeapArity::kQuad : HeapArity::kBinary;
-      NeighborTable t(m, p.k, arity);
+      NeighborTable t(m, p.k);
       const double secs = time_best(2, [&] {
         t.reset();
         knn_kernel(Xd, q, r, t, cfg);

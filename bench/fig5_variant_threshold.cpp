@@ -36,11 +36,7 @@ int main() {
       for (Variant v : {Variant::kVar1, Variant::kVar5}) {
         KnnConfig cfg;
         cfg.variant = v;
-        // Pair each variant with its §2.4 heap arity.
-        const HeapArity arity =
-            (v == Variant::kVar5 && k > 512) ? HeapArity::kQuad
-                                             : HeapArity::kBinary;
-        NeighborTable t(m, k, arity);
+        NeighborTable t(m, k);
         secs[vi++] = time_best(2, [&] {
           t.reset();
           knn_kernel(X, q, r, t, cfg);

@@ -30,11 +30,9 @@ int main() {
     const auto q = iota_ids(m);
     const auto r = iota_ids(n, m);
     for (int k : {16, 128, 512, 2048}) {
-      // The library's kAuto pick, with the paper's heap for each variant.
-      // The rule depends on k alone, so one resolution covers the d sweep.
+      // The library's kAuto pick. The rule depends on k alone, so one
+      // resolution covers the d sweep.
       const Variant variant = resolve_variant(m, n, /*d=*/4, k, KnnConfig{});
-      const HeapArity arity =
-          variant == Variant::kVar1 ? HeapArity::kBinary : HeapArity::kQuad;
       std::printf("\npanel: m = n = %d, k = %d (Var#%d)\n", m, k,
                   static_cast<int>(variant));
       std::printf("%6s %12s %12s %9s\n", "d", "GSKNN GF/s", "ref GF/s",
@@ -44,7 +42,7 @@ int main() {
 
         KnnConfig cfg;
         cfg.variant = variant;
-        NeighborTable t(m, k, arity);
+        NeighborTable t(m, k);
         const double gs = time_best(2, [&] {
           t.reset();
           knn_kernel(X, q, r, t, cfg);
@@ -66,7 +64,7 @@ int main() {
           KnnConfig pcfg;
           pcfg.variant = variant;
           pcfg.profile = &gsknn_prof;
-          NeighborTable tp(m, k, arity);
+          NeighborTable tp(m, k);
           knn_kernel(X, q, r, tp, pcfg);
         }
         char row[224];

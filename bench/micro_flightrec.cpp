@@ -8,8 +8,10 @@
 //   1. raw primitive cost: ns per record() while armed (five relaxed atomic
 //      stores + a release head bump into the per-thread ring) and while
 //      disarmed (one relaxed atomic load);
-//   2. end-to-end: best-of wall time of the exact kernel over a Table-5
-//      shape with recording armed vs disarmed, reported as overhead %.
+//   2. end-to-end: the exact kernel over a Table-5 shape, disarmed and
+//      armed in interleaved pairs (bench_util's interleaved_ab); the
+//      overhead is the median per-pair armed/disarmed ratio, judged
+//      against the budget, with its quartiles beside it.
 //
 // The measured numbers are recorded in EXPERIMENTS.md; the JSON row (via
 // GSKNN_BENCH_JSON) carries them for trend tracking.
@@ -63,34 +65,36 @@ int main() {
   const auto r = iota_ids(m, m);
   KnnConfig cfg;
   NeighborTable t(m, k);
-  const int reps = 5;
-
-  flightrec::set_enabled(true);
+  const int pairs = 41;
+  const auto run = [&](bool armed) {
+    flightrec::set_enabled(armed);
+    t.reset();
+    knn_kernel(X, q, r, t, cfg);
+  };
   flightrec::clear();
-  const double armed_s = time_best(reps, [&] {
-    t.reset();
-    knn_kernel(X, q, r, t, cfg);
-  });
-  flightrec::set_enabled(false);
-  const double disarmed_s = time_best(reps, [&] {
-    t.reset();
-    knn_kernel(X, q, r, t, cfg);
-  });
-  const double overhead_pct =
-      disarmed_s > 0.0 ? (armed_s / disarmed_s - 1.0) * 100.0 : 0.0;
-  std::printf("kernel m=n=%d d=%d k=%d: %.3f ms armed, %.3f ms disarmed, "
-              "overhead %+.2f%% (budget <= 1%%; negative = noise floor)\n",
-              m, d, k, armed_s * 1e3, disarmed_s * 1e3, overhead_pct);
+  const AbStats ab = interleaved_ab(
+      pairs, [&] { run(false); }, [&] { run(true); });
+  const double overhead_pct = (ab.ratio_med - 1.0) * 100.0;
+  const double q1_pct = (ab.ratio_q1 - 1.0) * 100.0;
+  const double q3_pct = (ab.ratio_q3 - 1.0) * 100.0;
+  std::printf("kernel m=n=%d d=%d k=%d, %d interleaved pairs: median %.3f ms "
+              "armed [%.3f, %.3f], %.3f ms disarmed [%.3f, %.3f]\n",
+              m, d, k, pairs, ab.b_med * 1e3, ab.b_q1 * 1e3, ab.b_q3 * 1e3,
+              ab.a_med * 1e3, ab.a_q1 * 1e3, ab.a_q3 * 1e3);
+  std::printf("overhead (median armed/disarmed pair ratio) %+.2f%% "
+              "IQR [%+.2f%%, %+.2f%%] (budget <= 1%%)\n",
+              overhead_pct, q1_pct, q3_pct);
   std::printf("budget check: %s\n",
               overhead_pct <= 1.0 ? "PASS (<= 1%)" : "OVER BUDGET");
 
-  char row[256];
+  char row[320];
   std::snprintf(row, sizeof(row),
                 "\"m\":%d,\"d\":%d,\"k\":%d,\"record_armed_ns\":%.2f,"
                 "\"record_disarmed_ns\":%.3f,\"kernel_armed_ms\":%.3f,"
-                "\"kernel_disarmed_ms\":%.3f,\"overhead_pct\":%.3f",
-                m, d, k, armed_ns, disarmed_ns, armed_s * 1e3,
-                disarmed_s * 1e3, overhead_pct);
+                "\"kernel_disarmed_ms\":%.3f,\"overhead_pct\":%.3f,"
+                "\"overhead_q1_pct\":%.3f,\"overhead_q3_pct\":%.3f",
+                m, d, k, armed_ns, disarmed_ns, ab.b_med * 1e3,
+                ab.a_med * 1e3, overhead_pct, q1_pct, q3_pct);
   emit_json_row("micro_flightrec", row);
 
   flightrec::set_enabled(was_enabled);

@@ -1,6 +1,6 @@
-// Micro-benchmark: heap insertion throughput for both arities, in the two
-// regimes that matter to the kernel — mostly-rejected (steady state) and
-// mostly-accepted (cold start).
+// Micro-benchmark: binary heap insertion throughput in the two regimes that
+// matter to the kernel — mostly-rejected (steady state) and mostly-accepted
+// (cold start).
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -42,18 +42,6 @@ void BM_BinaryAcceptHeavy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BinaryAcceptHeavy)->Arg(16)->Arg(512)->Arg(2048);
-
-void BM_QuadAcceptHeavy(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  std::vector<double> d(static_cast<std::size_t>(heap::quad_physical_size(k)));
-  std::vector<int> id(d.size());
-  heap::quad_init(d.data(), id.data(), k);
-  for (auto _ : state) {
-    heap::quad_replace_root(d.data(), id.data(), k, d[0] * 0.999999, 7);
-    benchmark::DoNotOptimize(d.data());
-  }
-}
-BENCHMARK(BM_QuadAcceptHeavy)->Arg(16)->Arg(512)->Arg(2048);
 
 }  // namespace
 

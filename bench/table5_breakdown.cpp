@@ -24,21 +24,12 @@ using namespace gsknn::bench;
 
 namespace {
 
-/// The paper's heap pairing for the variant kAuto resolves to: binary for
-/// the fused Var#1, 4-ary for the unfused large-k selection (paper Figure 1).
-HeapArity auto_arity(int m, int n, int d, int k) {
-  return resolve_variant(m, n, d, k, KnnConfig{}) == Variant::kVar1
-             ? HeapArity::kBinary
-             : HeapArity::kQuad;
-}
-
 double run_gsknn_ms(const PointTable& X, const std::vector<int>& q,
                     const std::vector<int>& r, int k,
                     telemetry::KernelProfile* prof = nullptr) {
   KnnConfig cfg;  // kAuto
   const int m = static_cast<int>(q.size());
-  NeighborTable t(m, k,
-                  auto_arity(m, static_cast<int>(r.size()), X.dim(), k));
+  NeighborTable t(m, k);
   const double secs = time_best(2, [&] {
     t.reset();
     knn_kernel(X, q, r, t, cfg);
@@ -60,7 +51,7 @@ double run_gsknn_warm_ms(PackedRefs& refs, const std::vector<int>& q, int k,
                          std::uint64_t& pack_bytes) {
   KnnConfig cfg;  // kAuto
   const int m = static_cast<int>(q.size());
-  NeighborTable t(m, k, auto_arity(m, refs.size(), refs.table()->dim(), k));
+  NeighborTable t(m, k);
   t.reset();
   knn_kernel(refs, q, t, cfg);  // prime: the only pass allowed to pack
   const PackedRefs::Stats before = refs.stats();

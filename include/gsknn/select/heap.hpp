@@ -1,19 +1,17 @@
 // Max-heap primitives used for neighbor selection (paper §2.2, §2.4).
 //
-// A neighbor list of size k is a max-heap over squared distances with the
-// associated point ids carried alongside: the root is the current k-th
-// nearest distance, so a new candidate is rejected with a single compare
-// (O(1)), and accepted candidates replace the root and sift down
+// A neighbor list of size k is a binary max-heap over squared distances
+// with the associated point ids carried alongside: the root is the current
+// k-th nearest distance, so a new candidate is rejected with a single
+// compare (O(1)), and accepted candidates replace the root and sift down
 // (O(log k)). Rows start "full" of +inf sentinels so there is no separate
 // build-up phase on the hot path.
 //
-// Two arities are provided:
-//   * binary heap   — lowest instruction count per sift level; used by
-//     Var#1 for small k;
-//   * 4-ary heap    — root padded by three unused slots so each group of
-//     four children is 32-byte aligned and shares a cache line; shallower
-//     (log4 k) at the cost of a max-of-4 scan per level; the paper's pick
-//     for Var#6 at large k (Figure 1), paired here with Var#5.
+// The paper pairs large k with a padded 4-ary heap (§2.4). On the x86
+// host measured here binary rows are faster for Var#1's per-candidate
+// inserts at every k, and, with binary_build's branch-free child pick,
+// for Var#5's merged rows too, so every row is binary (EXPERIMENTS.md
+// §2.4).
 //
 // All functions are header-inline: they are called from inside the fused
 // micro-kernel and must not cost a call.
@@ -37,7 +35,7 @@ inline constexpr int kNoId = -1;
 /// The total order behind the deterministic-results contract
 /// (docs/CONTRACT.md): neighbor entries compare by (distance, id)
 /// lexicographically, so equal-distance candidates are kept lowest-id-first
-/// and every variant/thread count/arity produces the same k-smallest
+/// and every variant/thread count produces the same k-smallest
 /// multiset regardless of candidate arrival order. NaN never compares true
 /// on either side (callers reject non-finite candidates before insertion;
 /// see pair_accepts).
@@ -56,10 +54,6 @@ template <typename T>
 GSKNN_ALWAYS_INLINE bool pair_accepts(T d, int x, T root_d, int root_x) {
   return pair_less(d, x, root_d, root_x) && std::isfinite(d);
 }
-
-// ---------------------------------------------------------------------------
-// Binary max-heap.
-// ---------------------------------------------------------------------------
 
 /// Fill a row with +inf sentinels ("empty but structurally full" heap).
 template <typename T>
@@ -94,10 +88,39 @@ inline void binary_sift_down(T* GSKNN_RESTRICT dist,
   id[pos] = x;
 }
 
-/// Floyd's O(k) bottom-up heap construction over arbitrary row contents.
+/// Floyd's O(k) bottom-up heap construction over arbitrary row contents —
+/// Var#5's per-row rebuild. The same sift as binary_sift_down under the
+/// same strict (distance, id) order, so the heap is bitwise the one a
+/// binary_sift_down per node builds, but the larger child is picked with a
+/// select instead of a branch: on a row of arbitrary entries that pick is a
+/// coin flip, and with the branch the build ran slower than the 4-ary one
+/// it replaced (EXPERIMENTS.md §2.4). binary_sift_down keeps the branch: on
+/// Var#1's per-candidate path it measured faster at large k.
 template <typename T>
-inline void binary_build(T* dist, int* id, int k) {
-  for (int i = k / 2 - 1; i >= 0; --i) binary_sift_down(dist, id, k, i);
+inline void binary_build(T* GSKNN_RESTRICT dist, int* GSKNN_RESTRICT id,
+                         int k) {
+  const int last = k - 1;  // a node at 2p+1 < last has two children
+  for (int i = k / 2 - 1; i >= 0; --i) {
+    const T d = dist[i];
+    const int x = id[i];
+    int pos = i;
+    for (;;) {
+      int child = 2 * pos + 1;
+      if (child > last) break;
+      if (child < last) {
+        const T a = dist[child];
+        const T b = dist[child + 1];
+        child += static_cast<int>((a < b) |
+                                  ((a == b) & (id[child] < id[child + 1])));
+      }
+      if (!pair_less(d, x, dist[child], id[child])) break;
+      dist[pos] = dist[child];
+      id[pos] = id[child];
+      pos = child;
+    }
+    dist[pos] = d;
+    id[pos] = x;
+  }
 }
 
 /// Replace the root (largest element) with (d, x) and restore heap order.
@@ -163,94 +186,6 @@ template <typename T>
 inline bool binary_is_heap(const T* dist, int k) {
   for (int i = 1; i < k; ++i) {
     if (dist[i] > dist[(i - 1) / 2]) return false;
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Padded 4-ary max-heap.
-//
-// Logical node j lives at physical slot j == 0 ? 0 : j + 3, so the four
-// children of logical node j (logical 4j+1 … 4j+4) occupy physical slots
-// 4j+4 … 4j+7 — a 32-byte-aligned quad when the array is 64-byte aligned.
-// Physical slots 1..3 are never read or written.
-// ---------------------------------------------------------------------------
-
-/// Physical array length required for a k-entry 4-ary heap.
-constexpr int quad_physical_size(int k) { return k + 3; }
-
-constexpr int quad_phys(int logical) { return logical == 0 ? 0 : logical + 3; }
-
-template <typename T>
-inline void quad_init(T* GSKNN_RESTRICT dist, int* GSKNN_RESTRICT id,
-                      int k) {
-  const int ps = quad_physical_size(k);
-  for (int i = 0; i < ps; ++i) {
-    dist[i] = std::numeric_limits<T>::infinity();
-    id[i] = kNoId;
-  }
-}
-
-/// Sift logical node `pos` down (arrays are in padded physical layout).
-template <typename T>
-inline void quad_sift_down(T* GSKNN_RESTRICT dist, int* GSKNN_RESTRICT id,
-                           int k, int pos) {
-  const T d = dist[quad_phys(pos)];
-  const int x = id[quad_phys(pos)];
-  for (;;) {
-    const int first = 4 * pos + 1;  // logical index of first child
-    if (first >= k) break;
-    const int last = (first + 3 < k) ? first + 3 : k - 1;
-    // Max-of-(up to 4) children; physical slots first+3 … last+3 are
-    // contiguous, so this is a single cache line touch.
-    int best = first;
-    T bestd = dist[quad_phys(first)];
-    int bestx = id[quad_phys(first)];
-    for (int c = first + 1; c <= last; ++c) {
-      const T cd = dist[quad_phys(c)];
-      const int cx = id[quad_phys(c)];
-      if (pair_less(bestd, bestx, cd, cx)) {
-        bestd = cd;
-        bestx = cx;
-        best = c;
-      }
-    }
-    if (!pair_less(d, x, bestd, bestx)) break;
-    dist[quad_phys(pos)] = bestd;
-    id[quad_phys(pos)] = bestx;
-    pos = best;
-  }
-  dist[quad_phys(pos)] = d;
-  id[quad_phys(pos)] = x;
-}
-
-template <typename T>
-inline void quad_build(T* dist, int* id, int k) {
-  for (int i = (k - 2) / 4; i >= 0; --i) quad_sift_down(dist, id, k, i);
-}
-
-template <typename T>
-inline void quad_replace_root(T* GSKNN_RESTRICT dist,
-                              int* GSKNN_RESTRICT id, int k, T d, int x) {
-  dist[0] = d;
-  id[0] = x;
-  quad_sift_down(dist, id, k, 0);
-}
-
-template <typename T>
-GSKNN_ALWAYS_INLINE void quad_try_insert(T* GSKNN_RESTRICT dist,
-                                         int* GSKNN_RESTRICT id, int k,
-                                         T d, int x) {
-  if (pair_accepts(d, x, dist[0], id[0])) {
-    quad_replace_root(dist, id, k, d, x);
-  }
-}
-
-template <typename T>
-inline bool quad_is_heap(const T* dist, int k) {
-  for (int j = 1; j < k; ++j) {
-    const int parent = (j - 1) / 4;
-    if (dist[quad_phys(j)] > dist[quad_phys(parent)]) return false;
   }
   return true;
 }

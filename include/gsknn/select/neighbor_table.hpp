@@ -1,6 +1,7 @@
 // NeighborTable — the kernel's output object: the paper's (D, N) pair of
 // m × k matrices holding, per query row, the current k nearest squared
-// distances and reference ids, each row organized as a max-heap.
+// distances and reference ids, each row organized as a binary max-heap
+// (heap.hpp).
 //
 // Rows are initialized to +inf/-1 sentinels, so a freshly created table acts
 // as an "empty" neighbor list whose root is +inf (every candidate accepted)
@@ -19,11 +20,6 @@
 #include "gsknn/select/heap.hpp"
 
 namespace gsknn {
-
-enum class HeapArity {
-  kBinary,  ///< classic binary max-heap, k slots per row
-  kQuad,    ///< padded 4-ary max-heap, k+3 physical slots per row
-};
 
 /// Append-only open-addressing set of point ids, one per neighbor row, used
 /// to deduplicate candidates in O(1) instead of an O(k) row scan.
@@ -101,19 +97,15 @@ class NeighborTableT {
  public:
   NeighborTableT() = default;
 
-  NeighborTableT(int m, int k, HeapArity arity = HeapArity::kBinary) {
-    resize(m, k, arity);
-  }
+  NeighborTableT(int m, int k) { resize(m, k); }
 
-  void resize(int m, int k, HeapArity arity = HeapArity::kBinary) {
+  void resize(int m, int k) {
     assert(m >= 0 && k > 0);
     m_ = m;
     k_ = k;
-    arity_ = arity;
-    stride_ = (arity == HeapArity::kQuad) ? heap::quad_physical_size(k) : k;
     // Pad the row stride to a cache-line multiple of doubles so rows never
     // false-share across threads.
-    stride_ = static_cast<int>(round_up(static_cast<std::size_t>(stride_), 8));
+    stride_ = static_cast<int>(round_up(static_cast<std::size_t>(k), 8));
     dist_.reset(static_cast<std::size_t>(m) * stride_);
     id_.reset(static_cast<std::size_t>(m) * stride_);
     idsets_.clear();  // re-enable after resize if wanted
@@ -145,7 +137,6 @@ class NeighborTableT {
 
   int rows() const { return m_; }
   int k() const { return k_; }
-  HeapArity arity() const { return arity_; }
   int row_stride() const { return stride_; }
 
   T* row_dists(int i) {
@@ -165,17 +156,12 @@ class NeighborTableT {
     return id_.data() + static_cast<std::size_t>(i) * stride_;
   }
 
-  /// Current k-th nearest distance of row i (the heap root; physical slot 0
-  /// in both layouts).
+  /// Current k-th nearest distance of row i (the heap root, slot 0).
   T row_root(int i) const { return row_dists(i)[0]; }
 
   /// O(1)-reject candidate insertion.
   void try_insert(int row, T d, int x) {
-    if (arity_ == HeapArity::kQuad) {
-      heap::quad_try_insert(row_dists(row), row_ids(row), k_, d, x);
-    } else {
-      heap::binary_try_insert(row_dists(row), row_ids(row), k_, d, x);
-    }
+    heap::binary_try_insert(row_dists(row), row_ids(row), k_, d, x);
   }
 
   /// Candidate insertion that refuses ids already present in the row. Needed
@@ -223,15 +209,8 @@ class NeighborTableT {
     out.reserve(static_cast<std::size_t>(k_));
     const T* d = row_dists(i);
     const int* x = row_ids(i);
-    if (arity_ == HeapArity::kQuad) {
-      for (int j = 0; j < k_; ++j) {
-        const int p = heap::quad_phys(j);
-        if (std::isfinite(d[p])) out.emplace_back(d[p], x[p]);
-      }
-    } else {
-      for (int j = 0; j < k_; ++j) {
-        if (std::isfinite(d[j])) out.emplace_back(d[j], x[j]);
-      }
+    for (int j = 0; j < k_; ++j) {
+      if (std::isfinite(d[j])) out.emplace_back(d[j], x[j]);
     }
     std::sort(out.begin(), out.end());
     return out;
@@ -269,10 +248,7 @@ class NeighborTableT {
   /// True iff every row satisfies its heap invariant (tests).
   bool all_rows_are_heaps() const {
     for (int i = 0; i < m_; ++i) {
-      const bool ok = (arity_ == HeapArity::kQuad)
-                          ? heap::quad_is_heap(row_dists(i), k_)
-                          : heap::binary_is_heap(row_dists(i), k_);
-      if (!ok) return false;
+      if (!heap::binary_is_heap(row_dists(i), k_)) return false;
     }
     return true;
   }
@@ -281,7 +257,6 @@ class NeighborTableT {
   int m_ = 0;
   int k_ = 0;
   int stride_ = 0;
-  HeapArity arity_ = HeapArity::kBinary;
   AlignedBuffer<T> dist_;
   AlignedBuffer<int> id_;
   std::vector<RowIdSet> idsets_;  ///< empty unless enable_dedup_index()

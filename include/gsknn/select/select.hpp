@@ -1,11 +1,11 @@
 // Selection algorithms for the kNN kernel (paper §2.2, Table 3).
 //
-// All four update an existing neighbor row (max-heap layout, binary arity,
-// k slots) with n new candidates. They are interchangeable so the
+// All four update an existing neighbor row (binary max-heap, k slots) with
+// n new candidates. They are interchangeable so the
 // `ablation_selection` bench can compare them under identical workloads:
 //
-//   * select_heap_binary / select_heap_quad — O(n) best case (all rejected by
-//     the root compare), O(n log k) worst; the algorithm GSKNN fuses.
+//   * select_heap_binary — O(n) best case (all rejected by the root
+//     compare), O(n log k) worst; the algorithm GSKNN fuses.
 //   * select_quick  — concatenate row + candidates, Hoare quickselect the
 //     k-th smallest, keep the lower part; O(n + k) average but pays the
 //     concatenation even when nothing qualifies.
@@ -34,11 +34,6 @@ struct SelectScratch {
 
 void select_heap_binary(const double* cand_dist, const int* cand_id, int n,
                         double* row_dist, int* row_id, int k);
-
-/// `row_dist`/`row_id` must be in the padded 4-ary physical layout
-/// (heap::quad_physical_size(k) slots).
-void select_heap_quad(const double* cand_dist, const int* cand_id, int n,
-                      double* row_dist, int* row_id, int k);
 
 void select_quick(const double* cand_dist, const int* cand_id, int n,
                   double* row_dist, int* row_id, int k, SelectScratch& scratch);

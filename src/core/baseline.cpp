@@ -41,10 +41,6 @@ Status gemm_baseline_impl(const PointTable& X, std::span<const int> qidx,
     throw StatusError(Status::kUnsupported,
                       "gemm baseline supports the l2 and cosine norms only");
   }
-  if (result.arity() != HeapArity::kBinary) {
-    throw StatusError(Status::kUnsupported,
-                      "gemm baseline requires a binary-arity table");
-  }
   if (m == 0 || n == 0) return Status::kOk;
   const bool cosine = (cfg.norm == Norm::kCosine);
   const auto heap_row = [&](int i) {

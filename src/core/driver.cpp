@@ -93,13 +93,12 @@ Status degenerate_d0(const int* rid, int n, int m, NeighborTableT<T>& result,
   for (int j = 0; j < n; ++j) cand.data()[j] = dist0;
   AlignedBuffer<SelPair<T>> scratch(static_cast<std::size_t>(n) + result.k());
   const int stride0 = result.row_stride();
-  const HeapArity arity0 = result.arity();
   for (int i = 0; i < m; ++i) {
     const int row =
         result_rows.empty() ? i : result_rows[static_cast<std::size_t>(i)];
     row_select(cand.data(), rid, n, result.row_dists(row),
                result.row_ids(row), result.row_idset(row), result.k(),
-               stride0, arity0, cfg.dedup, scratch.data());
+               stride0, cfg.dedup, scratch.data());
   }
   return Status::kOk;
 }
@@ -308,7 +307,6 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
     return result_rows.empty() ? i : result_rows[static_cast<std::size_t>(i)];
   };
   const int stride = result.row_stride();
-  const HeapArity arity = result.arity();
 
   // Deadline/cancellation polling (block boundaries only; the hot loops are
   // never touched). One relaxed atomic load when fault injection is disarmed
@@ -433,8 +431,7 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
       const int row = heap_row(i);
       row_select(cbuf + static_cast<long>(i) * ld, rid + jc, nb,
                  result.row_dists(row), result.row_ids(row),
-                 result.row_idset(row), k, stride, arity, cfg.dedup, scratch,
-                 tc);
+                 result.row_idset(row), k, stride, cfg.dedup, scratch, tc);
     }
     span.close();
     GSKNN_OMP(omp barrier)  // before thread 0 writes `halt` again
@@ -590,7 +587,6 @@ Status knn_kernel_compute(const PointTableT<T>& X, std::span<const int> qidx,
                 ctx.cand_ids = rid + jc + jr;
                 ctx.k = k;
                 ctx.row_stride = stride;
-                ctx.arity = arity;
                 ctx.dedup = cfg.dedup;
                 sel = &ctx;
               }

@@ -57,7 +57,6 @@ struct SelectCtxT {
   const int* cand_ids;     ///< global ids of the tile's columns
   int k = 0;
   int row_stride = 0;  ///< physical slots per row (fallback dedup scan bound)
-  HeapArity arity = HeapArity::kBinary;
   bool dedup = false;
   /// Candidates sel_insert took. The driver pre-counts every candidate as
   /// a root-reject and, with a profile sink attached, reclassifies these as
@@ -80,17 +79,14 @@ GSKNN_ALWAYS_INLINE bool sel_accepts(T d, int id, const T* GSKNN_RESTRICT hd,
   return heap::pair_accepts(d, id, hd[0], hi[0]);
 }
 
-/// Root replacement dispatch: quad heap for 4-ary rows, the sorted
-/// small-k fast path for k ≤ kSmallSortedK binary rows (a sorted row is a
-/// valid binary heap, so the two binary strategies can interleave), binary
-/// sift otherwise.
+/// Root replacement dispatch: the sorted small-k fast path for
+/// k ≤ kSmallSortedK (a sorted row is a valid binary heap, so the two
+/// strategies can interleave), binary sift otherwise.
 template <typename T>
 GSKNN_ALWAYS_INLINE void sel_replace_root(T* GSKNN_RESTRICT hd,
-                                          int* GSKNN_RESTRICT hi, int k,
-                                          HeapArity arity, T d, int id) {
-  if (arity == HeapArity::kQuad) {
-    heap::quad_replace_root(hd, hi, k, d, id);
-  } else if (k <= heap::kSmallSortedK) {
+                                          int* GSKNN_RESTRICT hi, int k, T d,
+                                          int id) {
+  if (k <= heap::kSmallSortedK) {
     heap::small_sorted_replace_root(hd, hi, k, d, id);
   } else {
     heap::binary_replace_root(hd, hi, k, d, id);
@@ -134,7 +130,7 @@ GSKNN_ALWAYS_INLINE void sel_insert(const SelectCtxT<T>& s, int row, T d,
       }
     }
   }
-  sel_replace_root(hd, hi, s.k, s.arity, d, id);
+  sel_replace_root(hd, hi, s.k, d, id);
   ++s.pushes;
 }
 
@@ -212,7 +208,7 @@ int drop_held_ids(SelPair<T>* GSKNN_RESTRICT sv, int s,
 template <typename T>
 void row_select(const T* GSKNN_RESTRICT cand, const int* GSKNN_RESTRICT ids,
                 int len, T* GSKNN_RESTRICT hd, int* GSKNN_RESTRICT hi,
-                RowIdSet* hset, int k, int stride, HeapArity arity, bool dedup,
+                RowIdSet* hset, int k, int stride, bool dedup,
                 SelPair<T>* GSKNN_RESTRICT scratch,
                 telemetry::ThreadCounters* tc = nullptr) {
   if (tc != nullptr) {
@@ -221,8 +217,6 @@ void row_select(const T* GSKNN_RESTRICT cand, const int* GSKNN_RESTRICT ids,
     tc->add(telemetry::Counter::kRootRejects, n);
   }
   constexpr T kInf = std::numeric_limits<T>::infinity();
-  const bool quad = (arity == HeapArity::kQuad);
-  const auto slot = [quad](int j) { return quad ? heap::quad_phys(j) : j; };
   // 1. Filter. The stores are unconditional and only the count moves, so
   //    the loop does not branch on which candidates survive.
   T bound = batch_bound(cand, len, k);
@@ -236,7 +230,7 @@ void row_select(const T* GSKNN_RESTRICT cand, const int* GSKNN_RESTRICT ids,
     if (dedup) s = drop_held_ids(scratch, s, hi, hset, stride);
     if (bound == kInf) break;
     int under = s;
-    for (int j = 0; j < k; ++j) under += (hd[slot(j)] <= bound) ? 1 : 0;
+    for (int j = 0; j < k; ++j) under += (hd[j] <= bound) ? 1 : 0;
     if (under >= k) break;
     bound = kInf;  // the sample undershot: filter on the root alone
   }
@@ -249,8 +243,8 @@ void row_select(const T* GSKNN_RESTRICT cand, const int* GSKNN_RESTRICT ids,
   // 2. Select the k smallest of survivors ∪ row and rebuild the heap.
   int total = s;
   for (int j = 0; j < k; ++j) {
-    scratch[total] = {hd[slot(j)], hi[slot(j)]};
-    total += (hd[slot(j)] <= bound) ? 1 : 0;
+    scratch[total] = {hd[j], hi[j]};
+    total += (hd[j] <= bound) ? 1 : 0;
   }
   std::nth_element(scratch, scratch + (k - 1), scratch + total,
                    [](const SelPair<T>& a, const SelPair<T>& b) {
@@ -269,15 +263,15 @@ void row_select(const T* GSKNN_RESTRICT cand, const int* GSKNN_RESTRICT ids,
       pushes += upto_kth(scratch[j].d, scratch[j].id) ? 1 : 0;
     }
     for (int j = 0; j < k; ++j) {
-      pushes -= upto_kth(hd[slot(j)], hi[slot(j)]) ? 1 : 0;
+      pushes -= upto_kth(hd[j], hi[j]) ? 1 : 0;
     }
     count_pushes(tc, pushes);
   }
   for (int j = 0; j < k; ++j) {
-    hd[slot(j)] = scratch[j].d;
-    hi[slot(j)] = scratch[j].id;
+    hd[j] = scratch[j].d;
+    hi[j] = scratch[j].id;
   }
-  quad ? heap::quad_build(hd, hi, k) : heap::binary_build(hd, hi, k);
+  heap::binary_build(hd, hi, k);
 }
 
 /// The unified micro-kernel signature. `dcur` is the current depth-block

@@ -60,7 +60,7 @@ Status parallel_refs_impl(const PointTableT<double>& X,
   priv.resize(static_cast<std::size_t>(threads));
   for (int t = 0; t < threads; ++t) {
     if (t * chunk >= n) break;  // empty slice: table stays 0-row
-    priv[static_cast<std::size_t>(t)].resize(m, k, result.arity());
+    priv[static_cast<std::size_t>(t)].resize(m, k);
     if (cfg.dedup) priv[static_cast<std::size_t>(t)].enable_dedup_index();
   }
 

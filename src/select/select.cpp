@@ -15,13 +15,6 @@ void select_heap_binary(const double* cand_dist, const int* cand_id, int n,
   }
 }
 
-void select_heap_quad(const double* cand_dist, const int* cand_id, int n,
-                      double* row_dist, int* row_id, int k) {
-  for (int j = 0; j < n; ++j) {
-    heap::quad_try_insert(row_dist, row_id, k, cand_dist[j], cand_id[j]);
-  }
-}
-
 namespace {
 
 using Pair = std::pair<double, int>;

@@ -45,10 +45,7 @@ AllNnResult lsh_impl(const PointTable& X, int k, const LshConfig& cfg) {
   AllNnResult out;
   const int n = X.size();
   const int d = X.dim();
-  out.table.resize(n, k,
-                   (k > 512 && cfg.backend != KernelBackend::kGemmBaseline)
-                       ? HeapArity::kQuad
-                       : HeapArity::kBinary);
+  out.table.resize(n, k);
 
   out.table.enable_dedup_index();  // O(1) cross-iteration dedup
 

@@ -119,13 +119,7 @@ AllNnResult all_nn_impl(const PointTable& X, int k, const RkdConfig& cfg) {
   }
   AllNnResult out;
   const int n = X.size();
-  // Large k pairs with the 4-ary heap (paper §2.4 / §3 parameters).
-  const HeapArity arity = (k > 512) ? HeapArity::kQuad : HeapArity::kBinary;
-  // The GEMM baseline's selection path requires binary rows.
-  out.table.resize(n, k,
-                   cfg.backend == KernelBackend::kGemmBaseline
-                       ? HeapArity::kBinary
-                       : arity);
+  out.table.resize(n, k);
 
   out.table.enable_dedup_index();  // O(1) cross-iteration dedup
 

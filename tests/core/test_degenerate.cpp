@@ -1,7 +1,7 @@
 // Degenerate-input semantics (docs/CONTRACT.md): empty index lists, d == 0,
 // k > n, duplicate ids, non-finite coordinates, zero-norm cosine points and
 // exact ties must behave identically — and deterministically — across every
-// variant, arity, thread count and precision.
+// variant, thread count and precision.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,7 +17,6 @@
 
 namespace {
 
-using gsknn::HeapArity;
 using gsknn::KnnConfig;
 using gsknn::NeighborTable;
 using gsknn::NeighborTableF;
@@ -44,8 +43,8 @@ template <typename T>
 std::vector<std::vector<std::pair<T, int>>> run_rows(
     const gsknn::PointTableT<T>& X, const std::vector<int>& q,
     const std::vector<int>& r, int k, const KnnConfig& cfg,
-    HeapArity arity = HeapArity::kBinary, bool dedup_index = false) {
-  gsknn::NeighborTableT<T> res(static_cast<int>(q.size()), k, arity);
+    bool dedup_index = false) {
+  gsknn::NeighborTableT<T> res(static_cast<int>(q.size()), k);
   if (dedup_index) res.enable_dedup_index();
   knn_kernel(X, q, r, res, cfg);
   std::vector<std::vector<std::pair<T, int>>> rows;
@@ -109,34 +108,32 @@ TEST(Degenerate, KGreaterThanNKeepsSentinelsAllVariants) {
   const std::vector<int> r = iota_vec(5, 4);  // n = 5 < k = 9
   const auto expect = gsknn::test::brute_force_knn(X, q, r, 9);
   for (Variant v : kExplicitVariants) {
-    for (HeapArity arity : {HeapArity::kBinary, HeapArity::kQuad}) {
-      for (int threads : {1, 4}) {
-        KnnConfig cfg;
-        cfg.variant = v;
-        cfg.threads = threads;
-        NeighborTable res(4, 9, arity);
-        knn_kernel(X, q, r, res, cfg);
-        for (int i = 0; i < 4; ++i) {
-          const auto row = res.sorted_row(i);
-          ASSERT_EQ(row.size(), 5u) << "variant " << static_cast<int>(v);
-          for (std::size_t j = 0; j < row.size(); ++j) {
-            EXPECT_NEAR(row[j].first,
-                        expect[static_cast<std::size_t>(i)][j].first, 1e-10);
-            EXPECT_EQ(row[j].second,
-                      expect[static_cast<std::size_t>(i)][j].second);
-          }
-          // Unfilled physical slots must still be (+inf, -1) sentinels.
-          const double* dists = res.row_dists(i);
-          const int* ids = res.row_ids(i);
-          int sentinels = 0;
-          for (int s = 0; s < res.row_stride(); ++s) {
-            if (ids[s] == -1) {
-              EXPECT_TRUE(std::isinf(dists[s]) && dists[s] > 0);
-              ++sentinels;
-            }
-          }
-          EXPECT_EQ(sentinels, res.row_stride() - 5);
+    for (int threads : {1, 4}) {
+      KnnConfig cfg;
+      cfg.variant = v;
+      cfg.threads = threads;
+      NeighborTable res(4, 9);
+      knn_kernel(X, q, r, res, cfg);
+      for (int i = 0; i < 4; ++i) {
+        const auto row = res.sorted_row(i);
+        ASSERT_EQ(row.size(), 5u) << "variant " << static_cast<int>(v);
+        for (std::size_t j = 0; j < row.size(); ++j) {
+          EXPECT_NEAR(row[j].first,
+                      expect[static_cast<std::size_t>(i)][j].first, 1e-10);
+          EXPECT_EQ(row[j].second,
+                    expect[static_cast<std::size_t>(i)][j].second);
         }
+        // Unfilled physical slots must still be (+inf, -1) sentinels.
+        const double* dists = res.row_dists(i);
+        const int* ids = res.row_ids(i);
+        int sentinels = 0;
+        for (int s = 0; s < res.row_stride(); ++s) {
+          if (ids[s] == -1) {
+            EXPECT_TRUE(std::isinf(dists[s]) && dists[s] > 0);
+            ++sentinels;
+          }
+        }
+        EXPECT_EQ(sentinels, res.row_stride() - 5);
       }
     }
   }
@@ -264,8 +261,7 @@ TEST(Degenerate, DuplicateReferenceIdsWithDedup) {
       KnnConfig cfg;
       cfg.variant = v;
       cfg.dedup = true;
-      const auto rows =
-          run_rows(X, q, r, 6, cfg, HeapArity::kBinary, index);
+      const auto rows = run_rows(X, q, r, 6, cfg, index);
       for (int i = 0; i < 5; ++i) {
         const auto& row = rows[static_cast<std::size_t>(i)];
         ASSERT_EQ(row.size(), 6u);
@@ -316,8 +312,8 @@ TEST(Degenerate, CosineZeroNormPointsGetDistanceOne) {
 
 TEST(Degenerate, ExactTiesPickLowestIdsEverywhere) {
   // 30 copies of the same point: every distance ties at 0, so the contract
-  // demands the k lowest reference ids — from every variant, arity, thread
-  // count and precision, bitwise.
+  // demands the k lowest reference ids — from every variant, thread count
+  // and precision, bitwise.
   PointTable X(4, 30);
   for (int i = 0; i < 30; ++i) {
     for (int p = 0; p < 4; ++p) X.at(p, i) = 1.5 + p;
@@ -328,28 +324,25 @@ TEST(Degenerate, ExactTiesPickLowestIdsEverywhere) {
   const std::vector<int> r = iota_vec(24, 6);
   for (Norm norm : {Norm::kL2Sq, Norm::kL1, Norm::kLInf, Norm::kCosine}) {
     for (Variant v : kExplicitVariants) {
-      for (HeapArity arity : {HeapArity::kBinary, HeapArity::kQuad}) {
-        for (int threads : {1, 4}) {
-          KnnConfig cfg;
-          cfg.norm = norm;
-          cfg.variant = v;
-          cfg.threads = threads;
-          const auto rows = run_rows(X, q, r, 5, cfg, arity);
-          const auto rows_f = run_rows(Xf, q, r, 5, cfg, arity);
-          for (const auto& row : rows) {
-            ASSERT_EQ(row.size(), 5u);
-            for (int j = 0; j < 5; ++j) {
-              EXPECT_EQ(row[static_cast<std::size_t>(j)].second, 6 + j)
-                  << "norm " << static_cast<int>(norm) << " variant "
-                  << static_cast<int>(v) << " arity "
-                  << static_cast<int>(arity) << " threads " << threads;
-            }
+      for (int threads : {1, 4}) {
+        KnnConfig cfg;
+        cfg.norm = norm;
+        cfg.variant = v;
+        cfg.threads = threads;
+        const auto rows = run_rows(X, q, r, 5, cfg);
+        const auto rows_f = run_rows(Xf, q, r, 5, cfg);
+        for (const auto& row : rows) {
+          ASSERT_EQ(row.size(), 5u);
+          for (int j = 0; j < 5; ++j) {
+            EXPECT_EQ(row[static_cast<std::size_t>(j)].second, 6 + j)
+                << "norm " << static_cast<int>(norm) << " variant "
+                << static_cast<int>(v) << " threads " << threads;
           }
-          for (const auto& row : rows_f) {
-            ASSERT_EQ(row.size(), 5u);
-            for (int j = 0; j < 5; ++j) {
-              EXPECT_EQ(row[static_cast<std::size_t>(j)].second, 6 + j);
-            }
+        }
+        for (const auto& row : rows_f) {
+          ASSERT_EQ(row.size(), 5u);
+          for (int j = 0; j < 5; ++j) {
+            EXPECT_EQ(row[static_cast<std::size_t>(j)].second, 6 + j);
           }
         }
       }

@@ -60,13 +60,12 @@ constexpr int kOnePanelNc = 56;
 /// the oracle's neighbor is separated from its rank neighbors by more than
 /// the tolerance (no tie ambiguity), the id as well.
 void check_double(int m, int n, int d, int k, Variant variant,
-                  std::uint64_t seed, int nc = 12,
-                  HeapArity arity = HeapArity::kBinary) {
+                  std::uint64_t seed, int nc = 12) {
   const PointTable X = make_uniform(d, m + n, seed);
   const auto q = iota_ids(m);
   const auto r = iota_ids(n, m);
 
-  NeighborTable t(m, k, arity);
+  NeighborTable t(m, k);
   knn_kernel(X, q, r, t, edge_config(variant, nc));
   ASSERT_TRUE(t.all_rows_are_heaps());
 
@@ -156,10 +155,8 @@ TEST_P(EdgeTileOnePanel, DoubleMatchesOracle) {
   const Shape s = kEdgeShapes[si];
   ASSERT_LE(s.n, kOnePanelNc);
   const int k = std::min(kraw, s.n);
-  // One-panel rows above k = 4 take the 4-ary heap, so both arities run.
   check_double(s.m, s.n, s.d, k, Variant::kVar5,
-               0xED6E + static_cast<unsigned>(si), kOnePanelNc,
-               k > 4 ? HeapArity::kQuad : HeapArity::kBinary);
+               0xED6E + static_cast<unsigned>(si), kOnePanelNc);
 }
 
 TEST_P(EdgeTileOnePanel, FloatMatchesOracle) {
@@ -212,10 +209,8 @@ TEST(EdgeTileDeferred, MatchesOracleBothPrecisions) {
     check_double(21, 387, 13, 256, v, 0xDEF2);
     check_float(21, 387, 13, 256, v, 0xDEF3);
   }
-  // The whole row in one panel: a single batched merge per row, into the
-  // 4-ary heap for double.
-  check_double(21, 387, 13, 256, Variant::kVar5, 0xDEF2, 388,
-               HeapArity::kQuad);
+  // The whole row in one panel: a single batched merge per row.
+  check_double(21, 387, 13, 256, Variant::kVar5, 0xDEF2, 388);
   check_float(21, 387, 13, 256, Variant::kVar5, 0xDEF3, 388);
 }
 

@@ -28,8 +28,7 @@ double ftol(double ref, int d) {
 }
 
 void check_float_against_oracle(int m, int n, int d, int k, Variant variant,
-                                Norm norm, HeapArity arity,
-                                std::uint64_t seed) {
+                                Norm norm, std::uint64_t seed) {
   const PointTable Xd = make_uniform(d, m + n, seed);
   const PointTableF Xf = to_float(Xd);
   const auto q = iota_ids(m);
@@ -38,7 +37,7 @@ void check_float_against_oracle(int m, int n, int d, int k, Variant variant,
   KnnConfig cfg;
   cfg.variant = variant;
   cfg.norm = norm;
-  NeighborTableF result(m, k, arity);
+  NeighborTableF result(m, k);
   knn_kernel(Xf, q, r, result, cfg);
   ASSERT_TRUE(result.all_rows_are_heaps());
 
@@ -62,13 +61,13 @@ class FloatKernelShapes : public ::testing::TestWithParam<FloatShape> {};
 TEST_P(FloatKernelShapes, Var1MatchesDoubleOracle) {
   const auto [m, n, d, k] = GetParam();
   check_float_against_oracle(m, n, d, k, Variant::kVar1, Norm::kL2Sq,
-                             HeapArity::kBinary, 0xF10A7 + d);
+                             0xF10A7 + d);
 }
 
 TEST_P(FloatKernelShapes, Var5MatchesDoubleOracle) {
   const auto [m, n, d, k] = GetParam();
   check_float_against_oracle(m, n, d, k, Variant::kVar5, Norm::kL2Sq,
-                             HeapArity::kBinary, 0xF10A8 + d);
+                             0xF10A8 + d);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -86,10 +85,8 @@ TEST(FloatKernel, AllNormsMatchOracle) {
   for (Norm norm : {Norm::kL2Sq, Norm::kL1, Norm::kLInf, Norm::kCosine,
                     Norm::kLp}) {
     check_float_against_oracle(23, 41, 12, 6, Variant::kVar1, norm,
-                               HeapArity::kBinary,
                                0xF200 + static_cast<int>(norm));
     check_float_against_oracle(23, 41, 12, 6, Variant::kVar5, norm,
-                               HeapArity::kBinary,
                                0xF300 + static_cast<int>(norm));
   }
 }
@@ -127,14 +124,14 @@ TEST(FloatKernel, AllVariantsAgree) {
 TEST(FloatKernel, DeepDimensionAccumulation) {
   // d = 700 crosses the float dc boundary several times: the Cc carry path.
   check_float_against_oracle(20, 24, 700, 4, Variant::kVar1, Norm::kL2Sq,
-                             HeapArity::kBinary, 0xF500);
+                             0xF500);
   check_float_against_oracle(20, 24, 700, 4, Variant::kVar5, Norm::kL2Sq,
-                             HeapArity::kBinary, 0xF501);
+                             0xF501);
 }
 
-TEST(FloatKernel, QuadArityLargeK) {
+TEST(FloatKernel, LargeKVar5) {
   check_float_against_oracle(24, 200, 16, 64, Variant::kVar5, Norm::kL2Sq,
-                             HeapArity::kQuad, 0xF600);
+                             0xF600);
 }
 
 TEST(FloatKernel, SelfDistanceZero) {

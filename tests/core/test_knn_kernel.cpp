@@ -37,9 +37,8 @@ BlockingParams tiny_blocking() {
 
 void check_against_oracle(const PointTable& X, std::span<const int> qidx,
                           std::span<const int> ridx, int k,
-                          const KnnConfig& cfg,
-                          HeapArity arity = HeapArity::kBinary) {
-  NeighborTable got(static_cast<int>(qidx.size()), k, arity);
+                          const KnnConfig& cfg) {
+  NeighborTable got(static_cast<int>(qidx.size()), k);
   knn_kernel(X, qidx, ridx, got, cfg);
   const auto expect = brute_force_knn(X, qidx, ridx, k, cfg.norm, cfg.p);
   ASSERT_TRUE(got.all_rows_are_heaps());
@@ -211,14 +210,14 @@ TEST(KernelDedup, DuplicateReferencesCollapse) {
   }
 }
 
-TEST(KernelQuadArity, LargeKUsesQuadHeapRows) {
+TEST(KernelLargeK, Var5MatchesOracle) {
   const PointTable X = make_uniform(16, 300, 13);
   const auto q = iota_ids(40);
   const auto r = iota_ids(260, 40);
   KnnConfig cfg;
   cfg.blocking = tiny_blocking();
   cfg.variant = Variant::kVar5;
-  check_against_oracle(X, q, r, 64, cfg, HeapArity::kQuad);
+  check_against_oracle(X, q, r, 64, cfg);
 }
 
 TEST(KernelThreads, ExplicitThreadCountsAgree) {

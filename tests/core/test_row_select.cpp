@@ -1,7 +1,7 @@
 // The Var#5 row merge (row_select) against a per-candidate heap scan, the
 // selection it replaced: the sorted rows must be bitwise identical and the
-// row must still be a valid heap afterwards, in both precisions and both
-// heap arities, on the inputs where a merge could plausibly diverge from a
+// row must still be a valid heap afterwards, in both precisions, on the
+// inputs where a merge could plausibly diverge from a
 // scan — ties at the k-th distance, non-finite candidates, warm rows, short
 // rows, k > n, a sampled bound that undershoots, and dedup rows (with and
 // without a RowIdSet) that are offered ids they hold, held before, or see
@@ -57,7 +57,6 @@ void scan_select(const Rows<T>& c, NeighborTableT<T>& t, bool dedup) {
   ctx.hset[0] = t.row_idset(0);
   ctx.k = t.k();
   ctx.row_stride = t.row_stride();
-  ctx.arity = t.arity();
   ctx.dedup = dedup;
   for (std::size_t j = 0; j < c.cand.size(); ++j) {
     if (core::sel_accepts(c.cand[j], c.ids[j], ctx.hd[0], ctx.hi[0])) {
@@ -70,11 +69,10 @@ void scan_select(const Rows<T>& c, NeighborTableT<T>& t, bool dedup) {
 /// the merge — and checks they agree after each call. `index` gives both
 /// tables a RowIdSet.
 template <typename T>
-void expect_batch_matches_scan(int k, HeapArity arity,
-                               const std::vector<Rows<T>>& calls,
+void expect_batch_matches_scan(int k, const std::vector<Rows<T>>& calls,
                                bool dedup = false, bool index = false) {
-  NeighborTableT<T> scan(1, k, arity);
-  NeighborTableT<T> batch(1, k, arity);
+  NeighborTableT<T> scan(1, k);
+  NeighborTableT<T> batch(1, k);
   if (index) {
     scan.enable_dedup_index();
     batch.enable_dedup_index();
@@ -89,23 +87,19 @@ void expect_batch_matches_scan(int k, HeapArity arity,
     telemetry::ThreadCounters tc;
     row_select(c.cand.data(), c.ids.data(), len, batch.row_dists(0),
                batch.row_ids(0), batch.row_idset(0), k, batch.row_stride(),
-               arity, dedup, scratch.data(), &tc);
+               dedup, scratch.data(), &tc);
     const auto want = scan.sorted_row(0);
     const auto got = batch.sorted_row(0);
     ASSERT_EQ(got.size(), want.size()) << "call " << call;
     for (std::size_t j = 0; j < got.size(); ++j) {
       ASSERT_EQ(got[j], want[j]) << "call " << call << " slot " << j;
     }
-    const bool heap_ok =
-        arity == HeapArity::kQuad
-            ? heap::quad_is_heap(batch.row_dists(0), k)
-            : heap::binary_is_heap(batch.row_dists(0), k);
-    EXPECT_TRUE(heap_ok) << "call " << call;
+    EXPECT_TRUE(heap::binary_is_heap(batch.row_dists(0), k))
+        << "call " << call;
     // Sentinels fill exactly the slots no finite candidate reached.
     int sentinels = 0;
     for (int j = 0; j < k; ++j) {
-      const int p = arity == HeapArity::kQuad ? heap::quad_phys(j) : j;
-      if (batch.row_ids(0)[p] == heap::kNoId) ++sentinels;
+      if (batch.row_ids(0)[j] == heap::kNoId) ++sentinels;
     }
     EXPECT_EQ(sentinels, k - static_cast<int>(got.size())) << "call " << call;
     const auto cnt = [&tc](Counter x) {
@@ -130,20 +124,16 @@ class RowSelectBatch : public ::testing::Test {};
 using Scalars = ::testing::Types<double, float>;
 TYPED_TEST_SUITE(RowSelectBatch, Scalars);
 
-constexpr HeapArity kArities[] = {HeapArity::kBinary, HeapArity::kQuad};
-
 // Few distinct distances: the k-th entry sits inside a large tie group, so
 // which ties survive is decided by id alone. 600 candidates take the plain
 // batch; 4096 take the sampled bound, whose `<=` keeps the whole group.
 TYPED_TEST(RowSelectBatch, TiesAtTheKthDistance) {
   using T = TypeParam;
-  for (HeapArity a : kArities) {
-    for (int len : {600, 4096}) {
-      expect_batch_matches_scan<T>(kBatchSelectMinK, a,
-                                   {make_row<T>(len, 12, 0x71E5)});
-      expect_batch_matches_scan<T>(kBatchSelectMinK + 5, a,
-                                   {make_row<T>(len, 3, 0x71E6)});
-    }
+  for (int len : {600, 4096}) {
+    expect_batch_matches_scan<T>(kBatchSelectMinK,
+                                 {make_row<T>(len, 12, 0x71E5)});
+    expect_batch_matches_scan<T>(kBatchSelectMinK + 5,
+                                 {make_row<T>(len, 3, 0x71E6)});
   }
 }
 
@@ -152,18 +142,16 @@ TYPED_TEST(RowSelectBatch, TiesAtTheKthDistance) {
 TYPED_TEST(RowSelectBatch, NonFiniteCandidates) {
   using T = TypeParam;
   const T kInf = std::numeric_limits<T>::infinity();
-  for (HeapArity a : kArities) {
-    for (int len : {700, 4096}) {
-      Rows<T> r =
-          make_row<T>(len, 1 << 20, 0x0F1 + static_cast<unsigned>(len));
-      for (int j = 0; j < len; j += 3) {
-        r.cand[static_cast<std::size_t>(j)] =
-            (j % 9 == 0)   ? std::numeric_limits<T>::quiet_NaN()
-            : (j % 9 == 3) ? kInf
-                           : -kInf;
-      }
-      expect_batch_matches_scan<T>(kBatchSelectMinK, a, {r});
+  for (int len : {700, 4096}) {
+    Rows<T> r =
+        make_row<T>(len, 1 << 20, 0x0F1 + static_cast<unsigned>(len));
+    for (int j = 0; j < len; j += 3) {
+      r.cand[static_cast<std::size_t>(j)] =
+          (j % 9 == 0)   ? std::numeric_limits<T>::quiet_NaN()
+          : (j % 9 == 3) ? kInf
+                         : -kInf;
     }
+    expect_batch_matches_scan<T>(kBatchSelectMinK, {r});
   }
 }
 
@@ -173,17 +161,15 @@ TYPED_TEST(RowSelectBatch, NonFiniteCandidates) {
 TYPED_TEST(RowSelectBatch, WarmRootFewSurvivors) {
   using T = TypeParam;
   const int k = 512;
-  for (HeapArity a : kArities) {
-    Rows<T> cold = make_row<T>(4096, 1 << 16, 0x3A1);
-    Rows<T> warm = make_row<T>(2048, 1 << 16, 0x3A2, 4096);
-    for (auto& d : warm.cand) d += T(4096);  // all far beyond the root…
-    for (int j = 0; j < 20; ++j) {            // …but for a handful
-      warm.cand[static_cast<std::size_t>(j * 97)] = static_cast<T>(j);
-    }
-    Rows<T> better = make_row<T>(1024, 1 << 12, 0x3A3, 8192);
-    for (auto& d : better.cand) d /= T(64);
-    expect_batch_matches_scan<T>(k, a, {cold, warm, better});
+  Rows<T> cold = make_row<T>(4096, 1 << 16, 0x3A1);
+  Rows<T> warm = make_row<T>(2048, 1 << 16, 0x3A2, 4096);
+  for (auto& d : warm.cand) d += T(4096);  // all far beyond the root…
+  for (int j = 0; j < 20; ++j) {            // …but for a handful
+    warm.cand[static_cast<std::size_t>(j * 97)] = static_cast<T>(j);
   }
+  Rows<T> better = make_row<T>(1024, 1 << 12, 0x3A3, 8192);
+  for (auto& d : better.cand) d /= T(64);
+  expect_batch_matches_scan<T>(k, {cold, warm, better});
 }
 
 // Warm survivors that only just beat the root: in the scan each insert
@@ -192,19 +178,17 @@ TYPED_TEST(RowSelectBatch, WarmRootFewSurvivors) {
 TYPED_TEST(RowSelectBatch, WarmSurvivorsRecheckedAgainstLiveRoot) {
   using T = TypeParam;
   const int k = 512;
-  for (HeapArity a : kArities) {
-    Rows<T> fill;  // distances 0 .. k-1: the root is k - 1, then k - 2
-    for (int j = 0; j < k; ++j) {
-      fill.cand.push_back(static_cast<T>(j));
-      fill.ids.push_back(j);
-    }
-    Rows<T> near;  // ascending in (k - 2, k - 1): each worse than the last
-    for (int j = 0; j < 9; ++j) {
-      near.cand.push_back(static_cast<T>(k - 2) + static_cast<T>(j + 1) / 10);
-      near.ids.push_back(k + j);
-    }
-    expect_batch_matches_scan<T>(k, a, {fill, near});
+  Rows<T> fill;  // distances 0 .. k-1: the root is k - 1, then k - 2
+  for (int j = 0; j < k; ++j) {
+    fill.cand.push_back(static_cast<T>(j));
+    fill.ids.push_back(j);
   }
+  Rows<T> near;  // ascending in (k - 2, k - 1): each worse than the last
+  for (int j = 0; j < 9; ++j) {
+    near.cand.push_back(static_cast<T>(k - 2) + static_cast<T>(j + 1) / 10);
+    near.ids.push_back(k + j);
+  }
+  expect_batch_matches_scan<T>(k, {fill, near});
 }
 
 // A warm row whose entries tie the sampled bound: new candidates at that
@@ -213,29 +197,25 @@ TYPED_TEST(RowSelectBatch, WarmSurvivorsRecheckedAgainstLiveRoot) {
 TYPED_TEST(RowSelectBatch, TiesAtTheSampledBound) {
   using T = TypeParam;
   const int k = 256, len = 4096;
-  for (HeapArity a : kArities) {
-    Rows<T> high;  // k entries at distance 1 with ids above every new one
-    for (int j = 0; j < k; ++j) {
-      high.cand.push_back(T(1));
-      high.ids.push_back(len + j);
-    }
-    Rows<T> r = make_row<T>(len, 1, 0x7B);  // all distance 0 for now
-    for (int j = 100; j < len; ++j) r.cand[static_cast<std::size_t>(j)] = T(1);
-    expect_batch_matches_scan<T>(k, a, {high, r});
+  Rows<T> high;  // k entries at distance 1 with ids above every new one
+  for (int j = 0; j < k; ++j) {
+    high.cand.push_back(T(1));
+    high.ids.push_back(len + j);
   }
+  Rows<T> r = make_row<T>(len, 1, 0x7B);  // all distance 0 for now
+  for (int j = 100; j < len; ++j) r.cand[static_cast<std::size_t>(j)] = T(1);
+  expect_batch_matches_scan<T>(k, {high, r});
 }
 
 // Rows shorter than k (len < k, the k > n case): every finite candidate is
 // kept and the remaining slots stay (+inf, -1) sentinels.
 TYPED_TEST(RowSelectBatch, ShortRowsKeepSentinels) {
   using T = TypeParam;
-  for (HeapArity a : kArities) {
-    expect_batch_matches_scan<T>(300, a, {make_row<T>(37, 1 << 10, 0x5E1)});
-    expect_batch_matches_scan<T>(kBatchSelectMinK, a,
-                                 {make_row<T>(100, 1 << 10, 0x5E2),
-                                  make_row<T>(90, 1 << 10, 0x5E3, 100)});
-    expect_batch_matches_scan<T>(kBatchSelectMinK, a, {Rows<T>{}});  // len 0
-  }
+  expect_batch_matches_scan<T>(300, {make_row<T>(37, 1 << 10, 0x5E1)});
+  expect_batch_matches_scan<T>(kBatchSelectMinK,
+                               {make_row<T>(100, 1 << 10, 0x5E2),
+                                make_row<T>(90, 1 << 10, 0x5E3, 100)});
+  expect_batch_matches_scan<T>(kBatchSelectMinK, {Rows<T>{}});  // len 0
 }
 
 // The sampled bound reads every 16th candidate of a 4096-long row. Making
@@ -244,15 +224,13 @@ TYPED_TEST(RowSelectBatch, ShortRowsKeepSentinels) {
 TYPED_TEST(RowSelectBatch, UndershotSampleFallsBack) {
   using T = TypeParam;
   const int len = 4096, k = 512;
-  for (HeapArity a : kArities) {
-    Rows<T> r = make_row<T>(len, 1 << 16, 0xB0D);
-    for (int j = 0; j < len; ++j) {
-      r.cand[static_cast<std::size_t>(j)] =
-          (j % 16 == 0) ? static_cast<T>(j) / T(4096)
-                        : T(2) + r.cand[static_cast<std::size_t>(j)];
-    }
-    expect_batch_matches_scan<T>(k, a, {r});
+  Rows<T> r = make_row<T>(len, 1 << 16, 0xB0D);
+  for (int j = 0; j < len; ++j) {
+    r.cand[static_cast<std::size_t>(j)] =
+        (j % 16 == 0) ? static_cast<T>(j) / T(4096)
+                      : T(2) + r.cand[static_cast<std::size_t>(j)];
   }
+  expect_batch_matches_scan<T>(k, {r});
 }
 
 // ---- dedup rows --------------------------------------------------------
@@ -287,17 +265,14 @@ std::vector<int> draw_ids(int len, int id0, int span, unsigned seed) {
 
 constexpr int kDedupKs[] = {1, 4, 16, 255, 256, 512};
 
-/// Every dedup case at every k, arity, and with and without a RowIdSet.
+/// Every dedup case at every k, with and without a RowIdSet.
 template <typename T, typename Make>
 void for_each_dedup_row(Make make) {
   for (int k : kDedupKs) {
-    for (HeapArity a : kArities) {
-      for (bool index : {false, true}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "k=" << k << " quad=" << (a == HeapArity::kQuad)
-                     << " index=" << index);
-        expect_batch_matches_scan<T>(k, a, make(k), /*dedup=*/true, index);
-      }
+    for (bool index : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "k=" << k << " index=" << index);
+      expect_batch_matches_scan<T>(k, make(k), /*dedup=*/true, index);
     }
   }
 }

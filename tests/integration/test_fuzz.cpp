@@ -1,5 +1,5 @@
 // Property-based randomized sweep: random shapes, random index subsets,
-// random variant/norm/arity/threads — every draw must match the brute-force
+// random variant/norm/threads — every draw must match the brute-force
 // oracle. This is the broad net behind the hand-picked edge cases of
 // tests/core.
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@ struct FuzzCase {
   int m, n, d, k, threads;
   Variant variant;
   Norm norm;
-  HeapArity arity;
   bool dedup;
   std::uint64_t seed;
 };
@@ -35,7 +34,6 @@ FuzzCase draw_case(Xoshiro256& rng) {
   c.threads = 1 + static_cast<int>(rng.below(3));
   c.variant = test::draw_variant(rng);
   c.norm = norms[rng.below(4)];
-  c.arity = rng.below(2) ? HeapArity::kQuad : HeapArity::kBinary;
   c.dedup = rng.below(4) == 0;
   c.seed = rng();
   return c;
@@ -50,7 +48,6 @@ TEST(Fuzz, RandomShapesMatchOracle) {
                  << " d=" << c.d << " k=" << c.k
                  << " variant=" << static_cast<int>(c.variant)
                  << " norm=" << static_cast<int>(c.norm)
-                 << " arity=" << static_cast<int>(c.arity)
                  << " dedup=" << c.dedup << " threads=" << c.threads);
 
     const PointTable X = make_uniform(c.d, c.m + c.n, c.seed);
@@ -78,7 +75,7 @@ TEST(Fuzz, RandomShapesMatchOracle) {
       cfg.blocking = BlockingParams{8, 4, 8, 16, 12};
     }
 
-    NeighborTable t(c.m, c.k, c.arity);
+    NeighborTable t(c.m, c.k);
     if (c.dedup) t.enable_dedup_index();
     knn_kernel(X, q, r, t, cfg);
     ASSERT_TRUE(t.all_rows_are_heaps());

@@ -23,11 +23,9 @@ TEST(NeighborTable, FreshTableIsEmptyHeaps) {
 }
 
 TEST(NeighborTable, RowStrideIsCacheLinePadded) {
-  NeighborTable bin(2, 3, HeapArity::kBinary);
+  NeighborTable bin(2, 3);
   EXPECT_EQ(bin.row_stride() % 8, 0);
   EXPECT_GE(bin.row_stride(), 3);
-  NeighborTable quad(2, 6, HeapArity::kQuad);
-  EXPECT_GE(quad.row_stride(), heap::quad_physical_size(6));
 }
 
 TEST(NeighborTable, InsertAndSortedRow) {
@@ -44,17 +42,20 @@ TEST(NeighborTable, InsertAndSortedRow) {
   EXPECT_TRUE(t.sorted_row(1).empty());  // other rows untouched
 }
 
-TEST(NeighborTable, QuadArityBehavesIdentically) {
-  NeighborTable bin(1, 5, HeapArity::kBinary);
-  NeighborTable quad(1, 5, HeapArity::kQuad);
+TEST(NeighborTable, SortedRowMatchesStreamSort) {
+  NeighborTable t(2, 5);
   Xoshiro256 rng(9);
+  std::vector<std::pair<double, int>> expect;
   for (int i = 0; i < 200; ++i) {
     const double d = rng.uniform();
-    bin.try_insert(0, d, i);
-    quad.try_insert(0, d, i);
+    t.try_insert(0, d, i);
+    expect.emplace_back(d, i);
   }
-  EXPECT_EQ(bin.sorted_row(0), quad.sorted_row(0));
-  EXPECT_TRUE(quad.all_rows_are_heaps());
+  std::sort(expect.begin(), expect.end());
+  expect.resize(5);
+  EXPECT_EQ(t.sorted_row(0), expect);
+  EXPECT_TRUE(t.sorted_row(1).empty());
+  EXPECT_TRUE(t.all_rows_are_heaps());
 }
 
 TEST(NeighborTable, UniqueInsertRefusesDuplicateIds) {
@@ -95,10 +96,9 @@ TEST(NeighborTable, ResetClearsContents) {
 
 TEST(NeighborTable, ResizeChangesShape) {
   NeighborTable t(2, 2);
-  t.resize(5, 7, HeapArity::kQuad);
+  t.resize(5, 7);
   EXPECT_EQ(t.rows(), 5);
   EXPECT_EQ(t.k(), 7);
-  EXPECT_EQ(t.arity(), HeapArity::kQuad);
   EXPECT_TRUE(t.all_rows_are_heaps());
 }
 

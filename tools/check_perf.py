@@ -43,11 +43,6 @@ METRICS = {
         "metric": "var1_gflops",
         "lower_is_better": False,
     },
-    "ablation_heap": {
-        "key": ("d", "k"),
-        "metric": "quad_s",
-        "lower_is_better": True,
-    },
     "ablation_variants": {
         "key": ("d", "k"),
         "metric": "var1_s",

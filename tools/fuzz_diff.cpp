@@ -1,11 +1,11 @@
 // Differential fuzz harness for the kernel contract (docs/CONTRACT.md).
 //
-// Random-walks problem shapes (m, n, d, k), norms, variants, thread counts,
-// heap arities and dedup modes over adversarial inputs — NaN/Inf coordinates,
+// Random-walks problem shapes (m, n, d, k), norms, variants, thread counts
+// and dedup modes over adversarial inputs — NaN/Inf coordinates,
 // exact ties, duplicate ids, zero points, empty index lists, k > n, d == 0 —
 // and checks, per trial:
 //
-//   1. every variant × thread count × arity returns BITWISE-identical rows
+//   1. every variant × thread count returns BITWISE-identical rows
 //      (the anchor is Var#1 single-threaded), in f64 and again in f32;
 //   2. the parallel-refs merge driver and the single-loop baseline agree
 //      with the anchor (exactly for the merge driver, to tolerance for the
@@ -48,7 +48,6 @@
 
 namespace {
 
-using gsknn::HeapArity;
 using gsknn::KnnConfig;
 using gsknn::NeighborTable;
 using gsknn::Norm;
@@ -134,9 +133,8 @@ std::vector<std::vector<std::pair<T, int>>> collect_rows(
 template <typename T>
 std::vector<std::vector<std::pair<T, int>>> run_kernel(
     const gsknn::PointTableT<T>& X, const std::vector<int>& q,
-    const std::vector<int>& r, const Trial& t, Variant v, int threads,
-    HeapArity arity) {
-  gsknn::NeighborTableT<T> res(t.m, t.k, arity);
+    const std::vector<int>& r, const Trial& t, Variant v, int threads) {
+  gsknn::NeighborTableT<T> res(t.m, t.k);
   if (t.dedup) res.enable_dedup_index();
   KnnConfig cfg;
   cfg.norm = t.norm;
@@ -659,19 +657,15 @@ bool run_trial(const Trial& t, gsknn::Xoshiro256& rng) {
     }
   }
 
-  // f64: bitwise identity of every variant × thread count × arity.
-  const auto anchor =
-      run_kernel(X, q, r, t, Variant::kVar1, 1, HeapArity::kBinary);
+  // f64: bitwise identity of every variant × thread count.
+  const auto anchor = run_kernel(X, q, r, t, Variant::kVar1, 1);
   for (Variant v : kExplicitVariants) {
     for (int threads : {1, 3}) {
-      for (HeapArity arity : {HeapArity::kBinary, HeapArity::kQuad}) {
-        const auto rows = run_kernel(X, q, r, t, v, threads, arity);
-        if (rows != anchor) {
-          std::fprintf(stderr,
-                       "f64 divergence: variant %d threads %d arity %d\n",
-                       static_cast<int>(v), threads, static_cast<int>(arity));
-          return false;
-        }
+      const auto rows = run_kernel(X, q, r, t, v, threads);
+      if (rows != anchor) {
+        std::fprintf(stderr, "f64 divergence: variant %d threads %d\n",
+                     static_cast<int>(v), threads);
+        return false;
       }
     }
   }
@@ -695,12 +689,10 @@ bool run_trial(const Trial& t, gsknn::Xoshiro256& rng) {
   // f32: independent bitwise identity across the same matrix.
   {
     const gsknn::PointTableF Xf = gsknn::to_float(X);
-    const auto anchor_f =
-        run_kernel(Xf, q, r, t, Variant::kVar1, 1, HeapArity::kBinary);
+    const auto anchor_f = run_kernel(Xf, q, r, t, Variant::kVar1, 1);
     for (Variant v : kExplicitVariants) {
       for (int threads : {1, 3}) {
-        const auto rows =
-            run_kernel(Xf, q, r, t, v, threads, HeapArity::kBinary);
+        const auto rows = run_kernel(Xf, q, r, t, v, threads);
         if (rows != anchor_f) {
           std::fprintf(stderr, "f32 divergence: variant %d threads %d\n",
                        static_cast<int>(v), threads);
